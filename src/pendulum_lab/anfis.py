@@ -15,7 +15,10 @@ exactly by linear least squares with the premises frozen, then the premise
 parameters take one gradient-descent step (step halved on error increase).
 Because any global affine map is representable exactly (set every consequent
 to the same row), fitting a linear state-feedback law drives the residual to
-machine noise on the very first least-squares pass.
+machine noise on the very first least-squares pass.  A premise step whose
+every halving is rejected leaves the premises unchanged, so each later epoch
+would solve the same least squares and stall again: training stops there,
+and the history repeats that epoch's errors up to the epoch cap.
 
 Models are immutable once constructed; training works on private arrays and
 returns a fresh model.
@@ -312,11 +315,16 @@ class TrainConfig:
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch RMSE on the two splits, plus any anomaly flags raised."""
+    """Per-epoch RMSE on the two splits, plus any anomaly flags raised.
+
+    ``stop_epoch`` is the epoch whose premise step stalled, after which
+    training stopped, or None when every epoch up to the cap ran.
+    """
 
     train_rmse: np.ndarray
     test_rmse: np.ndarray
     flags: list[str]
+    stop_epoch: Optional[int] = None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -423,7 +431,18 @@ def train_hybrid(
     (minimum-norm when rank-deficient, flagged), records train/test RMSE,
     then takes one premise gradient step, halving the step up to
     ``max_halvings`` times whenever it would increase the training error.
-    The recorded training RMSE is therefore non-increasing.
+    A candidate is accepted when its training RMSE is at most the current
+    one times (1 + 1e-12), so the recorded training RMSE never rises by more
+    than that relative amount; at the rounding floor of a near-exact fit it
+    can rise by about 1e-16 V.
+
+    When every halving is rejected (flag ``premise_step_stalled``), the
+    premises stay as they were.  The next epoch would then solve the same
+    least squares on the same design matrix and stall again, bit for bit, so
+    that state is a fixed point: training stops at the first stalled epoch,
+    records it as ``stop_epoch`` and fills the rest of both RMSE histories
+    with that epoch's values.  ``epochs`` is the cap; the returned model and
+    history are those the full loop would produce.
     """
     if config is None:
         config = TrainConfig(epochs=epochs)
@@ -437,6 +456,7 @@ def train_hybrid(
         )
 
     flags: list[str] = []
+    stop_epoch = None
     train_hist = np.empty(epochs)
     test_hist = np.empty(epochs)
     a_floor = 1e-6 * max(1.0, float(np.max(model.input_ranges[:, 1] - model.input_ranges[:, 0])))
@@ -469,10 +489,12 @@ def train_hybrid(
                 break
             step *= 0.5
         if accepted is None:
-            if "premise_step_stalled" not in flags:
-                flags.append("premise_step_stalled")
-        else:
-            model = accepted
+            flags.append("premise_step_stalled")
+            stop_epoch = epoch
+            train_hist[epoch + 1:] = train_err
+            test_hist[epoch + 1:] = test_hist[epoch]
+            break
+        model = accepted
 
     y_span = float(y.max() - y.min())
     rmse_pct = 100.0 * train_hist[-1] / y_span if y_span > 0.0 else 0.0
@@ -483,7 +505,8 @@ def train_hybrid(
         "flags": list(flags),
     }
     model = _rebuild(model, model._a, model._b, model._c, model.consequents, metadata)
-    return model, TrainingHistory(train_rmse=train_hist, test_rmse=test_hist, flags=flags)
+    return model, TrainingHistory(train_rmse=train_hist, test_rmse=test_hist, flags=flags,
+                                  stop_epoch=stop_epoch)
 
 
 # ---------------------------------------------------------------------------

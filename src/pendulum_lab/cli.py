@@ -205,6 +205,11 @@ def cmd_train(args) -> int:
     print(f"epochs: {meta['epochs']}  final train RMSE: {meta['rmse']['train']:.3e}"
           f"  test RMSE: {meta['rmse']['test']:.3e}"
           f"  ({meta['rmse_pct_of_range']:.4g}% of output range)")
+    if history.stop_epoch is None:
+        print(f"ran all {len(history.train_rmse)} epochs")
+    else:
+        print(f"stopped after epoch {history.stop_epoch}: its premise step stalled,"
+              " so every later epoch would repeat it")
     if history.flags:
         print("flags:", ", ".join(history.flags))
     _manifest(out, "train", config, args, [MODEL_FILE, "rmse_history.csv"])

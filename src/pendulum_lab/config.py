@@ -4,8 +4,7 @@ Sections mirror the toolkit's stages: physical parameters, simulation
 settings, LQR weights, PI/PID gains, ANFIS training plus its stage-1 data
 collection, and the disturbance scenarios with metric bands.  Parsing is
 strict: unknown keys are rejected so that a config plus the code version
-fully determines a run.  `default_config()` carries the benchmark defaults;
-`configs/paper.json` in the repository root ships the same values.
+fully determines a run.  `default_config()` carries the benchmark defaults.
 """
 
 from __future__ import annotations
@@ -95,6 +94,13 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _integer(value, key: str) -> int:
+    """An integer setting; a non-integral number is rejected, not truncated."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _section(doc: dict, name: str) -> dict:
     value = doc.get(name, {})
     if not isinstance(value, dict):
@@ -135,7 +141,8 @@ def load_config(path) -> RunConfig:
             theta_dot=float(init_doc.get("theta_dot", 0.0)),
         )
         if "log_decimation" in sim_doc:
-            sim_doc["log_decimation"] = int(sim_doc["log_decimation"])
+            sim_doc["log_decimation"] = _integer(sim_doc["log_decimation"],
+                                                 "sim.log_decimation")
         sim = SimConfig(initial_state=initial,
                         **{k: (float(v) if k != "log_decimation" else v)
                            for k, v in sim_doc.items()})
@@ -179,11 +186,13 @@ def load_config(path) -> RunConfig:
         )
         a_defaults = AnfisConfig()
         anfis_cfg = AnfisConfig(
-            epochs=int(anfis_doc.get("epochs", a_defaults.epochs)),
+            epochs=_integer(anfis_doc.get("epochs", a_defaults.epochs), "anfis.epochs"),
             learning_rate=float(anfis_doc.get("learning_rate", a_defaults.learning_rate)),
-            train_count=int(anfis_doc.get("train_count", a_defaults.train_count)),
-            test_count=int(anfis_doc.get("test_count", a_defaults.test_count)),
-            seed=int(anfis_doc.get("seed", a_defaults.seed)),
+            train_count=_integer(anfis_doc.get("train_count", a_defaults.train_count),
+                                 "anfis.train_count"),
+            test_count=_integer(anfis_doc.get("test_count", a_defaults.test_count),
+                                "anfis.test_count"),
+            seed=_integer(anfis_doc.get("seed", a_defaults.seed), "anfis.seed"),
             stage1=stage1,
         )
 
@@ -205,7 +214,7 @@ def load_config(path) -> RunConfig:
         noise = NoiseSpec(
             power=float(noise_doc.get("power", sc_defaults.noise.power)),
             sample_time=float(noise_doc.get("sample_time", sc_defaults.noise.sample_time)),
-            seed=int(noise_doc.get("seed", sc_defaults.noise.seed)),
+            seed=_integer(noise_doc.get("seed", sc_defaults.noise.seed), "scenarios.noise.seed"),
         )
         noise_horizon = float(noise_doc.get("horizon", sc_defaults.noise_horizon))
         met_doc = _section(sc_doc, "metrics")

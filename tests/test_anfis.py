@@ -286,6 +286,68 @@ class TestTrainHybrid:
             TrainConfig(learning_rate=0.0)
 
 
+@pytest.fixture(scope="module")
+def stage1_logs():
+    from pendulum_lab.config import default_config
+    from pendulum_lab.pipeline import design_from_config, stage1_runs
+
+    config = default_config()
+    return stage1_runs(config, design_from_config(config))
+
+
+def counted_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
+class TestEarlyStop:
+    """A stalled premise step leaves the premises unchanged, so training stops
+    there; the result must be the one the full epoch loop would give."""
+
+    @pytest.mark.parametrize("seed, stall_epoch", [(1, 1), (7, 4)])
+    def test_stop_matches_fit_capped_at_stall_epoch(self, stage1_logs, monkeypatch,
+                                                    seed, stall_epoch):
+        ds = generate_dataset(stage1_logs, train_count=500, test_count=91, seed=seed)
+        calls = counted_lstsq(monkeypatch)
+        model, history = train_hybrid(ds, epochs=50)
+        assert history.stop_epoch == stall_epoch
+        assert len(calls) == stall_epoch + 1
+
+        capped, capped_history = train_hybrid(ds, epochs=stall_epoch + 1)
+        assert capped_history.stop_epoch is None
+        assert np.array_equal(model.consequents, capped.consequents)
+        for name in ("_a", "_b", "_c"):
+            assert np.array_equal(getattr(model, name), getattr(capped, name))
+        # the capped fit ends before it can take, and stall on, that last premise step
+        assert model.metadata["flags"] == capped.metadata["flags"] + ["premise_step_stalled"]
+        assert history.flags == model.metadata["flags"]
+        k = stall_epoch + 1
+        assert np.array_equal(history.train_rmse[:k], capped_history.train_rmse)
+        assert np.array_equal(history.test_rmse[:k], capped_history.test_rmse)
+
+        assert history.train_rmse.shape == history.test_rmse.shape == (50,)
+        assert np.all(history.train_rmse[stall_epoch:] == history.train_rmse[stall_epoch])
+        assert np.all(history.test_rmse[stall_epoch:] == history.test_rmse[stall_epoch])
+        assert model.metadata["epochs"] == 50
+        assert model.metadata["rmse"] == {"train": float(history.train_rmse[stall_epoch]),
+                                          "test": float(history.test_rmse[stall_epoch])}
+
+    def test_fit_without_stall_runs_every_epoch(self, stage1_logs, monkeypatch):
+        ds = generate_dataset(stage1_logs, train_count=500, test_count=91, seed=0)
+        calls = counted_lstsq(monkeypatch)
+        model, history = train_hybrid(ds, epochs=50)
+        assert history.stop_epoch is None
+        assert "premise_step_stalled" not in history.flags
+        assert len(calls) == 50
+
+
 class TestGenerateDataset:
     def test_exact_split_counts(self):
         rng = np.random.default_rng(12)
