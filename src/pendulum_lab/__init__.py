@@ -12,7 +12,7 @@ from .plant import (LinearStateSpace, PhysicalParams, PlantState, TransferFuncti
                     UPRIGHT_THETA, controllability, linearize, nonlinear_derivative, poles,
                     root_locus_sweep, total_energy, transfer_functions)
 from .scenarios import (ImpulseSpec, MetricBands, NoiseSpec, TransientMetrics, compute_metrics,
-                        impulse_signal, make_disturbance, noise_signal, run_benchmark)
+                        impulse_signal, make_disturbance, run_benchmark)
 from .simulate import SimConfig, TimeSeries, rk4_step, run_closed_loop
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
     "SimConfig", "TimeSeries", "TransferFunction", "TransientMetrics", "UPRIGHT_THETA",
     "anfis_infer", "compute_metrics", "controllability", "default_config", "design_lqr",
     "firing_strengths", "generate_dataset", "impulse_signal", "linearize", "load_config",
-    "load_model", "lqr_step", "make_disturbance", "noise_signal", "nonlinear_derivative",
+    "load_model", "lqr_step", "make_disturbance", "nonlinear_derivative",
     "normalize", "pid_step", "poles", "rk4_step", "root_locus_sweep", "run_benchmark",
     "run_closed_loop", "save_model", "solve_care", "total_energy", "train_hybrid",
     "transfer_functions",

@@ -423,7 +423,7 @@ def _rmse(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def train_hybrid(
-    dataset: Dataset, epochs: int = 50, config: Optional[TrainConfig] = None
+    dataset: Dataset, config: Optional[TrainConfig] = None
 ) -> tuple[AnfisModel, TrainingHistory]:
     """Hybrid least-squares / gradient-descent training.
 
@@ -441,11 +441,12 @@ def train_hybrid(
     least squares on the same design matrix and stall again, bit for bit, so
     that state is a fixed point: training stops at the first stalled epoch,
     records it as ``stop_epoch`` and fills the rest of both RMSE histories
-    with that epoch's values.  ``epochs`` is the cap; the returned model and
-    history are those the full loop would produce.
+    with that epoch's values.  ``config.epochs`` is the cap; the returned
+    model and history are those the full loop would produce.
     """
     if config is None:
-        config = TrainConfig(epochs=epochs)
+        config = TrainConfig()
+    epochs = config.epochs
     X, y = dataset.train_X, dataset.train_y
     Xt, yt = dataset.test_X, dataset.test_y
     model = initial_model(X, config.mfs_per_input, config.shape_b)

@@ -55,12 +55,10 @@ def build_dataset(config: RunConfig, design: LqrDesign) -> Dataset:
 
 def train_from_config(config: RunConfig, dataset: Dataset) -> tuple[AnfisModel, TrainingHistory]:
     train_cfg = TrainConfig(epochs=config.anfis.epochs, learning_rate=config.anfis.learning_rate)
-    return train_hybrid(dataset, epochs=config.anfis.epochs, config=train_cfg)
+    return train_hybrid(dataset, train_cfg)
 
 
-def benchmark_from_config(
-    config: RunConfig, model: AnfisModel, parallel: bool = True
-) -> BenchmarkTable:
+def benchmark_from_config(config: RunConfig, model: AnfisModel) -> BenchmarkTable:
     factories = {
         "PI": lambda: PidController(config.pi),
         "PID": lambda: PidController(config.pid),
@@ -75,5 +73,4 @@ def benchmark_from_config(
         sim_config=config.sim,
         noise_horizon=config.scenarios.noise_horizon,
         bands=config.scenarios.bands,
-        parallel=parallel,
     )

@@ -6,11 +6,6 @@ force impulse (a sharp knock on the cart) and band-limited white noise
 extracted from logged runs; quantities that never converge, grow without
 bound, or belong to a diverged run carry ``math.inf`` as an explicit
 unbounded flag.
-
-Benchmark cells are independent; `run_benchmark` can fan them out over a
-thread pool (capped by the PENDULUM_LAB_THREADS environment variable) and
-assembles the table in a fixed order either way, so parallel and serial runs
-emit identical output.
 """
 
 from __future__ import annotations
@@ -18,11 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +27,6 @@ __all__ = [
     "MetricBands",
     "TransientMetrics",
     "impulse_signal",
-    "noise_signal",
     "make_disturbance",
     "compute_metrics",
     "BenchmarkCell",
@@ -108,7 +98,6 @@ class _NoiseStream:
         self.spec = spec
         self._rng = np.random.default_rng(spec.seed)
         self._samples = np.empty(0)
-        self._lock = threading.Lock()
 
     def __call__(self, t: float) -> float:
         if self.spec.power == 0.0:
@@ -117,22 +106,10 @@ class _NoiseStream:
         if k < 0:
             raise ValueError(f"negative time {t!r}")
         if k >= self._samples.size:
-            with self._lock:
-                if k >= self._samples.size:
-                    grow = max(k + 1 - self._samples.size, 1024)
-                    fresh = self._rng.standard_normal(grow) * math.sqrt(self.spec.power)
-                    self._samples = np.concatenate([self._samples, fresh])
+            grow = max(k + 1 - self._samples.size, 1024)
+            fresh = self._rng.standard_normal(grow) * math.sqrt(self.spec.power)
+            self._samples = np.concatenate([self._samples, fresh])
         return float(self._samples[k])
-
-
-@lru_cache(maxsize=64)
-def _cached_stream(spec: NoiseSpec) -> _NoiseStream:
-    return _NoiseStream(spec)
-
-
-def noise_signal(spec: NoiseSpec, t: float) -> float:
-    """Held Gaussian sample at time t, deterministic per seed."""
-    return _cached_stream(spec)(t)
 
 
 def make_disturbance(spec) -> Callable[[float], float]:
@@ -366,16 +343,6 @@ class BenchmarkTable:
         return out.getvalue()
 
 
-def _thread_cap() -> Optional[int]:
-    raw = os.environ.get("PENDULUM_LAB_THREADS", "")
-    if not raw:
-        return None
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"PENDULUM_LAB_THREADS must be >= 1, got {raw!r}")
-    return cap
-
-
 def run_benchmark(
     params: PhysicalParams,
     controller_factories: dict[str, Callable[[], Controller]],
@@ -385,7 +352,6 @@ def run_benchmark(
     sim_config: SimConfig,
     noise_horizon: Optional[float] = None,
     bands: Optional[MetricBands] = None,
-    parallel: bool = True,
 ) -> BenchmarkTable:
     """Run every controller against every scenario and tabulate the metrics.
 
@@ -398,27 +364,19 @@ def run_benchmark(
     bands = bands or MetricBands()
     noise_cfg = sim_config if noise_horizon is None else replace(sim_config, horizon=noise_horizon)
 
-    jobs = []
-    for name, factory in controller_factories.items():
-        for magnitude in impulse_magnitudes:
-            spec = replace(impulse, magnitude=float(magnitude))
-            jobs.append((name, factory, "impulse", float(magnitude), spec, sim_config, spec.onset))
-        jobs.append((name, factory, "noise", None, noise, noise_cfg, 0.0))
-
-    def run_cell(job) -> BenchmarkCell:
-        name, factory, scenario, magnitude, spec, cfg, onset = job
+    def run_cell(name, factory, scenario, magnitude, spec, cfg, onset) -> BenchmarkCell:
         controller = factory()
         controller.reset()
         series = run_closed_loop(cfg, controller, make_disturbance(spec), params)
-        metrics = compute_metrics(series, onset, bands) if not series.diverged else _ALL_UNBOUNDED
         final_x = float(series.x[-1]) if len(series) else math.nan
-        return BenchmarkCell(name, scenario, magnitude, metrics, series.diverged, final_x)
+        return BenchmarkCell(name, scenario, magnitude, compute_metrics(series, onset, bands),
+                             series.diverged, final_x)
 
-    cap = _thread_cap()
-    if parallel and (cap is None or cap > 1):
-        workers = min(len(jobs), cap or (os.cpu_count() or 4))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, jobs))
-    else:
-        cells = [run_cell(job) for job in jobs]
+    cells = []
+    for name, factory in controller_factories.items():
+        for magnitude in impulse_magnitudes:
+            spec = replace(impulse, magnitude=float(magnitude))
+            cells.append(run_cell(name, factory, "impulse", float(magnitude), spec, sim_config,
+                                  spec.onset))
+        cells.append(run_cell(name, factory, "noise", None, noise, noise_cfg, 0.0))
     return BenchmarkTable(cells=cells)

@@ -219,7 +219,7 @@ class TestTrainHybrid:
         rng = np.random.default_rng(8)
         rows = np.column_stack([rng.uniform(-1, 1, size=(600, 4)), np.full(600, 2.5)])
         ds = Dataset(rows=rows, train_indices=np.arange(500), test_indices=np.arange(500, 591))
-        model, history = train_hybrid(ds, epochs=1)
+        model, history = train_hybrid(ds, TrainConfig(epochs=1))
         assert history.train_rmse[0] <= 1e-9
 
     def test_state_feedback_target_exact_fit(self):
@@ -235,7 +235,7 @@ class TestTrainHybrid:
         direct_err = max(abs(anfis_infer(reference, x) - t) for x, t in zip(ds.train_X[:50], ds.train_y[:50]))
         assert direct_err <= 1e-12
 
-        model, history = train_hybrid(ds, epochs=1)
+        model, history = train_hybrid(ds, TrainConfig(epochs=1))
         assert history.train_rmse[0] <= 1e-6
         assert history.test_rmse[0] <= 1e-5
 
@@ -245,7 +245,7 @@ class TestTrainHybrid:
         y = np.tanh(X @ np.array([1.0, -2.0, 0.5, 1.5])) + 0.3 * X[:, 0] * X[:, 2]
         ds = Dataset(rows=np.column_stack([X, y]), train_indices=np.arange(500),
                      test_indices=np.arange(500, 591))
-        model, history = train_hybrid(ds, epochs=8)
+        model, history = train_hybrid(ds, TrainConfig(epochs=8))
         diffs = np.diff(history.train_rmse)
         assert np.all(diffs <= 1e-12 * (1.0 + history.train_rmse[:-1]))
 
@@ -255,7 +255,7 @@ class TestTrainHybrid:
         y = np.sin(X @ np.array([2.0, 1.0, -1.0, 0.5]))
         ds = Dataset(rows=np.column_stack([X, y]), train_indices=np.arange(500),
                      test_indices=np.arange(500, 591))
-        model, _ = train_hybrid(ds, epochs=1)
+        model, _ = train_hybrid(ds, TrainConfig(epochs=1))
 
         from pendulum_lab.anfis import _infer_batch
 
@@ -277,7 +277,7 @@ class TestTrainHybrid:
         rows = np.column_stack([rng.uniform(-1, 1, size=(70, 4)), rng.normal(size=70)])
         ds = Dataset(rows=rows, train_indices=np.arange(60), test_indices=np.arange(60, 70))
         with pytest.raises(ValueError, match="too small"):
-            train_hybrid(ds, epochs=1)
+            train_hybrid(ds, TrainConfig(epochs=1))
 
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
@@ -316,11 +316,11 @@ class TestEarlyStop:
                                                     seed, stall_epoch):
         ds = generate_dataset(stage1_logs, train_count=500, test_count=91, seed=seed)
         calls = counted_lstsq(monkeypatch)
-        model, history = train_hybrid(ds, epochs=50)
+        model, history = train_hybrid(ds, TrainConfig(epochs=50))
         assert history.stop_epoch == stall_epoch
         assert len(calls) == stall_epoch + 1
 
-        capped, capped_history = train_hybrid(ds, epochs=stall_epoch + 1)
+        capped, capped_history = train_hybrid(ds, TrainConfig(epochs=stall_epoch + 1))
         assert capped_history.stop_epoch is None
         assert np.array_equal(model.consequents, capped.consequents)
         for name in ("_a", "_b", "_c"):
@@ -342,7 +342,7 @@ class TestEarlyStop:
     def test_fit_without_stall_runs_every_epoch(self, stage1_logs, monkeypatch):
         ds = generate_dataset(stage1_logs, train_count=500, test_count=91, seed=0)
         calls = counted_lstsq(monkeypatch)
-        model, history = train_hybrid(ds, epochs=50)
+        model, history = train_hybrid(ds, TrainConfig(epochs=50))
         assert history.stop_epoch is None
         assert "premise_step_stalled" not in history.flags
         assert len(calls) == 50

@@ -10,7 +10,7 @@ from pendulum_lab.controllers import LqrController, design_lqr
 from pendulum_lab.plant import PhysicalParams, UPRIGHT_THETA, linearize
 from pendulum_lab.scenarios import (BENCHMARK_HEADER, BenchmarkTable, ImpulseSpec, MetricBands,
                                     NoiseSpec, compute_metrics, impulse_signal, make_disturbance,
-                                    noise_signal, run_benchmark)
+                                    run_benchmark)
 from pendulum_lab.simulate import SimConfig, TimeSeries, run_closed_loop
 
 PARAMS = PhysicalParams()
@@ -66,12 +66,13 @@ class TestImpulseSignal:
 class TestNoiseSignal:
     def test_zero_power_is_identically_zero(self):
         spec = NoiseSpec(power=0.0, sample_time=0.01, seed=1)
-        assert all(noise_signal(spec, t) == 0.0 for t in np.linspace(0, 5, 100))
+        stream = make_disturbance(spec)
+        assert all(stream(t) == 0.0 for t in np.linspace(0, 5, 100))
 
     def test_same_seed_same_sequence(self):
         times = np.linspace(0.0, 2.0, 500)
-        a = [noise_signal(NoiseSpec(power=0.5, sample_time=0.01, seed=7), t) for t in times]
-        b = [noise_signal(NoiseSpec(power=0.5, sample_time=0.01, seed=7), t) for t in times]
+        a = [make_disturbance(NoiseSpec(power=0.5, sample_time=0.01, seed=7))(t) for t in times]
+        b = [make_disturbance(NoiseSpec(power=0.5, sample_time=0.01, seed=7))(t) for t in times]
         assert a == b
 
     def test_piecewise_constant_over_sample_time(self):
@@ -178,30 +179,15 @@ def quick_setup():
 class TestRunBenchmark:
     def test_single_controller_single_cell(self, quick_setup):
         sim, impulse, noise = quick_setup
-        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0], impulse, noise, sim,
-                              parallel=False)
+        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0], impulse, noise, sim)
         assert len(table.cells) == 2  # one impulse magnitude + noise
         assert table.cells[0].scenario == "impulse"
         assert table.cells[1].scenario == "noise"
         assert not table.cells[0].diverged
 
-    def test_parallel_matches_serial(self, quick_setup, tmp_path, monkeypatch):
-        sim, impulse, noise = quick_setup
-        factories = {"LQR": lqr_controller}
-        monkeypatch.setenv("PENDULUM_LAB_THREADS", "4")
-        parallel = run_benchmark(PARAMS, factories, [10.0, 20.0], impulse, noise, sim,
-                                 parallel=True)
-        serial = run_benchmark(PARAMS, factories, [10.0, 20.0], impulse, noise, sim,
-                               parallel=False)
-        p_csv, s_csv = tmp_path / "p.csv", tmp_path / "s.csv"
-        parallel.to_csv(p_csv)
-        serial.to_csv(s_csv)
-        assert p_csv.read_bytes() == s_csv.read_bytes()
-
     def test_csv_layout(self, quick_setup, tmp_path):
         sim, impulse, noise = quick_setup
-        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0], impulse, noise, sim,
-                              parallel=False)
+        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0], impulse, noise, sim)
         path = tmp_path / "bench.csv"
         table.to_csv(path)
         lines = path.read_text().splitlines()
@@ -211,8 +197,7 @@ class TestRunBenchmark:
 
     def test_mean_over_impulse_repeats(self, quick_setup):
         sim, impulse, noise = quick_setup
-        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0, 20.0], impulse, noise, sim,
-                              parallel=False)
+        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0, 20.0], impulse, noise, sim)
         cells = [c for c in table.cells if c.scenario == "impulse"]
         mean = table.impulse_mean("LQR")
         expected = np.mean([c.metrics.settling_time for c in cells])
@@ -220,16 +205,8 @@ class TestRunBenchmark:
 
     def test_text_rendering_mentions_all_sections(self, quick_setup):
         sim, impulse, noise = quick_setup
-        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0], impulse, noise, sim,
-                              parallel=False)
+        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0], impulse, noise, sim)
         text = table.to_text()
         assert "Impulse disturbance" in text
         assert "White-noise disturbance" in text
         assert "LQR" in text
-
-    def test_thread_cap_validation(self, quick_setup, monkeypatch):
-        sim, impulse, noise = quick_setup
-        monkeypatch.setenv("PENDULUM_LAB_THREADS", "0")
-        with pytest.raises(ValueError):
-            run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0], impulse, noise, sim,
-                          parallel=True)
