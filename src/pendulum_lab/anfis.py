@@ -10,6 +10,13 @@ rule carries an affine consequent.  The five-layer forward pass is
     layer 4  weighted consequents wbar_j (theta_j . z + theta_j0)
     layer 5  sum                  Z = sum_j wbar_j (theta_j . z + theta_j0)
 
+A single sample (the controller's path, one call per simulation step) is
+evaluated by `anfis_infer` over plain Python floats, from float copies of the
+premise and consequent parameters that each model builds once: at 16 rules,
+a dozen tiny numpy calls would cost more than the arithmetic.  Batches (the
+training path) go through numpy in `_infer_batch`, `_design_matrix` and
+`premise_gradients`; the two paths agree to rounding.
+
 Training follows Jang's hybrid scheme: per epoch, the consequents are solved
 exactly by linear least squares with the premises frozen, then the premise
 parameters take one gradient-descent step (step halved on error increase).
@@ -31,6 +38,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -128,6 +136,13 @@ class AnfisModel:
         index = np.array(list(itertools.product(range(n_mfs), repeat=n_inputs)), dtype=int)
         index.setflags(write=False)
         object.__setattr__(self, "_rule_index", index)
+        # float copies for anfis_infer: (a, b, c) per MF of each input, and the
+        # consequents by column (input coefficients, then the constant terms)
+        object.__setattr__(self, "_mf_floats", tuple(
+            tuple(zip(a, b, c)) for a, b, c in zip(
+                self._a.tolist(), self._b.tolist(), self._c.tolist())))
+        object.__setattr__(self, "_coef_columns", tuple(map(tuple, cons[:, :-1].T.tolist())))
+        object.__setattr__(self, "_offsets", tuple(cons[:, -1].tolist()))
 
     @property
     def n_inputs(self) -> int:
@@ -176,10 +191,36 @@ def _consequent_outputs(model: AnfisModel, z: np.ndarray) -> np.ndarray:
 
 
 def anfis_infer(model: AnfisModel, inputs: Sequence[float]) -> float:
-    """Layers 4-5: normalized-strength-weighted sum of the rule affine maps."""
-    z = np.asarray(inputs, dtype=float)
-    wbar = normalize(firing_strengths(model, z))
-    return float(wbar @ _consequent_outputs(model, z))
+    """Layers 1-5 for one sample, in Python floats.
+
+    The bells are 1 / (1 + (((z - c) / a)^2)^b); a power too large for a
+    float is a membership of 0.0, as numpy's overflow to inf gives.  Rule
+    strengths are successive products in rule order (last input fastest),
+    and the output is sum_j w_j (theta_j . z + theta_j0) / sum_j w_j,
+    accumulated column by column.  This is the single-sample path;
+    `_infer_batch` evaluates the same model over a batch in numpy for
+    training, and the two agree to rounding.
+    """
+    z = [float(v) for v in inputs]
+    if len(z) != len(model._mf_floats):
+        raise ValueError(f"expected {len(model._mf_floats)} inputs, got {len(z)}")
+    w = [1.0]
+    for zk, mfs in zip(z, model._mf_floats):
+        mu = []
+        for a, b, c in mfs:
+            d = (zk - c) / a
+            try:
+                mu.append(1.0 / (1.0 + (d * d) ** b))
+            except OverflowError:
+                mu.append(0.0)
+        w = [wj * m for wj in w for m in mu]
+    total = sum(w)
+    if not (total > 0.0):
+        raise ValueError("firing strengths sum to zero; input too far outside all rules")
+    out = sum(map(mul, w, model._offsets))
+    for zk, column in zip(z, model._coef_columns):
+        out += zk * sum(map(mul, w, column))
+    return out / total
 
 
 def _infer_batch(model: AnfisModel, X: np.ndarray) -> np.ndarray:

@@ -295,4 +295,5 @@ class AnfisController:
 
 
 def anfis_step(model: AnfisModel, state: PlantState) -> float:
-    return float(anfis_infer(model, state.deviation()))
+    return anfis_infer(model, (state.x, state.x_dot, state.theta - UPRIGHT_THETA,
+                               state.theta_dot))

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pendulum_lab.anfis import (AnfisModel, Dataset, MembershipFunction, TrainConfig,
-                                anfis_infer, firing_strengths, generate_dataset, initial_model,
-                                load_model, normalize, premise_gradients, save_model,
-                                train_hybrid)
+                                _infer_batch, anfis_infer, firing_strengths, generate_dataset,
+                                initial_model, load_model, normalize, premise_gradients,
+                                save_model, train_hybrid)
 from pendulum_lab.simulate import TimeSeries
 
 
@@ -176,6 +176,69 @@ class TestInference:
         assert direct == pytest.approx(permuted, rel=1e-12)
 
 
+@st.composite
+def models_and_inputs(draw):
+    """A model with 1-4 inputs and 1-3 MFs per input, and one input vector."""
+    n_inputs = draw(st.integers(1, 4))
+    n_mfs = draw(st.integers(1, 3))
+    mf = st.builds(MembershipFunction, a=st.floats(0.1, 5.0), b=st.floats(0.5, 4.0),
+                   c=st.floats(-3.0, 3.0))
+    premises = tuple(tuple(draw(mf) for _ in range(n_mfs)) for _ in range(n_inputs))
+    n_params = n_mfs**n_inputs * (n_inputs + 1)
+    coef = draw(st.lists(st.floats(-100.0, 100.0), min_size=n_params, max_size=n_params))
+    model = AnfisModel(premises=premises, consequents=np.array(coef),
+                       input_ranges=np.tile([-1.0, 1.0], (n_inputs, 1)))
+    z = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n_inputs, max_size=n_inputs)))
+    return model, z
+
+
+class TestScalarInference:
+    """`anfis_infer` (Python floats) against the numpy layers and `_infer_batch`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(models_and_inputs())
+    def test_matches_numpy_layers(self, case):
+        model, z = case
+        C = model.consequents
+        rule_out = C[:, :-1] @ z + C[:, -1]
+        reference = float(normalize(firing_strengths(model, z)) @ rule_out)
+        # the two paths sum in different orders: allow 1e-12 of the largest
+        # rule's term magnitudes, far above rounding and far below any misrouted rule
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(C[:, :-1] * z).sum(axis=1) + np.abs(C[:, -1]))))
+        value = anfis_infer(model, z)
+        assert abs(value - reference) <= tol
+        assert abs(value - float(_infer_batch(model, z[None])[0])) <= tol
+
+    def test_sequence_types_agree_bitwise(self):
+        model = toy_model(n_inputs=4, n_mfs=2, seed=20)
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            z = rng.uniform(-2.0, 2.0, size=4)
+            value = anfis_infer(model, z)
+            assert anfis_infer(model, tuple(z.tolist())) == value
+            assert anfis_infer(model, z.tolist()) == value
+
+    @pytest.mark.parametrize("z", [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4, 0.5],
+                                   [math.nan, 0.0, 0.0, 0.0], [1e200] * 4],
+                             ids=["too-short", "too-long", "nan", "far-outside"])
+    def test_rejects(self, z):
+        with pytest.raises(ValueError):
+            anfis_infer(toy_model(n_inputs=4, n_mfs=2, seed=22), z)
+
+    def test_overflowing_membership_is_zero(self):
+        # at z = 1 the narrow MF's ((z - c) / a)^2 is 1e200, and raising it to b = 2 overflows
+        narrow = MembershipFunction(a=1e-100, b=2.0, c=0.0)
+        wide = MembershipFunction(a=1.0, b=2.0, c=0.0)
+        ranges = np.array([[-1.0, 1.0]])
+        model = AnfisModel(premises=((narrow, wide),),
+                           consequents=np.array([[1.0, 5.0], [2.0, -1.0]]), input_ranges=ranges)
+        assert anfis_infer(model, [1.0]) == 2.0 * 1.0 - 1.0  # the wide MF's rule alone
+        alone = AnfisModel(premises=((narrow,),), consequents=np.array([[1.0, 5.0]]),
+                           input_ranges=ranges)
+        with pytest.raises(ValueError):
+            anfis_infer(alone, [1.0])
+
+
 class TestPremiseGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_central_finite_differences(self, seed):
@@ -256,8 +319,6 @@ class TestTrainHybrid:
         ds = Dataset(rows=np.column_stack([X, y]), train_indices=np.arange(500),
                      test_indices=np.arange(500, 591))
         model, _ = train_hybrid(ds, TrainConfig(epochs=1))
-
-        from pendulum_lab.anfis import _infer_batch
 
         base_sse = float(np.sum((_infer_batch(model, ds.train_X) - ds.train_y) ** 2))
         worse = 0

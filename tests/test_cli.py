@@ -17,8 +17,8 @@ SHORT_BENCHMARK = {
 }
 
 GOLDEN_SHA256 = {
-    "benchmark.csv": "df77d16f796b9c7cf9bae931789d957d8554031c00edd1e817c8635891aaf776",
-    "benchmark.txt": "9ee2625775d975452595b45714417fa777251b604ea1c7f51c949b899f138bd4",
+    "benchmark.csv": "cfed0c66beb4666f26278c6136c7ab42240eaf01c1dfce6bb6bcba7ee2d2aeea",
+    "benchmark.txt": "9910e56934eccb46c9791b4d2f7a4489423c46edaa73a58307ef7266f3f06c33",
 }
 
 

@@ -1,14 +1,17 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pendulum_lab import simulate
 from pendulum_lab.controllers import LqrController, design_lqr
 from pendulum_lab.plant import (PhysicalParams, PlantState, UPRIGHT_THETA, linearize,
                                 total_energy)
 from pendulum_lab.scenarios import ImpulseSpec, make_disturbance
-from pendulum_lab.simulate import SimConfig, TimeSeries, rk4_step, run_closed_loop
+from pendulum_lab.simulate import (DIVERGENCE_LIMIT, SimConfig, TimeSeries, rk4_step,
+                                   run_closed_loop)
 
 PARAMS = PhysicalParams()
 
@@ -144,6 +147,23 @@ class TestRunClosedLoop:
         assert len(series) < 40_001
         assert np.all(np.isfinite(series.x))
 
+    @pytest.mark.parametrize("value, diverged", [
+        (math.nan, True),
+        (math.inf, True),
+        (DIVERGENCE_LIMIT * (1.0 + 1e-15), True),
+        (DIVERGENCE_LIMIT, False),
+        (-DIVERGENCE_LIMIT, False),
+    ], ids=["nan", "inf", "just-past-limit", "at-limit", "at-minus-limit"])
+    @pytest.mark.parametrize("component", range(4))
+    def test_divergence_limit(self, monkeypatch, value, diverged, component):
+        # every step lands on the same state, with one component set to `value`
+        state = [0.0, 0.0, UPRIGHT_THETA, 0.0]
+        state[component] = value
+        monkeypatch.setattr(simulate, "_rk4", lambda accel, s, force, dt: tuple(state))
+        series = run_closed_loop(SimConfig(horizon=0.01), None, None, PARAMS)
+        assert series.diverged is diverged
+        assert len(series) == (1 if diverged else 11)
+
     def test_determinism_bit_identical(self):
         cfg = SimConfig(horizon=5.0)
         dist_spec = ImpulseSpec(magnitude=20.0, onset=1.0, width=0.05)
@@ -183,3 +203,19 @@ class TestTimeSeriesCsv:
         path = tmp_path / "run.csv"
         series.to_csv(path)
         assert path.read_text().splitlines()[0] == "t,x,x_dot,theta,theta_dot,u,d"
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # reference: the csv.writer form, one repr per float
+        values = [-0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, 0.1, -1.5, 1.0, 3]
+        cols = [np.roll(np.array(values, dtype=float), k) for k in range(7)]
+        cols[0] = np.arange(len(values))  # an integer column is written as floats too
+        series = TimeSeries(*cols)
+        path = tmp_path / "run.csv"
+        series.to_csv(path)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "x", "x_dot", "theta", "theta_dot", "u", "d"])
+            for row in zip(*cols):
+                writer.writerow([repr(float(v)) for v in row])
+        assert path.read_bytes() == ref.read_bytes()
