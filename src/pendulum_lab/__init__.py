@@ -7,7 +7,7 @@ from .anfis import (AnfisModel, Dataset, MembershipFunction, anfis_infer, firing
                     generate_dataset, load_model, normalize, save_model, train_hybrid)
 from .config import RunConfig, default_config, load_config
 from .controllers import (AnfisController, CareError, LqrController, LqrDesign, PidController,
-                          PidGains, design_lqr, lqr_step, pid_step, solve_care)
+                          PidGains, design_lqr, solve_care)
 from .plant import (LinearStateSpace, PhysicalParams, PlantState, TransferFunction,
                     UPRIGHT_THETA, controllability, linearize, nonlinear_derivative, poles,
                     root_locus_sweep, total_energy, transfer_functions)
@@ -23,8 +23,8 @@ __all__ = [
     "SimConfig", "TimeSeries", "TransferFunction", "TransientMetrics", "UPRIGHT_THETA",
     "anfis_infer", "compute_metrics", "controllability", "default_config", "design_lqr",
     "firing_strengths", "generate_dataset", "impulse_signal", "linearize", "load_config",
-    "load_model", "lqr_step", "make_disturbance", "nonlinear_derivative",
-    "normalize", "pid_step", "poles", "rk4_step", "root_locus_sweep", "run_benchmark",
+    "load_model", "make_disturbance", "nonlinear_derivative",
+    "normalize", "poles", "rk4_step", "root_locus_sweep", "run_benchmark",
     "run_closed_loop", "save_model", "solve_care", "total_energy", "train_hybrid",
     "transfer_functions",
 ]

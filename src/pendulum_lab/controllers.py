@@ -28,11 +28,8 @@ __all__ = [
     "solve_care",
     "LqrDesign",
     "design_lqr",
-    "lqr_step",
     "LqrController",
     "PidGains",
-    "PidState",
-    "pid_step",
     "PidController",
     "AnfisController",
 ]
@@ -184,19 +181,28 @@ def design_lqr(ss: LinearStateSpace, Q, R: float) -> LqrDesign:
     return design
 
 
-def lqr_step(design: LqrDesign, state: PlantState) -> float:
-    """Full-state feedback u = -K (state - upright equilibrium)."""
-    return float(-(design.K @ state.deviation())[0])
+def _deviation(state: PlantState) -> tuple[float, float, float, float]:
+    return (state.x, state.x_dot, state.theta - UPRIGHT_THETA, state.theta_dot)
 
 
 class LqrController:
-    """Stateless full-state feedback wrapper around an `LqrDesign`."""
+    """Stateless full-state feedback u = -K z around an `LqrDesign`.
+
+    The product stays numpy's ``K @ z``: on an OpenBLAS build it is a gemv
+    that fuses its multiply-adds (fma(k3, z3, fma(k2, z2, ...))), which a
+    Python sum cannot reproduce, and every artifact downstream of stage 1
+    (dataset, model, table) carries those exact bits.
+    """
 
     def __init__(self, design: LqrDesign):
         self.design = design
+        self._K = design.K
+
+    def command(self, z: tuple[float, float, float, float], dt: float) -> float:
+        return float(-(self._K @ np.array(z))[0])
 
     def step(self, measured: PlantState, dt: float) -> float:
-        return lqr_step(self.design, measured)
+        return self.command(_deviation(measured), dt)
 
     def reset(self) -> None:
         pass
@@ -235,49 +241,40 @@ class PidGains:
         return cls(**{k: float(doc[k]) for k in ("kp", "ki", "kd", "filter_n")})
 
 
-@dataclass(frozen=True)
-class PidState:
-    integral: float = 0.0
-    prev_error: float = 0.0
-    derivative: float = 0.0
-
-
-def pid_step(gains: PidGains, error: float, dt: float, state: PidState) -> tuple[float, PidState]:
-    """One discrete PID update on a scalar error.
-
-    Trapezoidal integral; the derivative path is the filtered differentiator
-    kd * N s / (s + N) discretized with backward Euler, so
-    d_k = (d_{k-1} + kd N (e_k - e_{k-1})) / (1 + N dt).
-    """
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    integral = state.integral + 0.5 * (error + state.prev_error) * dt
-    derivative = (state.derivative + gains.kd * gains.filter_n * (error - state.prev_error)) / (
-        1.0 + gains.filter_n * dt
-    )
-    command = gains.kp * error + gains.ki * integral + derivative
-    return command, PidState(integral=integral, prev_error=error, derivative=derivative)
-
-
 class PidController:
     """SISO PI/PID regulating the pendulum angle only.
 
-    The error is pi - theta, so positive gains push the pendulum back
-    upright; cart position never enters the command, which is why these
-    controllers cannot regulate x.
+    The error is pi - theta, i.e. -z[2], so positive gains push the
+    pendulum back upright; cart position never enters the command, which is
+    why these controllers cannot regulate x.  Each update integrates the
+    error by the trapezoidal rule and runs the derivative path through the
+    filtered differentiator kd N s / (s + N), discretized with backward
+    Euler:  d_k = (d_{k-1} + kd N (e_k - e_{k-1})) / (1 + N dt).
+    ``integral``, ``prev_error`` and ``derivative`` hold that state.
     """
 
     def __init__(self, gains: PidGains):
         self.gains = gains
-        self._state = PidState()
+        self._kp, self._ki, self._n = gains.kp, gains.ki, gains.filter_n
+        self._kd_n = gains.kd * gains.filter_n
+        self.reset()
+
+    def command(self, z: tuple[float, float, float, float], dt: float) -> float:
+        if not (dt > 0.0):
+            raise ValueError(f"dt must be positive, got {dt!r}")
+        error = -z[2]
+        prev = self.prev_error
+        self.integral = integral = self.integral + 0.5 * (error + prev) * dt
+        self.derivative = derivative = (
+            (self.derivative + self._kd_n * (error - prev)) / (1.0 + self._n * dt))
+        self.prev_error = error
+        return self._kp * error + self._ki * integral + derivative
 
     def step(self, measured: PlantState, dt: float) -> float:
-        error = UPRIGHT_THETA - measured.theta
-        command, self._state = pid_step(self.gains, error, dt, self._state)
-        return command
+        return self.command(_deviation(measured), dt)
 
     def reset(self) -> None:
-        self._state = PidState()
+        self.integral = self.prev_error = self.derivative = 0.0
 
 
 class AnfisController:
@@ -287,13 +284,11 @@ class AnfisController:
     def __init__(self, model: AnfisModel):
         self.model = model
 
+    def command(self, z: tuple[float, float, float, float], dt: float) -> float:
+        return anfis_infer(self.model, z)
+
     def step(self, measured: PlantState, dt: float) -> float:
-        return anfis_step(self.model, measured)
+        return self.command(_deviation(measured), dt)
 
     def reset(self) -> None:
         pass
-
-
-def anfis_step(model: AnfisModel, state: PlantState) -> float:
-    return anfis_infer(model, (state.x, state.x_dot, state.theta - UPRIGHT_THETA,
-                               state.theta_dot))

@@ -68,7 +68,7 @@ class ImpulseSpec:
 
 def impulse_signal(spec: ImpulseSpec, t: float) -> float:
     """Difference of two steps; integrates to magnitude * width exactly."""
-    return spec.magnitude if spec.onset <= t < spec.onset + spec.width else 0.0
+    return make_disturbance(spec)(t)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,8 @@ class _NoiseStream:
 def make_disturbance(spec) -> Callable[[float], float]:
     """Fresh callable force source for one run (noise gets its own stream)."""
     if isinstance(spec, ImpulseSpec):
-        return lambda t: impulse_signal(spec, t)
+        magnitude, onset, end = spec.magnitude, spec.onset, spec.onset + spec.width
+        return lambda t: magnitude if onset <= t < end else 0.0
     if isinstance(spec, NoiseSpec):
         return _NoiseStream(spec)
     raise TypeError(f"unknown disturbance spec {type(spec).__name__}")

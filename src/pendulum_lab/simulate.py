@@ -19,13 +19,14 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .plant import UPRIGHT_THETA, PhysicalParams, PlantState, derivative_fn
+from .plant import UPRIGHT_THETA, PhysicalParams, PlantState
 
 __all__ = [
     "DIVERGENCE_LIMIT",
     "SimConfig",
     "TimeSeries",
     "Controller",
+    "rk4_stepper",
     "rk4_step",
     "run_closed_loop",
 ]
@@ -38,13 +39,17 @@ CSV_HEADER = ["t", "x", "x_dot", "theta", "theta_dot", "u", "d"]
 class Controller(Protocol):
     """Behavioural contract shared by all controllers.
 
-    `step` maps the measured state to a voltage command under zero-order
-    hold; `reset` returns any internal state (integrators, filters) to its
-    construction-time values so a reset controller replays its first run
-    exactly.
+    `command` maps the deviation state ``z = (x, x', theta - pi, theta')``,
+    a tuple of floats, to a voltage command under zero-order hold; it is the
+    only law `run_closed_loop` calls, once per step, so a controller must
+    implement it.  `reset` returns any internal state (integrators, filters)
+    to its construction-time values so a reset controller replays its first
+    run exactly.  The shipped controllers also offer ``step(measured, dt)``,
+    which takes a `PlantState` and forwards to `command`; it serves callers
+    at the `PlantState` edge and is not part of this contract.
     """
 
-    def step(self, measured: PlantState, dt: float) -> float: ...
+    def command(self, z: tuple[float, float, float, float], dt: float) -> float: ...
 
     def reset(self) -> None: ...
 
@@ -124,6 +129,84 @@ class TimeSeries:
         return cls(*(data[:, i].copy() for i in range(len(CSV_HEADER))))
 
 
+def rk4_stepper(params: PhysicalParams, dt: float):
+    """Return ``step(state, force) -> state``: one classical Runge-Kutta step
+    of length dt on the tuple (x, x', theta, theta') with the force held.
+
+    This is the loop's hot path, so the four stage accelerations are written
+    out in place.  Each stage is `plant.derivative_fn`'s ``accel`` operation
+    for operation, in the same order, so the result is bitwise that of RK4
+    over ``accel``; the tests hold the two copies to that.
+    """
+    m_total = params.total_mass
+    j_pivot = params.pivot_inertia
+    ml = params.pend_mass * params.half_length
+    neg_mgl = -(params.pend_mass * params.gravity * params.half_length)
+    b = params.friction
+    mj = m_total * j_pivot
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    sin, cos, pi = math.sin, math.cos, UPRIGHT_THETA
+
+    def step(state, force):
+        x, xd, th, thd = state
+
+        phi = th - pi
+        s = -sin(phi)
+        c = -cos(phi)
+        m12 = ml * c
+        r1 = force - b * xd + ml * s * thd * thd
+        r2 = neg_mgl * s
+        det = mj - m12 * m12
+        a1 = (j_pivot * r1 - m12 * r2) / det
+        g1 = (m_total * r2 - m12 * r1) / det
+
+        xd2 = xd + half * a1
+        thd2 = thd + half * g1
+        phi = th + half * thd - pi
+        s = -sin(phi)
+        c = -cos(phi)
+        m12 = ml * c
+        r1 = force - b * xd2 + ml * s * thd2 * thd2
+        r2 = neg_mgl * s
+        det = mj - m12 * m12
+        a2 = (j_pivot * r1 - m12 * r2) / det
+        g2 = (m_total * r2 - m12 * r1) / det
+
+        xd3 = xd + half * a2
+        thd3 = thd + half * g2
+        phi = th + half * thd2 - pi
+        s = -sin(phi)
+        c = -cos(phi)
+        m12 = ml * c
+        r1 = force - b * xd3 + ml * s * thd3 * thd3
+        r2 = neg_mgl * s
+        det = mj - m12 * m12
+        a3 = (j_pivot * r1 - m12 * r2) / det
+        g3 = (m_total * r2 - m12 * r1) / det
+
+        xd4 = xd + dt * a3
+        thd4 = thd + dt * g3
+        phi = th + dt * thd3 - pi
+        s = -sin(phi)
+        c = -cos(phi)
+        m12 = ml * c
+        r1 = force - b * xd4 + ml * s * thd4 * thd4
+        r2 = neg_mgl * s
+        det = mj - m12 * m12
+        a4 = (j_pivot * r1 - m12 * r2) / det
+        g4 = (m_total * r2 - m12 * r1) / det
+
+        return (
+            x + sixth * (xd + 2.0 * (xd2 + xd3) + xd4),
+            xd + sixth * (a1 + 2.0 * (a2 + a3) + a4),
+            th + sixth * (thd + 2.0 * (thd2 + thd3) + thd4),
+            thd + sixth * (g1 + 2.0 * (g2 + g3) + g4),
+        )
+
+    return step
+
+
 def rk4_step(
     state: PlantState, u: float, d: float, dt: float, params: PhysicalParams
 ) -> PlantState:
@@ -132,32 +215,9 @@ def rk4_step(
         raise ValueError(f"dt must be positive, got {dt!r}")
     if not (math.isfinite(u) and math.isfinite(d)):
         raise ValueError("non-finite force input")
-    accel = derivative_fn(params)
-    nxt = _rk4(accel, (state.x, state.x_dot, state.theta, state.theta_dot), u + d, dt)
+    nxt = rk4_stepper(params, dt)(
+        (state.x, state.x_dot, state.theta, state.theta_dot), u + d)
     return PlantState(*nxt, t=state.t + dt)
-
-
-def _rk4(accel, state, force, dt):
-    x, xd, th, thd = state
-
-    a1, g1 = accel(xd, th, thd, force)
-    xd2 = xd + 0.5 * dt * a1
-    thd2 = thd + 0.5 * dt * g1
-    a2, g2 = accel(xd2, th + 0.5 * dt * thd, thd2, force)
-    xd3 = xd + 0.5 * dt * a2
-    thd3 = thd + 0.5 * dt * g2
-    a3, g3 = accel(xd3, th + 0.5 * dt * thd2, thd3, force)
-    xd4 = xd + dt * a3
-    thd4 = thd + dt * g3
-    a4, g4 = accel(xd4, th + dt * thd3, thd4, force)
-
-    sixth = dt / 6.0
-    return (
-        x + sixth * (xd + 2.0 * (xd2 + xd3) + xd4),
-        xd + sixth * (a1 + 2.0 * (a2 + a3) + a4),
-        th + sixth * (thd + 2.0 * (thd2 + thd3) + thd4),
-        thd + sixth * (g1 + 2.0 * (g2 + g3) + g4),
-    )
 
 
 def run_closed_loop(
@@ -174,35 +234,32 @@ def run_closed_loop(
     ``disturbance=None`` means no disturbance.  The log is decimated per the
     config; identical inputs give bit-identical logs.
     """
-    accel = derivative_fn(params)
     dt = config.dt
+    step = rk4_stepper(params, dt)
+    command = controller.command if controller is not None else None
     gain = config.actuator_gain
+    decimation = config.log_decimation
     limit = DIVERGENCE_LIMIT
     n_steps = round(config.horizon / dt)
-    t0 = config.initial_state.t
 
-    state = (
-        config.initial_state.x,
-        config.initial_state.x_dot,
-        config.initial_state.theta,
-        config.initial_state.theta_dot,
-    )
+    initial = config.initial_state
+    t0 = initial.t
+    x, x_dot, theta, theta_dot = initial.x, initial.x_dot, initial.theta, initial.theta_dot
     rows: list[tuple[float, float, float, float, float, float, float]] = []
     diverged = False
 
     for i in range(n_steps + 1):
         t = t0 + i * dt
-        if controller is not None:
-            u = controller.step(PlantState(*state, t=t), dt)
+        if command is not None:
+            u = command((x, x_dot, theta - UPRIGHT_THETA, theta_dot), dt)
         else:
             u = 0.0
         d = disturbance(t) if disturbance is not None else 0.0
-        if i % config.log_decimation == 0:
-            rows.append((t, *state, u, d))
+        if i % decimation == 0:
+            rows.append((t, x, x_dot, theta, theta_dot, u, d))
         if i == n_steps:
             break
-        state = _rk4(accel, state, gain * u + d, dt)
-        x, x_dot, theta, theta_dot = state
+        x, x_dot, theta, theta_dot = step((x, x_dot, theta, theta_dot), gain * u + d)
         # NaN fails every comparison, so it counts as diverged too
         if not (-limit <= x <= limit and -limit <= x_dot <= limit
                 and -limit <= theta <= limit and -limit <= theta_dot <= limit):

@@ -1,5 +1,6 @@
 """End-to-end checks through `cli.main`: a short benchmark golden and the exit codes."""
 
+import copy
 import hashlib
 import json
 
@@ -58,7 +59,6 @@ def _train_on_too_few_rows(tmp_path):
     return cli.main(["train", *args])
 
 
-# Exit 3 (a diverged benchmark cell) has no case: no config is known to reach it.
 @pytest.mark.parametrize("run, code, stderr", [
     (_design_lqr_default, cli.EXIT_OK, ""),
     (_unknown_config_key, cli.EXIT_USAGE, "config error"),
@@ -73,3 +73,13 @@ def test_exit_codes(tmp_path, capsys, run, code, stderr):
         assert stderr in err
     else:
         assert err == ""
+
+
+def test_diverged_cells_exit_3(tmp_path, capsys):
+    # a 1e5 N knock topples every controller; the 10 N cells and the noise cells still recover
+    doc = copy.deepcopy(SHORT_BENCHMARK)
+    doc["scenarios"]["impulse"]["repeat_magnitudes"] = [10.0, 1e5]
+    config = write_config(tmp_path / "knock.json", doc)
+    code = cli.main(["benchmark", "--auto", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_DIVERGED_CELLS
+    assert "diverged cells: PI/impulse, PID/impulse, TS-LA/impulse\n" in capsys.readouterr().out

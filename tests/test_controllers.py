@@ -6,10 +6,12 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from pendulum_lab.anfis import AnfisModel, MembershipFunction
+from pendulum_lab.config import default_config
 from pendulum_lab.controllers import (AnfisController, CareError, LqrController, LqrDesign,
-                                      PidController, PidGains, PidState, anfis_step, design_lqr,
-                                      lqr_step, pid_step, solve_care)
+                                      PidController, PidGains, design_lqr, solve_care)
 from pendulum_lab.plant import PhysicalParams, PlantState, UPRIGHT_THETA, linearize
+from pendulum_lab.scenarios import ImpulseSpec, make_disturbance
+from pendulum_lab.simulate import SimConfig, run_closed_loop
 
 SS = linearize(PhysicalParams())
 Q_BENCH = np.diag([1200.0, 0.0, 100.0, 0.0])
@@ -112,61 +114,63 @@ def mimic_model():
     return model, K
 
 
+def angle_error(error):
+    """Deviation tuple whose PID error (pi - theta) is `error`."""
+    return (0.0, 0.0, -error, 0.0)
+
+
+def pid_state(ctrl):
+    return (ctrl.integral, ctrl.prev_error, ctrl.derivative)
+
+
 class TestLqrStep:
     def test_zero_at_equilibrium(self, design):
-        assert lqr_step(design, PlantState()) == 0.0
+        assert LqrController(design).command((0.0, 0.0, 0.0, 0.0), 1e-3) == 0.0
 
     def test_basis_probes_return_negated_gains(self, design):
-        probes = [
-            PlantState(x=1.0),
-            PlantState(x_dot=1.0),
-            PlantState(theta=UPRIGHT_THETA + 1.0),
-            PlantState(theta_dot=1.0),
-        ]
-        for i, state in enumerate(probes):
-            assert lqr_step(design, state) == pytest.approx(-design.K[0, i], rel=1e-12)
+        ctrl = LqrController(design)
+        for i, z in enumerate(np.eye(4).tolist()):
+            assert ctrl.command(tuple(z), 1e-3) == pytest.approx(-design.K[0, i], rel=1e-12)
 
     def test_linearity(self, design):
-        one = lqr_step(design, PlantState(x=0.3, x_dot=-0.2, theta=UPRIGHT_THETA + 0.1,
-                                          theta_dot=0.05))
-        two = lqr_step(design, PlantState(x=0.6, x_dot=-0.4, theta=UPRIGHT_THETA + 0.2,
-                                          theta_dot=0.1))
+        ctrl = LqrController(design)
+        one = ctrl.command((0.3, -0.2, 0.1, 0.05), 1e-3)
+        two = ctrl.command((0.6, -0.4, 0.2, 0.1), 1e-3)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
 class TestPidStep:
     def test_zero_history_zero_output(self):
-        out, state = pid_step(PidGains(kp=3.0, ki=2.0, kd=1.0), 0.0, 1e-3, PidState())
-        assert out == 0.0
-        assert state == PidState()
+        ctrl = PidController(PidGains(kp=3.0, ki=2.0, kd=1.0))
+        assert ctrl.command(angle_error(0.0), 1e-3) == 0.0
+        assert pid_state(ctrl) == (0.0, 0.0, 0.0)
 
     def test_pure_proportional(self):
-        out, _ = pid_step(PidGains(kp=2.0), 1.5, 1e-3, PidState())
+        out = PidController(PidGains(kp=2.0)).command(angle_error(1.5), 1e-3)
         assert out == pytest.approx(3.0, rel=1e-15)
 
     def test_trapezoidal_integral(self):
-        gains = PidGains(kp=0.0, ki=1.0)
-        state = PidState()
+        ctrl = PidController(PidGains(kp=0.0, ki=1.0))
         total = 0.0
         for k in range(1, 5):
-            total, state = pid_step(gains, float(k), 0.5, state)
+            total = ctrl.command(angle_error(float(k)), 0.5)
         # trapezoid over errors 0,1,2,3,4 at dt=0.5
         assert total == pytest.approx(0.5 * (0.5 + 1.5 + 2.5 + 3.5), rel=1e-12)
 
     def test_ramp_derivative_matches_filtered_differentiator(self):
         # analytic backward-Euler response to a unit ramp: kd (1 - (1+N dt)^-k)
         gains = PidGains(kp=0.0, ki=0.0, kd=1.0, filter_n=1000.0)
+        ctrl = PidController(gains)
         dt = 1e-3
-        state = PidState()
         for k in range(1, 40):
-            out, state = pid_step(gains, k * dt, dt, state)
+            out = ctrl.command(angle_error(k * dt), dt)
             expected = gains.kd * (1.0 - (1.0 + gains.filter_n * dt) ** (-k))
             assert out == pytest.approx(expected, rel=1e-12)
         assert out == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            pid_step(PidGains(kp=1.0), 0.0, 0.0, PidState())
+            PidController(PidGains(kp=1.0)).command(angle_error(0.0), 0.0)
 
     def test_gain_validation(self):
         with pytest.raises(ValueError):
@@ -175,12 +179,11 @@ class TestPidStep:
             PidGains(kp=1.0, filter_n=0.0)
 
     def test_pi_ignores_filter_coefficient(self):
-        state_a, state_b = PidState(), PidState()
+        ctrl_a = PidController(PidGains(kp=2.0, ki=1.0, kd=0.0, filter_n=10.0))
+        ctrl_b = PidController(PidGains(kp=2.0, ki=1.0, kd=0.0, filter_n=5000.0))
         for k in range(50):
-            e = math.sin(0.3 * k)
-            out_a, state_a = pid_step(PidGains(kp=2.0, ki=1.0, kd=0.0, filter_n=10.0), e, 1e-2, state_a)
-            out_b, state_b = pid_step(PidGains(kp=2.0, ki=1.0, kd=0.0, filter_n=5000.0), e, 1e-2, state_b)
-            assert out_a == out_b
+            z = angle_error(math.sin(0.3 * k))
+            assert ctrl_a.command(z, 1e-2) == ctrl_b.command(z, 1e-2)
 
     def test_json_round_trip(self, tmp_path):
         gains = PidGains(kp=36.887, ki=165.496, kd=1.505, filter_n=678.646)
@@ -216,15 +219,16 @@ class TestPidController:
 class TestAnfisController:
     def test_equilibrium_output_near_zero(self, mimic_model):
         model, _ = mimic_model
-        assert abs(anfis_step(model, PlantState())) <= 1e-6
+        assert abs(AnfisController(model).command((0.0, 0.0, 0.0, 0.0), 1e-3)) <= 1e-6
 
     def test_matches_state_feedback_inside_hull(self, mimic_model):
         model, K = mimic_model
         rng = np.random.default_rng(3)
+        ctrl = AnfisController(model)
         for _ in range(50):
             dev = rng.uniform(-0.5, 0.5, size=4)
-            state = PlantState(dev[0], dev[1], UPRIGHT_THETA + dev[2], dev[3])
-            assert anfis_step(model, state) == pytest.approx(float(-K @ dev), abs=1e-4)
+            assert ctrl.command(tuple(dev.tolist()), 1e-3) == pytest.approx(float(-K @ dev),
+                                                                             abs=1e-4)
 
     def test_stateless_replay(self, mimic_model):
         model, _ = mimic_model
@@ -234,3 +238,34 @@ class TestAnfisController:
         first = [ctrl.step(s, 1e-3) for s in states]
         ctrl.reset()
         assert [ctrl.step(s, 1e-3) for s in states] == first
+
+
+def recorded_states():
+    """Every 5th logged state of an LQR impulse run, with its time."""
+    cfg = SimConfig(horizon=2.0, initial_state=PlantState(x=0.1, theta=UPRIGHT_THETA + 0.05))
+    spec = ImpulseSpec(magnitude=20.0, onset=0.5, width=0.05)
+    series = run_closed_loop(cfg, LqrController(design_lqr(SS, Q_BENCH, 1.0)),
+                             make_disturbance(spec), PhysicalParams())
+    columns = (series.x, series.x_dot, series.theta, series.theta_dot, series.t)
+    return [tuple(row) for row in np.column_stack(columns)[::5].tolist()]
+
+
+@pytest.mark.parametrize("make", [
+    lambda model: LqrController(design_lqr(SS, Q_BENCH, 1.0)),
+    lambda model: PidController(default_config().pi),
+    lambda model: PidController(default_config().pid),
+    lambda model: AnfisController(model),
+], ids=["LQR", "PI", "PID", "TS-LA"])
+def test_step_is_command_on_the_deviation(make, mimic_model):
+    states = recorded_states()
+    via_step, via_command = make(mimic_model[0]), make(mimic_model[0])
+    runs = []
+    for _ in range(2):  # the second pass follows reset()
+        a = [via_step.step(PlantState(*s), 1e-3) for s in states]
+        b = [via_command.command((x, xd, th - UPRIGHT_THETA, thd), 1e-3)
+             for x, xd, th, thd, _ in states]
+        assert list(map(float.hex, a)) == list(map(float.hex, b))
+        runs.append(b)
+        via_step.reset()
+        via_command.reset()
+    assert runs[0] == runs[1]

@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pendulum_lab import simulate
 from pendulum_lab.controllers import LqrController, design_lqr
-from pendulum_lab.plant import (PhysicalParams, PlantState, UPRIGHT_THETA, linearize,
-                                total_energy)
+from pendulum_lab.plant import (PhysicalParams, PlantState, UPRIGHT_THETA, derivative_fn,
+                                linearize, total_energy)
 from pendulum_lab.scenarios import ImpulseSpec, make_disturbance
 from pendulum_lab.simulate import (DIVERGENCE_LIMIT, SimConfig, TimeSeries, rk4_step,
-                                   run_closed_loop)
+                                   rk4_stepper, run_closed_loop)
 
 PARAMS = PhysicalParams()
 
@@ -45,8 +47,8 @@ def lqr_controller():
 class PumpController:
     """Positive feedback on cart velocity; guarantees escape to the divergence cap."""
 
-    def step(self, measured, dt):
-        return 20.0 * measured.x_dot
+    def command(self, z, dt):
+        return 20.0 * z[1]
 
     def reset(self):
         pass
@@ -87,6 +89,64 @@ class TestRk4Step:
     def test_rejects_nonfinite_force(self):
         with pytest.raises(ValueError):
             rk4_step(PlantState(), math.inf, 0.0, 1e-3, PARAMS)
+
+
+def rk4_over_accel(params, state, force, dt):
+    """Reference: classical RK4 over `plant.derivative_fn`'s accel, stage by stage."""
+    accel = derivative_fn(params)
+    x, xd, th, thd = state
+    a1, g1 = accel(xd, th, thd, force)
+    xd2 = xd + 0.5 * dt * a1
+    thd2 = thd + 0.5 * dt * g1
+    a2, g2 = accel(xd2, th + 0.5 * dt * thd, thd2, force)
+    xd3 = xd + 0.5 * dt * a2
+    thd3 = thd + 0.5 * dt * g2
+    a3, g3 = accel(xd3, th + 0.5 * dt * thd2, thd3, force)
+    xd4 = xd + dt * a3
+    thd4 = thd + dt * g3
+    a4, g4 = accel(xd4, th + dt * thd3, thd4, force)
+    sixth = dt / 6.0
+    return (
+        x + sixth * (xd + 2.0 * (xd2 + xd3) + xd4),
+        xd + sixth * (a1 + 2.0 * (a2 + a3) + a4),
+        th + sixth * (thd + 2.0 * (thd2 + thd3) + thd4),
+        thd + sixth * (g1 + 2.0 * (g2 + g3) + g4),
+    )
+
+
+component = st.floats(min_value=-1e3, max_value=1e3)
+
+
+class TestRk4Stepper:
+    """The stepper inlines the equations of motion; it must agree with RK4 over
+    `derivative_fn` bit for bit, signed zeros included."""
+
+    @given(x=component, x_dot=component, theta=st.floats(min_value=-1e4, max_value=1e4),
+           theta_dot=st.floats(min_value=-100.0, max_value=100.0),
+           force=st.floats(min_value=-1e4, max_value=1e4),
+           dt=st.sampled_from([1e-4, 1e-3, 2.5e-3, 1e-2]),
+           friction=st.sampled_from([0.0, 0.1]))
+    @example(x=0.0, x_dot=0.0, theta=0.0, theta_dot=0.0, force=0.0, dt=1e-3, friction=0.1)
+    @example(x=0.0, x_dot=0.0, theta=UPRIGHT_THETA, theta_dot=0.0, force=0.0, dt=1e-3,
+             friction=0.1)
+    @example(x=-0.0, x_dot=-0.0, theta=-0.0, theta_dot=-0.0, force=-0.0, dt=1e-3, friction=0.0)
+    @example(x=0.0, x_dot=0.0, theta=UPRIGHT_THETA, theta_dot=0.0, force=1e4, dt=1e-2,
+             friction=0.1)
+    @example(x=5.0, x_dot=-3.0, theta=-1e4, theta_dot=100.0, force=-1e4, dt=1e-2, friction=0.1)
+    def test_bitwise_equal_to_rk4_over_accel(self, x, x_dot, theta, theta_dot, force, dt,
+                                             friction):
+        params = PhysicalParams(friction=friction)
+        state = (x, x_dot, theta, theta_dot)
+        got = rk4_stepper(params, dt)(state, force)
+        want = rk4_over_accel(params, state, force, dt)
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    def test_rk4_step_uses_the_stepper(self):
+        state = PlantState(x=0.2, x_dot=-1.0, theta=UPRIGHT_THETA - 0.4, theta_dot=2.0, t=1.5)
+        nxt = rk4_step(state, 3.0, -0.5, 1e-3, PARAMS)
+        want = rk4_over_accel(PARAMS, (0.2, -1.0, UPRIGHT_THETA - 0.4, 2.0), 2.5, 1e-3)
+        assert (nxt.x, nxt.x_dot, nxt.theta, nxt.theta_dot) == want
+        assert nxt.t == 1.5 + 1e-3
 
 
 class TestEnergyConservation:
@@ -159,7 +219,7 @@ class TestRunClosedLoop:
         # every step lands on the same state, with one component set to `value`
         state = [0.0, 0.0, UPRIGHT_THETA, 0.0]
         state[component] = value
-        monkeypatch.setattr(simulate, "_rk4", lambda accel, s, force, dt: tuple(state))
+        monkeypatch.setattr(simulate, "rk4_stepper", lambda params, dt: lambda s, force: tuple(state))
         series = run_closed_loop(SimConfig(horizon=0.01), None, None, PARAMS)
         assert series.diverged is diverged
         assert len(series) == (1 if diverged else 11)
