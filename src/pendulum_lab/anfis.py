@@ -11,11 +11,15 @@ rule carries an affine consequent.  The five-layer forward pass is
     layer 5  sum                  Z = sum_j wbar_j (theta_j . z + theta_j0)
 
 A single sample (the controller's path, one call per simulation step) is
-evaluated by `anfis_infer` over plain Python floats, from float copies of the
-premise and consequent parameters that each model builds once: at 16 rules,
-a dozen tiny numpy calls would cost more than the arithmetic.  Batches (the
-training path) go through numpy in `_infer_batch`, `_design_matrix` and
-`premise_gradients`; the two paths agree to rounding.
+evaluated by the model's `law`: a Python function generated for that model,
+with layers 1-5 written out as straight-line float code and every premise
+and consequent value written in as a literal.  It is compiled on first use
+and cached on the model, and training, which builds hundreds of candidate
+models, never compiles one.  At 16 rules a dozen tiny numpy calls would cost
+more than the arithmetic, and a loop over parameter tuples spends most of
+its time on the loop.  Batches (the training path) go through numpy in
+`_infer_batch`, `_design_matrix` and `premise_gradients`; the two paths agree
+to rounding.
 
 Training follows Jang's hybrid scheme: per epoch, the consequents are solved
 exactly by linear least squares with the premises frozen, then the premise
@@ -38,7 +42,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,8 +88,12 @@ class MembershipFunction:
             raise ValueError(f"center c must be finite, got {self.c!r}")
 
     def __call__(self, z: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(1.0 / (1.0 + abs((z - self.c) / self.a) ** (2.0 * self.b)))
+        # the arithmetic of the compiled law: a power too large for a float is 0.0
+        d = (float(z) - self.c) / self.a
+        try:
+            return 1.0 / (1.0 + (d * d) ** self.b)
+        except OverflowError:
+            return 0.0
 
 
 def _bell(z, a, b, c):
@@ -136,13 +144,6 @@ class AnfisModel:
         index = np.array(list(itertools.product(range(n_mfs), repeat=n_inputs)), dtype=int)
         index.setflags(write=False)
         object.__setattr__(self, "_rule_index", index)
-        # float copies for anfis_infer: (a, b, c) per MF of each input, and the
-        # consequents by column (input coefficients, then the constant terms)
-        object.__setattr__(self, "_mf_floats", tuple(
-            tuple(zip(a, b, c)) for a, b, c in zip(
-                self._a.tolist(), self._b.tolist(), self._c.tolist())))
-        object.__setattr__(self, "_coef_columns", tuple(map(tuple, cons[:, :-1].T.tolist())))
-        object.__setattr__(self, "_offsets", tuple(cons[:, -1].tolist()))
 
     @property
     def n_inputs(self) -> int:
@@ -160,6 +161,20 @@ class AnfisModel:
         """Membership degrees, shape (..., n_inputs, mfs_per_input)."""
         z = np.asarray(inputs, dtype=float)
         return _bell(z, self._a, self._b, self._c)
+
+    @cached_property
+    def law(self):
+        """Layers 1-5 for one sample, ``law(z0, ..., zn-1) -> float``, compiled
+        from `_law_source` on first use and cached on the model."""
+        namespace: dict = {}
+        exec(compile(_law_source(self), "<anfis law>", "exec"), namespace)
+        # popped, so that the function and its globals form no reference cycle,
+        # which only the cyclic collector would free
+        return namespace.pop("law")
+
+    def __getstate__(self) -> dict:
+        # a generated function does not pickle; the copy compiles its own law
+        return {k: v for k, v in self.__dict__.items() if k != "law"}
 
 
 def _rule_products(model: AnfisModel, mu: np.ndarray) -> np.ndarray:
@@ -190,37 +205,73 @@ def _consequent_outputs(model: AnfisModel, z: np.ndarray) -> np.ndarray:
     return z @ model.consequents[:, :-1].T + model.consequents[:, -1]
 
 
-def anfis_infer(model: AnfisModel, inputs: Sequence[float]) -> float:
-    """Layers 1-5 for one sample, in Python floats.
+def _law_source(model: AnfisModel) -> str:
+    """Python source of the model's law: layers 1-5 unrolled over its rules.
 
-    The bells are 1 / (1 + (((z - c) / a)^2)^b); a power too large for a
-    float is a membership of 0.0, as numpy's overflow to inf gives.  Rule
-    strengths are successive products in rule order (last input fastest),
-    and the output is sum_j w_j (theta_j . z + theta_j0) / sum_j w_j,
-    accumulated column by column.  This is the single-sample path;
-    `_infer_batch` evaluates the same model over a batch in numpy for
-    training, and the two agree to rounding.
+    Every parameter is written in as its ``repr``, which round-trips a finite
+    float exactly (and the model holds no other kind).  Each input k gets one
+    bell per membership function, 1 / (1 + (((z_k - c) / a)^2)^b), where a
+    power too large for a float is a membership of 0.0, as numpy's overflow
+    to inf gives.  Rule strengths are prefix products, level by level in rule
+    order (last input fastest).  The output is
+    (sum_j w_j theta_j0 + sum_k z_k sum_j w_j theta_jk) / sum_j w_j.  Each
+    sum is a left fold from 0.0, one statement per term: a single expression
+    over thousands of terms is too deep for the compiler.  The standard
+    library's `dataclasses` generates its methods with `exec` for the same
+    reason: code written for one fixed shape runs faster than a generic loop.
+    """
+    n = model.n_inputs
+    lines = [f"def law({', '.join(f'z{k}' for k in range(n))}):"]
+    emit = lines.append
+
+    mu = []
+    for k, params in enumerate(zip(model._a.tolist(), model._b.tolist(), model._c.tolist())):
+        names = []
+        for m, (a, b, c) in enumerate(zip(*params)):
+            name = f"m{k}_{m}"
+            emit(f"    d = (z{k} - {float(c)!r}) / {float(a)!r}")
+            emit("    try:")
+            emit(f"        {name} = 1.0 / (1.0 + (d * d) ** {float(b)!r})")
+            emit("    except OverflowError:")
+            emit(f"        {name} = 0.0")
+            names.append(name)
+        mu.append(names)
+
+    w = mu[0]  # the first level's products 1.0 * mu are mu itself
+    for k in range(1, n):
+        level = [f"p{k}_{j}" for j in range(len(w) * len(mu[k]))]
+        for name, (p, m) in zip(level, itertools.product(w, mu[k])):
+            emit(f"    {name} = {p} * {m}")
+        w = level
+
+    def fold(target, terms):
+        emit(f"    {target} = 0.0 + {terms[0]}")
+        for t in terms[1:]:
+            emit(f"    {target} += {t}")
+
+    cons = model.consequents.tolist()
+    fold("total", w)
+    emit("    if not total > 0.0:")
+    emit("        raise ValueError("
+         "'firing strengths sum to zero; input too far outside all rules')")
+    fold("out", [f"{wj} * {row[-1]!r}" for wj, row in zip(w, cons)])
+    for k in range(n):
+        fold("s", [f"{wj} * {row[k]!r}" for wj, row in zip(w, cons)])
+        emit(f"    out += z{k} * s")
+    emit("    return out / total")
+    return "\n".join(lines) + "\n"
+
+
+def anfis_infer(model: AnfisModel, inputs: Sequence[float]) -> float:
+    """Layers 1-5 for one sample: the inputs as floats, through `model.law`.
+
+    This is the single-sample path; `_infer_batch` evaluates the same model
+    over a batch in numpy for training, and the two agree to rounding.
     """
     z = [float(v) for v in inputs]
-    if len(z) != len(model._mf_floats):
-        raise ValueError(f"expected {len(model._mf_floats)} inputs, got {len(z)}")
-    w = [1.0]
-    for zk, mfs in zip(z, model._mf_floats):
-        mu = []
-        for a, b, c in mfs:
-            d = (zk - c) / a
-            try:
-                mu.append(1.0 / (1.0 + (d * d) ** b))
-            except OverflowError:
-                mu.append(0.0)
-        w = [wj * m for wj in w for m in mu]
-    total = sum(w)
-    if not (total > 0.0):
-        raise ValueError("firing strengths sum to zero; input too far outside all rules")
-    out = sum(map(mul, w, model._offsets))
-    for zk, column in zip(z, model._coef_columns):
-        out += zk * sum(map(mul, w, column))
-    return out / total
+    if len(z) != model.n_inputs:
+        raise ValueError(f"expected {model.n_inputs} inputs, got {len(z)}")
+    return model.law(*z)
 
 
 def _infer_batch(model: AnfisModel, X: np.ndarray) -> np.ndarray:

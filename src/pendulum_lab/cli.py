@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +29,12 @@ import numpy as np
 from . import __version__
 from .anfis import Dataset, load_model, save_model
 from .config import ConfigError, RunConfig, config_sha256, default_config, load_config
-from .controllers import CareError, LqrController, LqrDesign, PidController
+from .controllers import AnfisController, CareError, LqrController, LqrDesign, PidController
 from .pipeline import (benchmark_from_config, build_dataset, design_from_config, stage1_runs,
                        train_from_config)
 from .plant import controllability, linearize, poles, root_locus_sweep, transfer_functions, \
     write_locus_csv, write_poles_csv
-from .scenarios import make_disturbance
+from .scenarios import compute_metrics, make_disturbance
 from .simulate import run_closed_loop
 
 EXIT_OK = 0
@@ -226,8 +227,6 @@ def _controller_for(name: str, config: RunConfig, out: Path):
     if name == "pid":
         return PidController(config.pid)
     if name == "tsla":
-        from .controllers import AnfisController
-
         return AnfisController(load_model(_require(out / MODEL_FILE)))
     raise ValueError(f"unknown controller {name!r}")
 
@@ -243,8 +242,6 @@ def cmd_simulate(args) -> int:
         sim_cfg = config.sim
         onset = spec.onset
     else:
-        from dataclasses import replace
-
         spec = config.scenarios.noise
         sim_cfg = replace(config.sim, horizon=config.scenarios.noise_horizon)
         onset = 0.0
@@ -256,8 +253,6 @@ def cmd_simulate(args) -> int:
     if series.diverged:
         print("run diverged before the horizon")
     else:
-        from .scenarios import compute_metrics
-
         m = compute_metrics(series, onset, config.scenarios.bands)
         print(f"settling {m.settling_time:.4g} s, peak theta dev "
               f"{np.degrees(m.peak_theta_dev):.4g} deg, final x {series.x[-1]:.4g} m")

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .anfis import AnfisModel, anfis_infer
+from .anfis import AnfisModel
 from .plant import UPRIGHT_THETA, LinearStateSpace, PlantState, ctrb
 
 __all__ = [
@@ -279,13 +279,22 @@ class PidController:
 
 class AnfisController:
     """Stateless policy wrapper: the trained model maps the deviation state
-    (x, x', theta - pi, theta') straight to the voltage command."""
+    (x, x', theta - pi, theta') straight to the voltage command.
+
+    The model must take those 4 inputs, checked here rather than at the
+    first step.  The model's compiled `law` is bound once, so a command is
+    one call on the deviation floats, with the bits `anfis_infer` gives.
+    """
 
     def __init__(self, model: AnfisModel):
+        if model.n_inputs != 4:
+            raise ValueError(f"TS-LA model must take the 4 deviation inputs, "
+                             f"got {model.n_inputs}")
         self.model = model
+        self._law = model.law
 
     def command(self, z: tuple[float, float, float, float], dt: float) -> float:
-        return anfis_infer(self.model, z)
+        return self._law(*z)
 
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)

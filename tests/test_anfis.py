@@ -1,5 +1,10 @@
+import gc
 import json
 import math
+import pickle
+import weakref
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from pendulum_lab import anfis
 from pendulum_lab.anfis import (AnfisModel, Dataset, MembershipFunction, TrainConfig,
                                 _infer_batch, anfis_infer, firing_strengths, generate_dataset,
                                 initial_model, load_model, normalize, premise_gradients,
@@ -53,6 +59,40 @@ def series_from_rows(rows):
     )
 
 
+def reference_bell(z, a, b, c):
+    """One membership as the compiled law computes it: a power too large for a float is 0.0."""
+    d = (z - c) / a
+    try:
+        return 1.0 / (1.0 + (d * d) ** b)
+    except OverflowError:
+        return 0.0
+
+
+def left_sum(terms):
+    # the left fold from 0.0 that `sum()` computes on CPython 3.11, with which every
+    # artifact was made; 3.12 moved `sum()` to compensated summation
+    return reduce(add, terms, 0.0)
+
+
+def reference_infer(model, inputs):
+    """The per-rule loop that `AnfisModel.law` unrolls: its bitwise reference."""
+    z = [float(v) for v in inputs]
+    if len(z) != model.n_inputs:
+        raise ValueError(f"expected {model.n_inputs} inputs, got {len(z)}")
+    w = [1.0]
+    for zk, a_k, b_k, c_k in zip(z, model._a.tolist(), model._b.tolist(), model._c.tolist()):
+        mu = [reference_bell(zk, a, b, c) for a, b, c in zip(a_k, b_k, c_k)]
+        w = [wj * m for wj in w for m in mu]
+    total = left_sum(w)
+    if not (total > 0.0):
+        raise ValueError("firing strengths sum to zero; input too far outside all rules")
+    rows = model.consequents.tolist()
+    out = left_sum(wj * row[-1] for wj, row in zip(w, rows))
+    for k, zk in enumerate(z):
+        out += zk * left_sum(wj * row[k] for wj, row in zip(w, rows))
+    return out / total
+
+
 class TestMembershipFunction:
     def test_peak_is_exactly_one(self):
         mf = MembershipFunction(a=0.7, b=2.0, c=1.3)
@@ -67,6 +107,23 @@ class TestMembershipFunction:
     def test_symmetric_about_center(self, dz):
         mf = MembershipFunction(a=0.7, b=2.0, c=1.3)
         assert mf(1.3 + dz) == pytest.approx(mf(1.3 - dz), rel=1e-12)
+
+    @settings(max_examples=300)
+    @given(a=st.floats(1e-3, 10.0), b=st.floats(0.5, 4.0), c=st.floats(-3.0, 3.0),
+           z=st.floats(-1e3, 1e3))
+    def test_law_arithmetic_bitwise(self, a, b, c, z):
+        mf = MembershipFunction(a=a, b=b, c=c)
+        assert mf(z).hex() == reference_bell(z, a, b, c).hex()
+
+    def test_law_arithmetic_on_random_draws(self):
+        rng = np.random.default_rng(23)
+        draws = np.column_stack([rng.uniform(0.01, 5.0, 20_000), rng.uniform(0.5, 4.0, 20_000),
+                                 rng.uniform(-3.0, 3.0, 20_000), rng.uniform(-10.0, 10.0, 20_000)])
+        for a, b, c, z in draws.tolist():
+            assert MembershipFunction(a=a, b=b, c=c)(z) == reference_bell(z, a, b, c)
+
+    def test_overflowing_power_is_zero(self):
+        assert MembershipFunction(a=1e-100, b=2.0, c=0.0)(1.0) == 0.0
 
     @pytest.mark.parametrize("kwargs", [{"a": 0.0}, {"b": 0.0}, {"c": math.nan}])
     def test_validation(self, kwargs):
@@ -237,6 +294,82 @@ class TestScalarInference:
                            input_ranges=ranges)
         with pytest.raises(ValueError):
             anfis_infer(alone, [1.0])
+
+
+@st.composite
+def law_cases(draw):
+    """A model with 1-4 inputs and 1-3 MFs, and one input out to +-1e3.  Widths reach
+    down to 1e-200, so some powers overflow and some squares are inf."""
+    n_inputs = draw(st.integers(1, 4))
+    n_mfs = draw(st.integers(1, 3))
+    width = st.one_of(st.floats(0.1, 5.0), st.floats(1e-200, 1e-30))
+    mf = st.builds(MembershipFunction, a=width, b=st.floats(0.5, 4.0), c=st.floats(-3.0, 3.0))
+    premises = tuple(tuple(draw(mf) for _ in range(n_mfs)) for _ in range(n_inputs))
+    n_params = n_mfs**n_inputs * (n_inputs + 1)
+    coef = draw(st.lists(st.floats(-100.0, 100.0), min_size=n_params, max_size=n_params))
+    model = AnfisModel(premises=premises, consequents=np.array(coef),
+                       input_ranges=np.tile([-1.0, 1.0], (n_inputs, 1)))
+    z = draw(st.lists(st.floats(-1e3, 1e3), min_size=n_inputs, max_size=n_inputs))
+    return model, z
+
+
+class TestCompiledLaw:
+    """`AnfisModel.law` against the reference loop, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(law_cases())
+    def test_matches_reference_loop_bitwise(self, case):
+        model, z = case
+        try:
+            expected = reference_infer(model, z)
+        except ValueError:
+            with pytest.raises(ValueError, match="sum to zero"):
+                anfis_infer(model, z)
+            return
+        assert anfis_infer(model, z).hex() == expected.hex()
+
+    def test_signed_zero_consequents(self):
+        model = AnfisModel(premises=((MembershipFunction(a=1.0, b=2.0, c=0.0),),),
+                           consequents=np.array([[-0.0, -0.0]]), input_ranges=[[-1.0, 1.0]])
+        for z in (0.5, -0.5, 0.0):
+            assert anfis_infer(model, [z]).hex() == reference_infer(model, [z]).hex()
+
+    def test_large_grid_compiles_and_matches(self):
+        # 4096 rules: one expression per sum would be too deep for the compiler
+        model = toy_model(n_inputs=12, n_mfs=2, seed=24)
+        rng = np.random.default_rng(25)
+        for z in rng.uniform(-2.0, 2.0, size=(3, 12)).tolist():
+            assert model.law(*z).hex() == reference_infer(model, z).hex()
+
+    def test_law_freed_with_its_model(self):
+        # by reference counting alone: a cycle would keep every law until a full collection
+        model = toy_model(n_inputs=4, n_mfs=2, seed=27)
+        law = weakref.ref(model.law)
+        gc.disable()
+        try:
+            del model
+            assert law() is None
+        finally:
+            gc.enable()
+
+    def test_training_compiles_no_law(self, monkeypatch):
+        sources = []
+        law_source = anfis._law_source
+
+        def counting(model):
+            sources.append(model)
+            return law_source(model)
+
+        monkeypatch.setattr(anfis, "_law_source", counting)
+        ds = affine_dataset(np.array([-34.64, -20.73, 67.03, 13.09]))
+        model, _ = train_hybrid(ds, TrainConfig(epochs=3))
+        assert sources == []
+        assert "law" not in model.__dict__
+        first = anfis_infer(model, ds.test_X[0])
+        law = model.__dict__["law"]
+        assert anfis_infer(model, ds.test_X[0]) == first
+        assert model.__dict__["law"] is law
+        assert sources == [model]
 
 
 class TestPremiseGradients:
@@ -457,6 +590,14 @@ class TestPersistence:
         for _ in range(20):
             z = rng.uniform(-2.0, 2.0, size=4)
             assert anfis_infer(model, z) == anfis_infer(back, z)
+
+    def test_pickle_after_inference(self):
+        model = toy_model(n_inputs=4, n_mfs=2, seed=26)
+        z = [0.3, -0.1, 0.7, 0.2]
+        value = anfis_infer(model, z)
+        back = pickle.loads(pickle.dumps(model))
+        assert "law" not in back.__dict__
+        assert anfis_infer(back, z) == value
 
     def test_truncated_file_reports_position(self, tmp_path):
         model = toy_model(seed=18)

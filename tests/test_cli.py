@@ -59,13 +59,27 @@ def _train_on_too_few_rows(tmp_path):
     return cli.main(["train", *args])
 
 
+def _tsla_with_three_inputs(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    mf = {"kind": "gbell", "a": 1.0, "b": 2.0, "c": 0.0}
+    doc = {"premises": [[mf], [mf], [mf]], "consequents": [[0.0, 0.0, 0.0, 0.0]],
+           "input_ranges": [[-1.0, 1.0]] * 3, "metadata": {}}
+    (out / cli.MODEL_FILE).write_text(json.dumps(doc))
+    return cli.main(["simulate", "--controller", "tsla", "--scenario", "impulse",
+                     "--out", str(out)])
+
+
 @pytest.mark.parametrize("run, code, stderr", [
     (_design_lqr_default, cli.EXIT_OK, ""),
     (_unknown_config_key, cli.EXIT_USAGE, "config error"),
     (_benchmark_without_artifacts, cli.EXIT_USAGE, "missing artifact"),
     (_train_on_too_few_rows, cli.EXIT_NUMERICAL,
      "dataset too small: 10 training rows for 80 consequent parameters"),
-], ids=["ok", "unknown-config-key", "benchmark-without-artifacts", "train-too-few-rows"])
+    (_tsla_with_three_inputs, cli.EXIT_NUMERICAL,
+     "TS-LA model must take the 4 deviation inputs, got 3"),
+], ids=["ok", "unknown-config-key", "benchmark-without-artifacts", "train-too-few-rows",
+        "tsla-three-inputs"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err

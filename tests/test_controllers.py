@@ -230,6 +230,13 @@ class TestAnfisController:
             assert ctrl.command(tuple(dev.tolist()), 1e-3) == pytest.approx(float(-K @ dev),
                                                                              abs=1e-4)
 
+    def test_rejects_model_without_four_inputs(self):
+        premises = tuple((MembershipFunction(a=1.0, b=2.0, c=0.0),) for _ in range(3))
+        model = AnfisModel(premises=premises, consequents=np.zeros((1, 4)),
+                           input_ranges=np.tile([-1.0, 1.0], (3, 1)))
+        with pytest.raises(ValueError, match="4 deviation inputs, got 3"):
+            AnfisController(model)
+
     def test_stateless_replay(self, mimic_model):
         model, _ = mimic_model
         ctrl = AnfisController(model)
