@@ -12,8 +12,10 @@ Subcommands follow the two-stage workflow in order:
 Every command reads one JSON config (defaults apply when omitted), writes
 its artifacts plus a manifest (config hash, seed, version) into --out, and
 reruns byte-identically given the same config and seed.  Exit codes: 0
-success, 1 usage or config error, 2 numerical failure, 3 benchmark cells
-that only failed by divergence.
+success; 1 usage or config error, or an artifact in --out that is missing
+or malformed (a design, dataset, split or model file that does not parse,
+or a TS-LA model without the 4 deviation inputs); 2 numerical failure; 3
+benchmark cells that only failed by divergence.
 """
 
 from __future__ import annotations
@@ -114,6 +116,23 @@ def _require(path: Path) -> Path:
     return path
 
 
+class ArtifactError(Exception):
+    """An artifact in --out exists but cannot be used."""
+
+
+def _load_artifact(path: Path, load):
+    """``load(path)``, with its ValueError or KeyError reported as a bad artifact."""
+    try:
+        return load(_require(path))
+    except (ValueError, KeyError) as exc:
+        detail = str(exc)
+        raise ArtifactError(detail if str(path) in detail else f"{path}: {detail}") from exc
+
+
+def _tsla_controller(out: Path) -> AnfisController:
+    return _load_artifact(out / MODEL_FILE, lambda path: AnfisController(load_model(path)))
+
+
 def cmd_derive(args) -> int:
     config = _load(args)
     out = args.out
@@ -179,7 +198,7 @@ def cmd_gen_data(args) -> int:
     config = _load(args)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    design = LqrDesign.from_json(_require(out / DESIGN_FILE))
+    design = _load_artifact(out / DESIGN_FILE, LqrDesign.from_json)
 
     dataset = build_dataset(config, design)
     dataset.to_csv(out / DATASET_FILE)
@@ -195,9 +214,8 @@ def cmd_train(args) -> int:
     config = _load(args)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    with open(_require(out / SPLIT_FILE)) as fh:
-        split = json.load(fh)
-    dataset = Dataset.from_csv(_require(out / DATASET_FILE), split)
+    split = _load_artifact(out / SPLIT_FILE, lambda path: json.loads(path.read_text()))
+    dataset = _load_artifact(out / DATASET_FILE, lambda path: Dataset.from_csv(path, split))
 
     model, history = train_from_config(config, dataset)
     save_model(model, out / MODEL_FILE)
@@ -221,13 +239,13 @@ def _controller_for(name: str, config: RunConfig, out: Path):
     if name == "none":
         return None
     if name == "lqr":
-        return LqrController(LqrDesign.from_json(_require(out / DESIGN_FILE)))
+        return LqrController(_load_artifact(out / DESIGN_FILE, LqrDesign.from_json))
     if name == "pi":
         return PidController(config.pi)
     if name == "pid":
         return PidController(config.pid)
     if name == "tsla":
-        return AnfisController(load_model(_require(out / MODEL_FILE)))
+        return _tsla_controller(out)
     raise ValueError(f"unknown controller {name!r}")
 
 
@@ -272,7 +290,7 @@ def cmd_benchmark(args) -> int:
             cmd_gen_data(args)
         if not (out / MODEL_FILE).exists():
             cmd_train(args)
-    model = load_model(_require(out / MODEL_FILE))
+    model = _tsla_controller(out).model
 
     table = benchmark_from_config(config, model)
     table.to_csv(out / "benchmark.csv")
@@ -282,11 +300,18 @@ def cmd_benchmark(args) -> int:
     print(text, end="")
     _manifest(out, "benchmark", config, args, ["benchmark.csv", "benchmark.txt"])
 
-    diverged = [f"{c.controller}/{c.scenario}" for c in table.cells if c.diverged]
+    diverged = [_cell_name(c) for c in table.cells if c.diverged]
     if diverged:
         print("diverged cells:", ", ".join(diverged))
         return EXIT_DIVERGED_CELLS
     return EXIT_OK
+
+
+def _cell_name(cell) -> str:
+    """``controller/scenario``, plus ``@magnitude`` for an impulse cell (``PI/impulse@10``)."""
+    if cell.magnitude is None:
+        return f"{cell.controller}/{cell.scenario}"
+    return f"{cell.controller}/{cell.scenario}@{cell.magnitude!r}".removesuffix(".0")
 
 
 _COMMANDS = {
@@ -313,6 +338,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing artifact: {exc} (run the earlier pipeline stages or pass --auto)",
               file=sys.stderr)
+        return EXIT_USAGE
+    except ArtifactError as exc:
+        print(f"bad artifact: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CareError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

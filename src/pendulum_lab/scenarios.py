@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .plant import PhysicalParams
-from .simulate import Controller, SimConfig, TimeSeries, run_closed_loop
+from .simulate import Controller, SimConfig, TimeSeries, run_closed_loop, run_closed_loops
 
 __all__ = [
     "ImpulseSpec",
@@ -358,26 +358,37 @@ def run_benchmark(
 
     The impulse scenario repeats once per magnitude (the table also reports
     the per-controller mean); the noise scenario runs once, optionally with
-    its own shorter horizon.  Each cell owns a fresh controller instance and
-    disturbance stream, so cells are independent and any of them diverging is
+    its own shorter horizon.  One controller's impulse cells are one
+    `run_closed_loops` family: they share a single run up to the onset, where
+    their forces first differ, and each branch then goes on with its own copy
+    of the controller, which gives the same log as a run of its own.  The
+    noise cell gets a fresh controller and stream.  A cell that diverges is
     reported in-table rather than raised.
     """
     bands = bands or MetricBands()
     noise_cfg = sim_config if noise_horizon is None else replace(sim_config, horizon=noise_horizon)
+    magnitudes = [float(m) for m in impulse_magnitudes]
+    impulses = [replace(impulse, magnitude=m) for m in magnitudes]
 
-    def run_cell(name, factory, scenario, magnitude, spec, cfg, onset) -> BenchmarkCell:
-        controller = factory()
-        controller.reset()
-        series = run_closed_loop(cfg, controller, make_disturbance(spec), params)
+    def cell(name, scenario, magnitude, series, onset) -> BenchmarkCell:
         final_x = float(series.x[-1]) if len(series) else math.nan
         return BenchmarkCell(name, scenario, magnitude, compute_metrics(series, onset, bands),
                              series.diverged, final_x)
 
+    def fresh(factory) -> Controller:
+        controller = factory()
+        controller.reset()
+        return controller
+
     cells = []
     for name, factory in controller_factories.items():
-        for magnitude in impulse_magnitudes:
-            spec = replace(impulse, magnitude=float(magnitude))
-            cells.append(run_cell(name, factory, "impulse", float(magnitude), spec, sim_config,
-                                  spec.onset))
-        cells.append(run_cell(name, factory, "noise", None, noise, noise_cfg, 0.0))
+        family = run_closed_loops(sim_config, fresh(factory),
+                                  [make_disturbance(spec) for spec in impulses], params)
+        # strict: the family runs to its end here, so that nothing of it is
+        # held through the noise cell
+        for magnitude, series in zip(magnitudes, family, strict=True):
+            cells.append(cell(name, "impulse", magnitude, series, impulse.onset))
+            del series  # the next branch is built while this one would be held
+        series = run_closed_loop(noise_cfg, fresh(factory), make_disturbance(noise), params)
+        cells.append(cell(name, "noise", None, series, 0.0))
     return BenchmarkTable(cells=cells)

@@ -8,14 +8,20 @@ which the golden tests and the benchmark rely on.
 
 A run terminates early with ``diverged=True`` as soon as any state component
 leaves [-1e6, 1e6] or turns non-finite; the partial log is kept.
+
+`run_closed_loops` runs one controller under several disturbances and
+simulates the stretch where their forces agree (say, before an impulse's
+onset) once, forking where they first differ; each log is bitwise the one
+`run_closed_loop` gives alone.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -29,6 +35,7 @@ __all__ = [
     "rk4_stepper",
     "rk4_step",
     "run_closed_loop",
+    "run_closed_loops",
 ]
 
 DIVERGENCE_LIMIT = 1e6
@@ -44,9 +51,13 @@ class Controller(Protocol):
     only law `run_closed_loop` calls, once per step, so a controller must
     implement it.  `reset` returns any internal state (integrators, filters)
     to its construction-time values so a reset controller replays its first
-    run exactly.  The shipped controllers also offer ``step(measured, dt)``,
-    which takes a `PlantState` and forwards to `command`; it serves callers
-    at the `PlantState` edge and is not part of this contract.
+    run exactly.  `copy.copy` must capture that state: `run_closed_loops`
+    forks a run by shallow copies, and each copy must give exactly the
+    commands the original would.  The shipped controllers hold only floats
+    and immutable references, so they qualify.  They also offer
+    ``step(measured, dt)``, which takes a `PlantState` and forwards to
+    `command`; it serves callers at the `PlantState` edge and is not part of
+    this contract.
     """
 
     def command(self, z: tuple[float, float, float, float], dt: float) -> float: ...
@@ -220,6 +231,123 @@ def rk4_step(
     return PlantState(*nxt, t=state.t + dt)
 
 
+def _fork_step(disturbances, t0: float, dt: float, n_steps: int) -> int:
+    """First step at which two of the disturbances give forces with different
+    bits (0.0 and -0.0 differ, NaN differs from itself); ``n_steps + 1`` when
+    they agree throughout, which one disturbance always does.  Disturbances
+    depend only on t, so they can be read ahead of the run."""
+    if len(disturbances) < 2:
+        return n_steps + 1
+    first, *rest = (f if f is not None else _no_force for f in disturbances)
+    copysign = math.copysign
+    for i in range(n_steps + 1):
+        t = t0 + i * dt
+        d = first(t)
+        for force in rest:
+            e = force(t)
+            if not (e == d and copysign(1.0, e) == copysign(1.0, d)):
+                return i
+    return n_steps + 1
+
+
+def _no_force(t: float) -> float:
+    return 0.0
+
+
+def _advance(config: SimConfig, step, state, start: int, stop: int, command, disturbance,
+             rows: list):
+    """Run the loop over steps ``start .. stop - 1`` from ``state``, the plant
+    state entering step ``start``, appending logged rows to ``rows``.
+
+    Returns the state entering step ``stop``, or None once the run has
+    diverged.  Step i runs at ``t0 + i*dt`` whichever call runs it, so a run
+    split across calls has the bits of one call over the whole horizon.
+    """
+    dt = config.dt
+    gain = config.actuator_gain
+    decimation = config.log_decimation
+    limit = DIVERGENCE_LIMIT
+    n_steps = round(config.horizon / dt)
+    t0 = config.initial_state.t
+    x, x_dot, theta, theta_dot = state
+
+    for i in range(start, stop):
+        t = t0 + i * dt
+        d = disturbance(t) if disturbance is not None else 0.0
+        if command is not None:
+            u = command((x, x_dot, theta - UPRIGHT_THETA, theta_dot), dt)
+        else:
+            u = 0.0
+        if i % decimation == 0:
+            rows.append((t, x, x_dot, theta, theta_dot, u, d))
+        if i == n_steps:
+            break
+        x, x_dot, theta, theta_dot = step((x, x_dot, theta, theta_dot), gain * u + d)
+        # NaN fails every comparison, so it counts as diverged too
+        if not (-limit <= x <= limit and -limit <= x_dot <= limit
+                and -limit <= theta <= limit and -limit <= theta_dot <= limit):
+            return None
+    return x, x_dot, theta, theta_dot
+
+
+def _series(data: np.ndarray, diverged: bool) -> TimeSeries:
+    return TimeSeries(*(data[:, k] for k in range(len(CSV_HEADER))), diverged=diverged)
+
+
+def _table(rows: list) -> np.ndarray:
+    return np.array(rows, dtype=float).reshape(len(rows), len(CSV_HEADER))
+
+
+def run_closed_loops(
+    config: SimConfig,
+    controller: Optional[Controller],
+    disturbances: Sequence[Optional[Callable[[float], float]]],
+    params: PhysicalParams,
+) -> Iterator[TimeSeries]:
+    """Run one closed loop per disturbance, sharing the stretch where they agree.
+
+    Yields one `TimeSeries` per disturbance, in order, each bitwise the log
+    `run_closed_loop` gives for that disturbance and a controller in the
+    state ``controller`` is in now.  A single trajectory runs while every
+    disturbance returns the same force bits; at the first step where two
+    differ, the run forks.  Each branch resumes at that step index with its
+    own `copy.copy` of the controller, taken before that step's command, so
+    the controller must keep its state in what `copy.copy` copies (see
+    `Controller`).  A run that diverges, or ends, before the fork gives every
+    disturbance the same log.  The shared rows are kept once; each series is
+    built just before it is yielded, so a caller that drops each series
+    before asking for the next holds one at a time.
+    """
+    disturbances = list(disturbances)
+    if not disturbances:
+        return
+    step = rk4_stepper(params, config.dt)
+    n_steps = round(config.horizon / config.dt)
+    initial = config.initial_state
+    fork = _fork_step(disturbances, initial.t, config.dt, n_steps)
+    command = controller.command if controller is not None else None
+
+    rows: list = []
+    state = _advance(config, step, (initial.x, initial.x_dot, initial.theta, initial.theta_dot),
+                     0, fork, command, disturbances[0], rows)
+    if state is None or fork > n_steps:
+        for _ in disturbances:
+            yield _series(_table(rows), diverged=state is None)
+        return
+
+    shared = _table(rows)
+    del rows
+    branches = [copy.copy(controller) for _ in disturbances]
+    for branch, disturbance in zip(branches, disturbances):
+        rows = []
+        end = _advance(config, step, state, fork, n_steps + 1,
+                       branch.command if branch is not None else None, disturbance, rows)
+        data = np.concatenate((shared, _table(rows)))
+        del rows
+        yield _series(data, diverged=end is None)
+        del data  # so the branch is freed once the caller drops its series
+
+
 def run_closed_loop(
     config: SimConfig,
     controller: Optional[Controller],
@@ -232,48 +360,7 @@ def run_closed_loop(
     the actuator scales it to force, the disturbance force is added and the
     plant advances by dt.  ``controller=None`` runs open loop and
     ``disturbance=None`` means no disturbance.  The log is decimated per the
-    config; identical inputs give bit-identical logs.
+    config; identical inputs give bit-identical logs.  This is
+    `run_closed_loops` with one disturbance.
     """
-    dt = config.dt
-    step = rk4_stepper(params, dt)
-    command = controller.command if controller is not None else None
-    gain = config.actuator_gain
-    decimation = config.log_decimation
-    limit = DIVERGENCE_LIMIT
-    n_steps = round(config.horizon / dt)
-
-    initial = config.initial_state
-    t0 = initial.t
-    x, x_dot, theta, theta_dot = initial.x, initial.x_dot, initial.theta, initial.theta_dot
-    rows: list[tuple[float, float, float, float, float, float, float]] = []
-    diverged = False
-
-    for i in range(n_steps + 1):
-        t = t0 + i * dt
-        if command is not None:
-            u = command((x, x_dot, theta - UPRIGHT_THETA, theta_dot), dt)
-        else:
-            u = 0.0
-        d = disturbance(t) if disturbance is not None else 0.0
-        if i % decimation == 0:
-            rows.append((t, x, x_dot, theta, theta_dot, u, d))
-        if i == n_steps:
-            break
-        x, x_dot, theta, theta_dot = step((x, x_dot, theta, theta_dot), gain * u + d)
-        # NaN fails every comparison, so it counts as diverged too
-        if not (-limit <= x <= limit and -limit <= x_dot <= limit
-                and -limit <= theta <= limit and -limit <= theta_dot <= limit):
-            diverged = True
-            break
-
-    data = np.array(rows, dtype=float).reshape(len(rows), 7)
-    return TimeSeries(
-        t=data[:, 0],
-        x=data[:, 1],
-        x_dot=data[:, 2],
-        theta=data[:, 3],
-        theta_dot=data[:, 4],
-        u=data[:, 5],
-        d=data[:, 6],
-        diverged=diverged,
-    )
+    return next(run_closed_loops(config, controller, [disturbance], params))

@@ -70,30 +70,62 @@ def _tsla_with_three_inputs(tmp_path):
                      "--out", str(out)])
 
 
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def _tsla_with_truncated_model(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    mf = {"kind": "gbell", "a": 1.0, "b": 2.0, "c": 0.0}
+    doc = {"premises": [[mf]] * 4, "consequents": [[0.0] * 5],
+           "input_ranges": [[-1.0, 1.0]] * 4, "metadata": {}}
+    (out / cli.MODEL_FILE).write_text(json.dumps(doc))
+    _truncate(out / cli.MODEL_FILE)
+    return cli.main(["simulate", "--controller", "tsla", "--scenario", "impulse",
+                     "--out", str(out)])
+
+
+def _gen_data_on_truncated_design(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["design-lqr", "--out", str(out)]) == cli.EXIT_OK
+    _truncate(out / cli.DESIGN_FILE)
+    return cli.main(["gen-data", "--out", str(out)])
+
+
+# each stderr fragment must appear; no fragments means stderr stays empty
 @pytest.mark.parametrize("run, code, stderr", [
-    (_design_lqr_default, cli.EXIT_OK, ""),
-    (_unknown_config_key, cli.EXIT_USAGE, "config error"),
-    (_benchmark_without_artifacts, cli.EXIT_USAGE, "missing artifact"),
+    (_design_lqr_default, cli.EXIT_OK, ()),
+    (_unknown_config_key, cli.EXIT_USAGE, ("config error",)),
+    (_benchmark_without_artifacts, cli.EXIT_USAGE, ("missing artifact",)),
     (_train_on_too_few_rows, cli.EXIT_NUMERICAL,
-     "dataset too small: 10 training rows for 80 consequent parameters"),
-    (_tsla_with_three_inputs, cli.EXIT_NUMERICAL,
-     "TS-LA model must take the 4 deviation inputs, got 3"),
+     ("dataset too small: 10 training rows for 80 consequent parameters",)),
+    (_tsla_with_three_inputs, cli.EXIT_USAGE,
+     ("bad artifact: ", "anfis_model.json: TS-LA model must take the 4 deviation inputs, got 3")),
+    (_tsla_with_truncated_model, cli.EXIT_USAGE, ("bad artifact: malformed model file",)),
+    (_gen_data_on_truncated_design, cli.EXIT_USAGE, ("bad artifact: ", "lqr_design.json: ")),
 ], ids=["ok", "unknown-config-key", "benchmark-without-artifacts", "train-too-few-rows",
-        "tsla-three-inputs"])
+        "tsla-three-inputs", "tsla-truncated-model", "gen-data-truncated-design"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err
-    if stderr:
-        assert stderr in err
-    else:
+    for fragment in stderr:
+        assert fragment in err
+    if not stderr:
         assert err == ""
 
 
 def test_diverged_cells_exit_3(tmp_path, capsys):
-    # a 1e5 N knock topples every controller; the 10 N cells and the noise cells still recover
+    # a 1e5 N knock topples every controller; the 10 N cells and the noise cells still recover.
+    # The two impulse cells of a controller share their run up to the onset, so this also
+    # checks that each branch carries its own divergence flag.
     doc = copy.deepcopy(SHORT_BENCHMARK)
     doc["scenarios"]["impulse"]["repeat_magnitudes"] = [10.0, 1e5]
     config = write_config(tmp_path / "knock.json", doc)
     code = cli.main(["benchmark", "--auto", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_DIVERGED_CELLS
-    assert "diverged cells: PI/impulse, PID/impulse, TS-LA/impulse\n" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert "diverged cells: PI/impulse@100000, PID/impulse@100000, TS-LA/impulse@100000" in lines
+    cells = [line for line in lines if line.startswith("diverged cells: ")][0]
+    assert not [c for c in cells.split(": ")[1].split(", ") if c.endswith("@10")]

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -214,6 +215,18 @@ class TestPidController:
         ctrl.reset()
         second = [ctrl.step(s, 1e-3) for s in states]
         assert first == second
+
+
+    def test_copy_mid_run_replays_the_remaining_commands(self):
+        ctrl = PidController(PidGains(kp=5.0, ki=3.0, kd=0.7, filter_n=200.0))
+        errors = np.sin(np.linspace(0.0, 4.0, 200)).tolist()
+        for e in errors[:120]:
+            ctrl.command(angle_error(e), 1e-3)
+        twin = copy.copy(ctrl)
+        # the original runs to the end first, so state shared with the copy would show
+        original = [ctrl.command(angle_error(e), 1e-3) for e in errors[120:]]
+        replay = [twin.command(angle_error(e), 1e-3) for e in errors[120:]]
+        assert list(map(float.hex, replay)) == list(map(float.hex, original))
 
 
 class TestAnfisController:

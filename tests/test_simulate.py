@@ -1,19 +1,22 @@
+import copy
 import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pendulum_lab import simulate
-from pendulum_lab.controllers import LqrController, design_lqr
+from pendulum_lab.anfis import AnfisModel, MembershipFunction
+from pendulum_lab.config import default_config
+from pendulum_lab.controllers import AnfisController, LqrController, PidController, design_lqr
 from pendulum_lab.plant import (PhysicalParams, PlantState, UPRIGHT_THETA, derivative_fn,
                                 linearize, total_energy)
-from pendulum_lab.scenarios import ImpulseSpec, make_disturbance
+from pendulum_lab.scenarios import ImpulseSpec, NoiseSpec, make_disturbance
 from pendulum_lab.simulate import (DIVERGENCE_LIMIT, SimConfig, TimeSeries, rk4_step,
-                                   rk4_stepper, run_closed_loop)
+                                   rk4_stepper, run_closed_loop, run_closed_loops)
 
 PARAMS = PhysicalParams()
 
@@ -245,6 +248,152 @@ class TestRunClosedLoop:
         series = run_closed_loop(SimConfig(horizon=1.0, log_decimation=5), None, None, PARAMS)
         spacing = np.diff(series.t)
         assert_allclose(spacing, 5e-3, rtol=1e-9)
+
+
+def tsla_model():
+    """A 16-rule model near u = -K z whose rules all differ, so every rule weighs in."""
+    K = lqr_controller().design.K.ravel()
+    premises = tuple(
+        tuple(MembershipFunction(a=width, b=2.0, c=c) for c in (-width, width))
+        for width in (0.5, 1.0, 0.2, 1.5)
+    )
+    consequents = [np.concatenate([-K * (1.0 + 0.02 * j), [0.01 * (j - 7.5)]]) for j in range(16)]
+    ranges = np.array([[-0.5, 0.5], [-1.0, 1.0], [-0.2, 0.2], [-1.5, 1.5]])
+    return AnfisModel(premises=premises, consequents=np.array(consequents), input_ranges=ranges)
+
+
+TSLA_MODEL = tsla_model()
+FAMILY_CONTROLLERS = {
+    "LQR": lqr_controller,
+    "PI": lambda: PidController(default_config().pi),
+    "PID": lambda: PidController(default_config().pid),
+    "TS-LA": lambda: AnfisController(TSLA_MODEL),
+}
+
+
+def log_bytes(series):
+    columns = (series.t, series.x, series.x_dot, series.theta, series.theta_dot, series.u,
+               series.d)
+    return [column.tobytes() for column in columns] + [series.diverged]
+
+
+def assert_family_matches_standalone(cfg, make_controller, disturbances):
+    """Every series of the family is bitwise the standalone run of its disturbance."""
+    family = list(run_closed_loops(cfg, make_controller(), [d() for d in disturbances], PARAMS))
+    assert len(family) == len(disturbances)
+    for series, disturbance in zip(family, disturbances):
+        alone = run_closed_loop(cfg, make_controller(), disturbance(), PARAMS)
+        assert log_bytes(series) == log_bytes(alone)
+    return family
+
+
+class CountingController:
+    """Counts `command` calls in a list that its shallow copies share."""
+
+    def __init__(self, inner, calls):
+        self.inner, self.calls = inner, calls
+
+    def __copy__(self):
+        return CountingController(copy.copy(self.inner), self.calls)
+
+    def command(self, z, dt):
+        self.calls.append(None)
+        return self.inner.command(z, dt)
+
+    def reset(self):
+        self.inner.reset()
+
+
+def impulse(spec):
+    return lambda: make_disturbance(spec) if spec is not None else None
+
+
+onsets = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.25), st.just(1.0))
+impulse_specs = st.one_of(
+    st.none(),
+    st.builds(ImpulseSpec,
+              magnitude=st.sampled_from([-30.0, -0.0, 0.0, 10.0, 30.0]),
+              onset=onsets,
+              width=st.floats(min_value=1e-3, max_value=0.1)),
+)
+
+
+class TestRunClosedLoops:
+    """A family shares its run while the forces agree; each branch must still be
+    bitwise the run its disturbance gives alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(FAMILY_CONTROLLERS)),
+           specs=st.lists(impulse_specs, min_size=1, max_size=4),
+           theta_dev=st.floats(min_value=-0.1, max_value=0.1),
+           decimation=st.sampled_from([1, 7]))
+    @example(name="PID", specs=[ImpulseSpec(10.0, 0.1, 0.05)] * 3, theta_dev=0.05, decimation=1)
+    @example(name="TS-LA", specs=[ImpulseSpec(10.0, 0.0, 0.02), ImpulseSpec(20.0, 0.0, 0.02)],
+             theta_dev=0.05, decimation=1)
+    @example(name="LQR", specs=[ImpulseSpec(10.0, 1.0, 0.05), ImpulseSpec(20.0, 1.0, 0.05)],
+             theta_dev=0.05, decimation=1)
+    @example(name="PI", specs=[ImpulseSpec(10.0, 0.1, 0.01), ImpulseSpec(10.0, 0.1, 0.08)],
+             theta_dev=-0.05, decimation=7)
+    def test_impulse_family_matches_standalone_runs(self, name, specs, theta_dev, decimation):
+        cfg = SimConfig(horizon=0.25, log_decimation=decimation,
+                        initial_state=PlantState(x=0.1, theta=UPRIGHT_THETA + theta_dev))
+        assert_family_matches_standalone(cfg, FAMILY_CONTROLLERS[name], list(map(impulse, specs)))
+
+    def test_shares_the_steps_before_the_onset(self):
+        cfg = SimConfig(horizon=0.3, initial_state=PlantState(theta=UPRIGHT_THETA + 0.05))
+        calls = []
+        specs = [ImpulseSpec(m, onset=0.1, width=0.05) for m in (10.0, 20.0, 30.0)]
+        family = run_closed_loops(cfg, CountingController(PidController(default_config().pid),
+                                                          calls),
+                                  [make_disturbance(s) for s in specs], PARAMS)
+        assert [len(series) for series in family] == [301] * 3
+        assert len(calls) == 100 + 3 * 201
+
+    def test_equal_magnitudes_never_fork(self):
+        cfg = SimConfig(horizon=0.3)
+        calls = []
+        spec = ImpulseSpec(10.0, onset=0.1, width=0.05)
+        family = list(run_closed_loops(cfg, CountingController(lqr_controller(), calls),
+                                       [make_disturbance(spec) for _ in range(3)], PARAMS))
+        assert len(calls) == 301
+        assert log_bytes(family[0]) == log_bytes(family[1]) == log_bytes(family[2])
+        assert family[0].t is not family[1].t
+
+    def test_noise_family_with_different_seeds_forks_at_step_0(self):
+        cfg = SimConfig(horizon=0.3)
+        calls = []
+        noises = [lambda: None] + [
+            (lambda seed=seed: make_disturbance(NoiseSpec(power=0.5, seed=seed)))
+            for seed in (1, 2, 3)]
+        assert_family_matches_standalone(cfg, lambda: CountingController(lqr_controller(), calls),
+                                         noises)
+        assert len(calls) == 2 * 4 * 301  # the family and the standalone runs, none shared
+
+    def test_signed_zero_forces_fork(self):
+        cfg = SimConfig(horizon=0.2, initial_state=PlantState(theta=UPRIGHT_THETA + 0.02))
+        zeros = [lambda: (lambda t: 0.0), lambda: (lambda t: -0.0)]
+        family = assert_family_matches_standalone(cfg, lqr_controller, zeros)
+        assert math.copysign(1.0, family[1].d[0]) == -1.0
+        assert log_bytes(family[0])[:6] == log_bytes(family[1])[:6]
+
+    def test_divergence_before_the_fork_ends_every_branch(self):
+        # PI never looks at the cart: from 999 km at 1 km/s it leaves the limit after 1 s
+        cfg = SimConfig(horizon=3.0, initial_state=PlantState(x=999_000.0, x_dot=1000.0))
+        specs = [impulse(ImpulseSpec(m, onset=2.0, width=0.05)) for m in (10.0, 20.0, 30.0)]
+        family = assert_family_matches_standalone(cfg, FAMILY_CONTROLLERS["PI"], specs)
+        assert all(series.diverged for series in family)
+        assert len(family[0]) < 2000
+        assert log_bytes(family[0]) == log_bytes(family[1]) == log_bytes(family[2])
+
+    def test_only_the_toppling_branch_diverges(self):
+        cfg = SimConfig(horizon=8.0)
+        specs = [impulse(ImpulseSpec(m, onset=0.5, width=0.05)) for m in (10.0, 1e5, 20.0)]
+        family = assert_family_matches_standalone(cfg, FAMILY_CONTROLLERS["PID"], specs)
+        assert [series.diverged for series in family] == [False, True, False]
+        assert len(family[0]) == len(family[2]) == 8001 > len(family[1])
+
+    def test_no_disturbances_yield_nothing(self):
+        assert list(run_closed_loops(SimConfig(horizon=0.1), None, [], PARAMS)) == []
 
 
 class TestTimeSeriesCsv:
