@@ -37,15 +37,15 @@ returns a fresh model.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .artifacts import read_csv, read_json, write_csv, write_json
 
 __all__ = [
     "MembershipFunction",
@@ -329,11 +329,7 @@ class Dataset:
         return self.rows[self.test_indices, 4]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(DATASET_HEADER)
-            for row in self.rows:
-                writer.writerow([repr(float(v)) for v in row])
+        write_csv(path, DATASET_HEADER, ([repr(float(v)) for v in row] for row in self.rows))
 
     def split_manifest(self) -> dict:
         return {
@@ -343,12 +339,8 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path, split: dict) -> "Dataset":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != DATASET_HEADER:
-                raise ValueError(f"unexpected dataset header {header!r}")
-            rows = np.array([[float(v) for v in row] for row in reader])
+        table = read_csv(path, DATASET_HEADER, "dataset")
+        rows = np.array([[float(v) for v in row] for row in table])
         return cls(
             rows=rows,
             train_indices=np.array(split["train_indices"], dtype=int),
@@ -419,11 +411,9 @@ class TrainingHistory:
     stop_epoch: Optional[int] = None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_rmse", "test_rmse"])
-            for i, (tr, te) in enumerate(zip(self.train_rmse, self.test_rmse)):
-                writer.writerow([i, repr(float(tr)), repr(float(te))])
+        write_csv(path, ["epoch", "train_rmse", "test_rmse"],
+                  ([i, repr(float(tr)), repr(float(te))]
+                   for i, (tr, te) in enumerate(zip(self.train_rmse, self.test_rmse))))
 
 
 def initial_model(X: np.ndarray, mfs_per_input: int = 2, shape_b: float = 2.0) -> AnfisModel:
@@ -617,20 +607,11 @@ def save_model(model: AnfisModel, path) -> None:
         "input_ranges": model.input_ranges.tolist(),
         "metadata": model.metadata,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> AnfisModel:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed model file {path}: {exc}") from exc
-    missing = {"premises", "consequents", "input_ranges", "metadata"} - doc.keys()
-    if missing:
-        raise ValueError(f"model file {path} missing sections: {sorted(missing)}")
+    doc = read_json(path, "model", ("premises", "consequents", "input_ranges", "metadata"))
     premises = tuple(
         tuple(MembershipFunction(a=mf["a"], b=mf["b"], c=mf["c"], kind=mf.get("kind", "gbell"))
               for mf in mfs)

@@ -21,7 +21,6 @@ benchmark cells that only failed by divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .anfis import Dataset, load_model, save_model
+from .artifacts import read_json, write_json
 from .config import ConfigError, RunConfig, config_sha256, default_config, load_config
 from .controllers import AnfisController, CareError, LqrController, LqrDesign, PidController
 from .pipeline import (benchmark_from_config, build_dataset, design_from_config, stage1_runs,
@@ -105,9 +105,7 @@ def _manifest(out: Path, command: str, config: RunConfig, args, outputs: list[st
         "effective_seeds": {"anfis": config.anfis.seed, "noise": config.scenarios.noise.seed},
         "outputs": sorted(outputs),
     }
-    with open(out / f"{command}_manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / f"{command}_manifest.json", doc)
 
 
 def _require(path: Path) -> Path:
@@ -162,9 +160,7 @@ def cmd_derive(args) -> int:
         "cart_poles": [[p.real, p.imag] for p in cart_poles],
         "controllability": {"rank": co.rank, "det": co.det, "matrix": co.matrix.tolist()},
     }
-    with open(out / "derive_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "derive_report.json", report)
 
     labelled = [("pendulum", complex(p)) for p in pend_poles]
     labelled += [("cart", complex(p)) for p in cart_poles]
@@ -202,9 +198,7 @@ def cmd_gen_data(args) -> int:
 
     dataset = build_dataset(config, design)
     dataset.to_csv(out / DATASET_FILE)
-    with open(out / SPLIT_FILE, "w") as fh:
-        json.dump(dataset.split_manifest(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / SPLIT_FILE, dataset.split_manifest())
     print(f"dataset: {len(dataset.train_indices)} train / {len(dataset.test_indices)} test rows")
     _manifest(out, "gen-data", config, args, [DATASET_FILE, SPLIT_FILE])
     return EXIT_OK
@@ -214,7 +208,8 @@ def cmd_train(args) -> int:
     config = _load(args)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    split = _load_artifact(out / SPLIT_FILE, lambda path: json.loads(path.read_text()))
+    split = _load_artifact(out / SPLIT_FILE, lambda path: read_json(
+        path, "split", ("train_indices", "test_indices")))
     dataset = _load_artifact(out / DATASET_FILE, lambda path: Dataset.from_csv(path, split))
 
     model, history = train_from_config(config, dataset)

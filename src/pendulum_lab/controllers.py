@@ -13,7 +13,6 @@ cross-check against an independent solver.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .anfis import AnfisModel
+from .artifacts import read_json, write_json
 from .plant import UPRIGHT_THETA, LinearStateSpace, PlantState, ctrb
 
 __all__ = [
@@ -149,23 +149,12 @@ class LqrDesign:
         return np.linalg.eigvals(ss.A - ss.B @ self.K)
 
     def to_json(self, path) -> None:
-        doc = {
-            "Q": self.Q.tolist(),
-            "R": self.R,
-            "S": self.S.tolist(),
-            "K": self.K.tolist(),
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {"Q": self.Q.tolist(), "R": self.R, "S": self.S.tolist(),
+                          "K": self.K.tolist()})
 
     @classmethod
     def from_json(cls, path) -> "LqrDesign":
-        with open(path) as fh:
-            doc = json.load(fh)
-        missing = {"Q", "R", "S", "K"} - doc.keys()
-        if missing:
-            raise ValueError(f"LQR design file missing sections: {sorted(missing)}")
+        doc = read_json(path, "LQR design", ("Q", "R", "S", "K"))
         return cls(Q=np.array(doc["Q"]), R=doc["R"], S=np.array(doc["S"]), K=np.array(doc["K"]))
 
 
@@ -224,21 +213,6 @@ class PidGains:
                 raise ValueError(f"{name} must be >= 0, got {v!r}")
         if not (math.isfinite(self.filter_n) and self.filter_n > 0.0):
             raise ValueError(f"filter_n must be > 0, got {self.filter_n!r}")
-
-    def to_json(self, path) -> None:
-        doc = {"kp": self.kp, "ki": self.ki, "kd": self.kd, "filter_n": self.filter_n}
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "PidGains":
-        with open(path) as fh:
-            doc = json.load(fh)
-        missing = {"kp", "ki", "kd", "filter_n"} - doc.keys()
-        if missing:
-            raise ValueError(f"PID gains file missing sections: {sorted(missing)}")
-        return cls(**{k: float(doc[k]) for k in ("kp", "ki", "kd", "filter_n")})
 
 
 class PidController:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .anfis import AnfisModel, Dataset, TrainConfig, TrainingHistory, generate_dataset, train_hybrid
+from .anfis import AnfisModel, Dataset, TrainingHistory, generate_dataset, train_hybrid
 from .config import RunConfig
 from .controllers import AnfisController, LqrController, LqrDesign, PidController, design_lqr
 from .plant import UPRIGHT_THETA, PlantState, linearize
@@ -54,8 +54,7 @@ def build_dataset(config: RunConfig, design: LqrDesign) -> Dataset:
 
 
 def train_from_config(config: RunConfig, dataset: Dataset) -> tuple[AnfisModel, TrainingHistory]:
-    train_cfg = TrainConfig(epochs=config.anfis.epochs, learning_rate=config.anfis.learning_rate)
-    return train_hybrid(dataset, train_cfg)
+    return train_hybrid(dataset, config.anfis.train_config())
 
 
 def benchmark_from_config(config: RunConfig, model: AnfisModel) -> BenchmarkTable:

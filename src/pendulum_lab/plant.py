@@ -28,12 +28,13 @@ are frozen and safe to share across threads.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from .artifacts import write_csv
 
 __all__ = [
     "UPRIGHT_THETA",
@@ -393,18 +394,12 @@ def total_energy(state: PlantState, params: PhysicalParams) -> float:
 
 def write_poles_csv(path, labelled_poles: Iterable[tuple[str, complex]]) -> None:
     """Write (label, real, imag) pole rows with a header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "real", "imag"])
-        for label, p in labelled_poles:
-            writer.writerow([label, repr(float(p.real)), repr(float(p.imag))])
+    write_csv(path, ["label", "real", "imag"],
+              ([label, repr(float(p.real)), repr(float(p.imag))] for label, p in labelled_poles))
 
 
 def write_locus_csv(path, rows: Iterable[tuple[float, np.ndarray]]) -> None:
     """Write root-locus rows as (gain, root_index, real, imag) with a header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gain", "root_index", "real", "imag"])
-        for gain, roots in rows:
-            for i, r in enumerate(roots):
-                writer.writerow([repr(float(gain)), i, repr(float(r.real)), repr(float(r.imag))])
+    write_csv(path, ["gain", "root_index", "real", "imag"],
+              ([repr(float(gain)), i, repr(float(r.real)), repr(float(r.imag))]
+               for gain, roots in rows for i, r in enumerate(roots)))

@@ -10,7 +10,6 @@ unbounded flag.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, replace
@@ -18,6 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .artifacts import write_csv
 from .plant import PhysicalParams
 from .simulate import Controller, SimConfig, TimeSeries, run_closed_loop, run_closed_loops
 
@@ -275,16 +275,13 @@ class BenchmarkTable:
         return seen
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(BENCHMARK_HEADER)
-            for cell in self.cells:
-                writer.writerow(self._csv_row(cell))
-            for name in self.controllers():
-                mean = self.impulse_mean(name)
-                if mean is not None:
-                    writer.writerow(self._csv_row(
-                        BenchmarkCell(name, "impulse-mean", None, mean, False, math.nan)))
+        rows = [self._csv_row(cell) for cell in self.cells]
+        for name in self.controllers():
+            mean = self.impulse_mean(name)
+            if mean is not None:
+                rows.append(self._csv_row(
+                    BenchmarkCell(name, "impulse-mean", None, mean, False, math.nan)))
+        write_csv(path, BENCHMARK_HEADER, rows)
 
     @staticmethod
     def _csv_row(cell: BenchmarkCell) -> list[str]:

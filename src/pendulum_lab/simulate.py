@@ -18,13 +18,13 @@ onset) once, forking where they first differ; each log is bitwise the one
 from __future__ import annotations
 
 import copy
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
+from .artifacts import read_csv
 from .plant import UPRIGHT_THETA, PhysicalParams, PlantState
 
 __all__ = [
@@ -117,7 +117,7 @@ class TimeSeries:
 
     def to_csv(self, path) -> None:
         """One header row, then one row per step: floats by ``repr``, comma
-        separated, CRLF-terminated (the bytes `csv.writer` would write)."""
+        separated, CRLF-terminated (the bytes `artifacts.write_csv` would write)."""
         columns = (self.t, self.x, self.x_dot, self.theta, self.theta_dot, self.u, self.d)
         table = np.column_stack(columns).astype(float, copy=False)
         with open(path, "w", newline="") as fh:
@@ -129,12 +129,8 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != CSV_HEADER:
-                raise ValueError(f"unexpected time-series header {header!r}")
-            data = np.array([[float(v) for v in row] for row in reader])
+        table = read_csv(path, CSV_HEADER, "time-series")
+        data = np.array([[float(v) for v in row] for row in table])
         if data.size == 0:
             data = data.reshape(0, len(CSV_HEADER))
         return cls(*(data[:, i].copy() for i in range(len(CSV_HEADER))))

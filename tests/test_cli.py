@@ -17,9 +17,22 @@ SHORT_BENCHMARK = {
                   "noise": {"horizon": 12.0}},
 }
 
+# every artifact of the short run; the manifests are left out, as they hold the config's path
 GOLDEN_SHA256 = {
+    "lqr_design.json": "04bf712e38d7e8b777a5bcf7d30ca99624d3cc370bb7d695c01b4134379218ee",
+    "dataset.csv": "0a1845a535585e4ecdc1293829a2e31e4dab680f6f78e254569a89772a5620ab",
+    "dataset_split.json": "72874af59ea8c259f1c56a7f5c4493498fe0816b784950d86a6b96be7bf765e1",
+    "anfis_model.json": "106bd8285a1f08d8600898879c172413e868eead9eee8a21e5da62b1b4aee383",
+    "rmse_history.csv": "0446f3860f0ee5b0b3433cb4d7ec772aaf4aa602946e42c514266c264fa98cc5",
     "benchmark.csv": "cfed0c66beb4666f26278c6136c7ab42240eaf01c1dfce6bb6bcba7ee2d2aeea",
     "benchmark.txt": "9910e56934eccb46c9791b4d2f7a4489423c46edaa73a58307ef7266f3f06c33",
+}
+
+DERIVE_SHA256 = {
+    "derive_report.json": "fc80b87ca6237bb8f7794c97290dfb1e00852fa94a95243567aec9e47b8f300f",
+    "poles.csv": "d5528a77304b098189dc32e49cf2bc7ee39b344c56926fd318a396f1c1c947c7",
+    "root_locus.csv": "e966226765c80129a49e0d122b5718d9d38e799fc707c2fc2a934f9a4e1ae3de",
+    "derive_manifest.json": "3c023a9137ba649fdd8911bfbf30145669b7deec35f866d2de48538a874f2c0a",
 }
 
 
@@ -28,14 +41,22 @@ def write_config(path, doc):
     return path
 
 
+def sha256_of(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
 def test_short_benchmark_golden(tmp_path):
     config = write_config(tmp_path / "short.json", SHORT_BENCHMARK)
     out = tmp_path / "out"
     code = cli.main(["benchmark", "--auto", "--config", str(config), "--out", str(out)])
     assert code == cli.EXIT_OK
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in GOLDEN_SHA256}
-    assert digests == GOLDEN_SHA256
+    assert sha256_of(out, GOLDEN_SHA256) == GOLDEN_SHA256
+
+
+def test_default_derive_golden(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["derive", "--out", str(out)]) == cli.EXIT_OK
+    assert sha256_of(out, DERIVE_SHA256) == DERIVE_SHA256
 
 
 def _design_lqr_default(tmp_path):
@@ -45,6 +66,14 @@ def _design_lqr_default(tmp_path):
 def _unknown_config_key(tmp_path):
     config = write_config(tmp_path / "bad.json", {"sim": {"no_such_key": 1}})
     return cli.main(["design-lqr", "--config", str(config), "--out", str(tmp_path / "out")])
+
+
+def _benchmark_with(doc):
+    def run(tmp_path):
+        config = write_config(tmp_path / "config.json", doc)
+        return cli.main(["benchmark", "--auto", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+    return run
 
 
 def _benchmark_without_artifacts(tmp_path):
@@ -87,6 +116,22 @@ def _tsla_with_truncated_model(tmp_path):
                      "--out", str(out)])
 
 
+def _tsla_with_non_object_model(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / cli.MODEL_FILE).write_text("[1, 2]\n")
+    return cli.main(["simulate", "--controller", "tsla", "--scenario", "impulse",
+                     "--out", str(out)])
+
+
+def _train_on_empty_dataset(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["design-lqr", "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["gen-data", "--out", str(out)]) == cli.EXIT_OK
+    (out / cli.DATASET_FILE).write_text("")
+    return cli.main(["train", "--out", str(out)])
+
+
 def _gen_data_on_truncated_design(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["design-lqr", "--out", str(out)]) == cli.EXIT_OK
@@ -98,15 +143,28 @@ def _gen_data_on_truncated_design(tmp_path):
 @pytest.mark.parametrize("run, code, stderr", [
     (_design_lqr_default, cli.EXIT_OK, ()),
     (_unknown_config_key, cli.EXIT_USAGE, ("config error",)),
+    (_benchmark_with({"anfis": {"train_count": -5}}), cli.EXIT_USAGE,
+     ("config error", "train_count must be >= 1, got -5")),
+    (_benchmark_with({"anfis": {"test_count": 0}}), cli.EXIT_USAGE,
+     ("config error", "test_count must be >= 1, got 0")),
+    (_benchmark_with({"anfis": {"epochs": 0}}), cli.EXIT_USAGE,
+     ("config error", "epochs must be >= 1")),
+    (_benchmark_with({"anfis": {"learning_rate": -1}}), cli.EXIT_USAGE,
+     ("config error", "learning_rate must be > 0")),
     (_benchmark_without_artifacts, cli.EXIT_USAGE, ("missing artifact",)),
     (_train_on_too_few_rows, cli.EXIT_NUMERICAL,
      ("dataset too small: 10 training rows for 80 consequent parameters",)),
     (_tsla_with_three_inputs, cli.EXIT_USAGE,
      ("bad artifact: ", "anfis_model.json: TS-LA model must take the 4 deviation inputs, got 3")),
     (_tsla_with_truncated_model, cli.EXIT_USAGE, ("bad artifact: malformed model file",)),
+    (_tsla_with_non_object_model, cli.EXIT_USAGE,
+     ("bad artifact: malformed model file", "not a JSON object")),
+    (_train_on_empty_dataset, cli.EXIT_USAGE, ("bad artifact: ", "unexpected dataset header None")),
     (_gen_data_on_truncated_design, cli.EXIT_USAGE, ("bad artifact: ", "lqr_design.json: ")),
-], ids=["ok", "unknown-config-key", "benchmark-without-artifacts", "train-too-few-rows",
-        "tsla-three-inputs", "tsla-truncated-model", "gen-data-truncated-design"])
+], ids=["ok", "unknown-config-key", "negative-train-count", "zero-test-count", "zero-epochs",
+        "negative-learning-rate", "benchmark-without-artifacts", "train-too-few-rows",
+        "tsla-three-inputs", "tsla-truncated-model", "tsla-non-object-model",
+        "train-on-empty-dataset", "gen-data-truncated-design"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err

@@ -186,11 +186,6 @@ class TestPidStep:
             z = angle_error(math.sin(0.3 * k))
             assert ctrl_a.command(z, 1e-2) == ctrl_b.command(z, 1e-2)
 
-    def test_json_round_trip(self, tmp_path):
-        gains = PidGains(kp=36.887, ki=165.496, kd=1.505, filter_n=678.646)
-        gains.to_json(tmp_path / "pid.json")
-        assert PidGains.from_json(tmp_path / "pid.json") == gains
-
 
 class TestPidController:
     def test_reads_only_the_angle(self):
