@@ -21,15 +21,24 @@ its time on the loop.  Batches (the training path) go through numpy in
 `_infer_batch`, `_design_matrix` and `premise_gradients`; the two paths agree
 to rounding.
 
-Training follows Jang's hybrid scheme: per epoch, the consequents are solved
-exactly by linear least squares with the premises frozen, then the premise
-parameters take one gradient-descent step (step halved on error increase).
-Because any global affine map is representable exactly (set every consequent
-to the same row), fitting a linear state-feedback law drives the residual to
-machine noise on the very first least-squares pass.  A premise step whose
-every halving is rejected leaves the premises unchanged, so each later epoch
-would solve the same least squares and stall again: training stops there,
-and the history repeats that epoch's errors up to the epoch cap.
+Training follows Jang's hybrid scheme (IEEE TSMC 1993): per epoch, the
+consequents are solved by linear least squares with the premises frozen,
+then the premise parameters take one gradient-descent step (step halved on
+error increase).  The least squares is made well posed by a ridge toward
+the global affine fit g of the targets, so rules the data barely excite keep
+g instead of an arbitrary minimum-norm answer.  Any global affine map is
+representable exactly (set every consequent to the same row), so a linear
+state-feedback target is fitted to rounding by the very first solve, and
+training stops there.  A premise step whose every halving is rejected
+leaves the premises unchanged, so each later epoch would solve the same
+least squares and stall again: training stops there as well.  Either way
+the history repeats the last epoch's errors up to the epoch cap.
+
+The conclusion for this pipeline: the LQR teacher's logged law u = -K z is
+exactly linear, so g = [-K, 0] to rounding and the well-posed TS-LA model
+*is* the LQR law, every rule's consequent the same row.  The fuzzy layer
+adds nothing on this data; it would only matter for a teacher whose law is
+not affine.
 
 Models are immutable once constructed; training works on private arrays and
 returns a fresh model.
@@ -401,8 +410,10 @@ class TrainConfig:
 class TrainingHistory:
     """Per-epoch RMSE on the two splits, plus any anomaly flags raised.
 
-    ``stop_epoch`` is the epoch whose premise step stalled, after which
-    training stopped, or None when every epoch up to the cap ran.
+    ``stop_epoch`` is the epoch after which training stopped, because its
+    train RMSE reached the rounding floor (flag ``rounding_floor``) or its
+    premise step stalled (flag ``premise_step_stalled``), or None when
+    every epoch up to the cap ran.
     """
 
     train_rmse: np.ndarray
@@ -504,27 +515,87 @@ def _rmse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(pred - target))))
 
 
+# train RMSE at or below this share of the targets' RMS is rounding, not fit error
+ROUNDING_FLOOR_RTOL = 1e-12
+# the ridge weight lambda as a share of the mean eigenvalue of phi^T phi
+RIDGE_SHARE = 1e-3
+
+
+def _global_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """g: the least-squares fit of y on [X, 1], one affine law for every rule."""
+    return np.linalg.pinv(np.column_stack([X, np.ones(X.shape[0])])) @ y
+
+
+def _solve_consequents(phi: np.ndarray, y: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """theta minimising |phi theta - y|^2 + lambda |theta - prior|^2, with
+    lambda = RIDGE_SHARE * trace(phi^T phi) / p for phi's p columns.
+
+    This is the least squares [phi; sqrt(lambda) I] theta = [y; sqrt(lambda) prior],
+    solved for the step theta - prior: its right-hand side is the prior's
+    residual, so a prior that already fits leaves only rounding to solve for.
+    """
+    p = phi.shape[1]
+    lam = RIDGE_SHARE * float(np.sum(np.square(phi))) / p
+    A = np.concatenate([phi, math.sqrt(lam) * np.eye(p)])
+    b = np.concatenate([y - phi @ prior, np.zeros(p)])
+    step, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
+    return prior + step
+
+
+def _premise_step(model: AnfisModel, X: np.ndarray, y: np.ndarray, train_err: float,
+                  config: TrainConfig, a_floor: float) -> Optional[AnfisModel]:
+    """One gradient step on the premises, halved until the training RMSE does
+    not rise by more than 1e-12 of itself; None when every halving fails."""
+    grad_a, grad_b, grad_c = premise_gradients(model, X, y)
+    scale = 1.0 / X.shape[0]
+    step = config.learning_rate
+    for _ in range(config.max_halvings + 1):
+        a_new = np.maximum(model._a - step * scale * grad_a, a_floor)
+        b_new = np.maximum(model._b - step * scale * grad_b, 0.5)
+        c_new = model._c - step * scale * grad_c
+        candidate = _rebuild(model, a_new, b_new, c_new, model.consequents)
+        if _rmse(_infer_batch(candidate, X), y) <= train_err * (1.0 + 1e-12):
+            return candidate
+        step *= 0.5
+    return None
+
+
 def train_hybrid(
     dataset: Dataset, config: Optional[TrainConfig] = None
 ) -> tuple[AnfisModel, TrainingHistory]:
     """Hybrid least-squares / gradient-descent training.
 
-    Each epoch solves the consequents exactly for the current premises
-    (minimum-norm when rank-deficient, flagged), records train/test RMSE,
-    then takes one premise gradient step, halving the step up to
-    ``max_halvings`` times whenever it would increase the training error.
-    A candidate is accepted when its training RMSE is at most the current
-    one times (1 + 1e-12), so the recorded training RMSE never rises by more
-    than that relative amount; at the rounding floor of a near-exact fit it
-    can rise by about 1e-16 V.
+    Each epoch solves the consequents for the current premises, records
+    train/test RMSE, then takes one premise gradient step (`_premise_step`),
+    halving the step up to ``max_halvings`` times whenever it would increase
+    the training error.  A candidate is accepted when its training RMSE is
+    at most the current one times (1 + 1e-12), so the recorded training RMSE
+    never rises by more than that relative amount.
 
-    When every halving is rejected (flag ``premise_step_stalled``), the
-    premises stay as they were.  The next epoch would then solve the same
-    least squares on the same design matrix and stall again, bit for bit, so
-    that state is a fixed point: training stops at the first stalled epoch,
-    records it as ``stop_epoch`` and fills the rest of both RMSE histories
-    with that epoch's values.  ``config.epochs`` is the cap; the returned
-    model and history are those the full loop would produce.
+    The consequent solve is ridge regression toward the global affine fit g,
+    the least squares of y on [X, 1]: theta minimises
+    ``|phi theta - y|^2 + lambda |theta - tile(g)|^2`` (Hoerl & Kennard
+    1970).  The plain least squares is rank-deficient on the default 500
+    logged rows (flag ``rank_deficient_lse``, from the rank of phi itself),
+    and its minimum-norm answer pulls the rules the rows barely excite
+    toward zero, not toward the law the rows follow.  lambda is fixed by one
+    rule, ``RIDGE_SHARE`` (1e-3) of the mean eigenvalue of phi^T phi,
+    ``trace(phi^T phi) / p``: it follows the scale of the inputs and the
+    number of rows, the directions the rows excite well are fitted almost
+    unbiased, and the rest stay at g.  As the normalised strengths sum to
+    one, tile(g) is the affine law g on every input, so the fit is never
+    worse than g on the training rows.
+
+    Training stops after the first solve whose train RMSE is at most
+    ``ROUNDING_FLOOR_RTOL`` (1e-12) of the targets' RMS (flag
+    ``rounding_floor``): the fit is exact to rounding, and a later epoch
+    could only move it by rounding noise.  When every halving of a premise
+    step is rejected (flag ``premise_step_stalled``), the premises stay as
+    they were; the next epoch would then solve the same problem and stall
+    again, bit for bit, so training stops there too.  Either stop is
+    recorded as ``stop_epoch``, and the rest of both RMSE histories repeats
+    that epoch's values.  ``config.epochs`` is the cap; the returned model
+    and history are those the full loop would produce.
     """
     if config is None:
         config = TrainConfig()
@@ -543,41 +614,34 @@ def train_hybrid(
     train_hist = np.empty(epochs)
     test_hist = np.empty(epochs)
     a_floor = 1e-6 * max(1.0, float(np.max(model.input_ranges[:, 1] - model.input_ranges[:, 0])))
+    prior = np.tile(_global_fit(X, y), model.n_rules)
+    rmse_floor = ROUNDING_FLOOR_RTOL * float(np.sqrt(np.mean(np.square(y))))
 
     for epoch in range(epochs):
         phi = _design_matrix(model, X)
-        theta, _, rank, _ = np.linalg.lstsq(phi, y, rcond=None)
-        if rank < n_params and "rank_deficient_lse" not in flags:
+        if "rank_deficient_lse" not in flags and np.linalg.matrix_rank(phi) < n_params:
             flags.append("rank_deficient_lse")
+        theta = _solve_consequents(phi, y, prior)
         model = _rebuild(model, model._a, model._b, model._c,
                          theta.reshape(model.n_rules, model.n_inputs + 1))
         train_err = _rmse(phi @ theta, y)
         train_hist[epoch] = train_err
         test_hist[epoch] = _rmse(_infer_batch(model, Xt), yt) if Xt.shape[0] else math.nan
 
-        if epoch == epochs - 1:
+        if train_err <= rmse_floor:
+            flags.append("rounding_floor")
+        elif epoch == epochs - 1:
             break
-
-        grad_a, grad_b, grad_c = premise_gradients(model, X, y)
-        scale = 1.0 / X.shape[0]
-        step = config.learning_rate
-        accepted = None
-        for _ in range(config.max_halvings + 1):
-            a_new = np.maximum(model._a - step * scale * grad_a, a_floor)
-            b_new = np.maximum(model._b - step * scale * grad_b, 0.5)
-            c_new = model._c - step * scale * grad_c
-            candidate = _rebuild(model, a_new, b_new, c_new, model.consequents)
-            if _rmse(_infer_batch(candidate, X), y) <= train_err * (1.0 + 1e-12):
-                accepted = candidate
-                break
-            step *= 0.5
-        if accepted is None:
+        else:
+            accepted = _premise_step(model, X, y, train_err, config, a_floor)
+            if accepted is not None:
+                model = accepted
+                continue
             flags.append("premise_step_stalled")
-            stop_epoch = epoch
-            train_hist[epoch + 1:] = train_err
-            test_hist[epoch + 1:] = test_hist[epoch]
-            break
-        model = accepted
+        stop_epoch = epoch
+        train_hist[epoch + 1:] = train_err
+        test_hist[epoch + 1:] = test_hist[epoch]
+        break
 
     y_span = float(y.max() - y.min())
     rmse_pct = 100.0 * train_hist[-1] / y_span if y_span > 0.0 else 0.0
@@ -611,15 +675,21 @@ def save_model(model: AnfisModel, path) -> None:
 
 
 def load_model(path) -> AnfisModel:
+    """The model `save_model` wrote; a section of the wrong JSON type is a
+    ValueError that names the file, as a file that does not parse is."""
     doc = read_json(path, "model", ("premises", "consequents", "input_ranges", "metadata"))
-    premises = tuple(
-        tuple(MembershipFunction(a=mf["a"], b=mf["b"], c=mf["c"], kind=mf.get("kind", "gbell"))
-              for mf in mfs)
-        for mfs in doc["premises"]
-    )
-    return AnfisModel(
-        premises=premises,
-        consequents=np.array(doc["consequents"]),
-        input_ranges=np.array(doc["input_ranges"]),
-        metadata=doc["metadata"],
-    )
+    try:
+        premises = tuple(
+            tuple(MembershipFunction(a=mf["a"], b=mf["b"], c=mf["c"],
+                                     kind=mf.get("kind", "gbell"))
+                  for mf in mfs)
+            for mfs in doc["premises"]
+        )
+        return AnfisModel(
+            premises=premises,
+            consequents=np.array(doc["consequents"]),
+            input_ranges=np.array(doc["input_ranges"]),
+            metadata=doc["metadata"],
+        )
+    except TypeError as exc:
+        raise ValueError(f"malformed model file {path}: {exc}") from exc

@@ -221,6 +221,9 @@ def cmd_train(args) -> int:
           f"  ({meta['rmse_pct_of_range']:.4g}% of output range)")
     if history.stop_epoch is None:
         print(f"ran all {len(history.train_rmse)} epochs")
+    elif "rounding_floor" in history.flags:
+        print(f"stopped after epoch {history.stop_epoch}: train RMSE reached the rounding"
+              " floor, so a later epoch could only move it by rounding noise")
     else:
         print(f"stopped after epoch {history.stop_epoch}: its premise step stalled,"
               " so every later epoch would repeat it")

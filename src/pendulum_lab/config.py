@@ -116,14 +116,25 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
+def _number(value, key: str):
+    """``value`` if it is a JSON number; a string or a boolean is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def _coerce(value, default, key: str):
     """``value`` as the type of the field's default: a float tuple, a float or
-    an integer; a non-integral number is rejected, not truncated."""
+    an integer.  Only JSON numbers are taken, and a non-integral number is
+    rejected for an integer, not truncated."""
     if isinstance(default, tuple):
-        return tuple(float(v) for v in value)
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+        return tuple(float(_number(v, key)) for v in value)
+    _number(value, key)
     if not isinstance(default, int):
         return float(value)
-    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+    if not (isinstance(value, int) or value.is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -229,7 +240,7 @@ def load_config(path) -> RunConfig:
         return _build(default, changes)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import weakref
+from dataclasses import replace
 from functools import reduce
 from operator import add
 
@@ -14,9 +15,9 @@ from numpy.testing import assert_allclose
 
 from pendulum_lab import anfis
 from pendulum_lab.anfis import (AnfisModel, Dataset, MembershipFunction, TrainConfig,
-                                _infer_batch, anfis_infer, firing_strengths, generate_dataset,
-                                initial_model, load_model, normalize, premise_gradients,
-                                save_model, train_hybrid)
+                                _design_matrix, _infer_batch, anfis_infer, firing_strengths,
+                                generate_dataset, initial_model, load_model, normalize,
+                                premise_gradients, save_model, train_hybrid)
 from pendulum_lab.simulate import TimeSeries
 
 
@@ -446,6 +447,8 @@ class TestTrainHybrid:
         assert np.all(diffs <= 1e-12 * (1.0 + history.train_rmse[:-1]))
 
     def test_lse_is_optimal_for_frozen_premises(self):
+        # the solve minimises SSE + lambda |theta - tile(g)|^2, the ridge toward the global
+        # affine fit g; bumping any consequent raises that objective
         rng = np.random.default_rng(10)
         X = rng.uniform(-1, 1, size=(591, 4))
         y = np.sin(X @ np.array([2.0, 1.0, -1.0, 0.5]))
@@ -453,18 +456,38 @@ class TestTrainHybrid:
                      test_indices=np.arange(500, 591))
         model, _ = train_hybrid(ds, TrainConfig(epochs=1))
 
-        base_sse = float(np.sum((_infer_batch(model, ds.train_X) - ds.train_y) ** 2))
+        phi = _design_matrix(model, ds.train_X)
+        lam = anfis.RIDGE_SHARE * float(np.sum(phi**2)) / phi.shape[1]
+        Xe = np.column_stack([ds.train_X, np.ones(500)])
+        g = np.linalg.lstsq(Xe, ds.train_y, rcond=None)[0]
+
+        def objective(consequents):
+            bumped = AnfisModel(premises=model.premises, consequents=consequents,
+                                input_ranges=model.input_ranges)
+            sse = float(np.sum((_infer_batch(bumped, ds.train_X) - ds.train_y) ** 2))
+            return sse + lam * float(np.sum((consequents - g) ** 2))
+
+        base = objective(model.consequents)
         worse = 0
         for j, col in ((0, 0), (7, 2), (15, 4), (3, 1)):
             for delta in (1e-3, -1e-3):
                 cons = model.consequents.copy()
                 cons[j, col] += delta
-                bumped = AnfisModel(premises=model.premises, consequents=cons,
-                                    input_ranges=model.input_ranges)
-                sse = float(np.sum((_infer_batch(bumped, ds.train_X) - ds.train_y) ** 2))
-                assert sse >= base_sse - 1e-9 * (1.0 + base_sse)
-                worse += sse > base_sse
+                value = objective(cons)
+                assert value >= base - 1e-9 * (1.0 + base)
+                worse += value > base
         assert worse > 0
+
+    @pytest.mark.parametrize("intercept", [0.0, 0.75])
+    def test_affine_target_gives_every_rule_the_global_fit(self, intercept):
+        K = np.array([-34.64, -20.73, 67.03, 13.09])
+        ds = affine_dataset(K)
+        ds = Dataset(rows=np.column_stack([ds.rows[:, :4], ds.rows[:, 4] + intercept]),
+                     train_indices=ds.train_indices, test_indices=ds.test_indices)
+        model, history = train_hybrid(ds, TrainConfig(epochs=50))
+        g = np.concatenate([-K, [intercept]])
+        assert_allclose(model.consequents, np.tile(g, (16, 1)), rtol=0, atol=1e-12)
+        assert history.stop_epoch == 0
 
     def test_rejects_undersized_dataset(self):
         rng = np.random.default_rng(11)
@@ -501,45 +524,87 @@ def counted_lstsq(monkeypatch):
     return calls
 
 
-class TestEarlyStop:
-    """A stalled premise step leaves the premises unchanged, so training stops
-    there; the result must be the one the full epoch loop would give."""
+def tanh_dataset(seed):
+    """A smooth non-linear target, which no affine law fits and no fit reaches to rounding."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, size=(591, 4))
+    y = np.tanh(X @ np.array([1.0, -2.0, 0.5, 1.5])) + 0.3 * X[:, 0] * X[:, 2]
+    return Dataset(rows=np.column_stack([X, y]), train_indices=np.arange(500),
+                   test_indices=np.arange(500, 591))
 
-    @pytest.mark.parametrize("seed, stall_epoch", [(1, 1), (7, 4)])
-    def test_stop_matches_fit_capped_at_stall_epoch(self, stage1_logs, monkeypatch,
-                                                    seed, stall_epoch):
-        ds = generate_dataset(stage1_logs, train_count=500, test_count=91, seed=seed)
+
+def assert_same_fit(model, capped):
+    assert np.array_equal(model.consequents, capped.consequents)
+    for name in ("_a", "_b", "_c"):
+        assert np.array_equal(getattr(model, name), getattr(capped, name))
+
+
+def assert_history_held(model, history, stop_epoch, epochs):
+    assert history.train_rmse.shape == history.test_rmse.shape == (epochs,)
+    assert np.all(history.train_rmse[stop_epoch:] == history.train_rmse[stop_epoch])
+    assert np.all(history.test_rmse[stop_epoch:] == history.test_rmse[stop_epoch])
+    assert model.metadata["epochs"] == epochs
+    assert model.metadata["rmse"] == {"train": float(history.train_rmse[stop_epoch]),
+                                      "test": float(history.test_rmse[stop_epoch])}
+    assert history.flags == model.metadata["flags"]
+
+
+class TestEarlyStop:
+    """Training stops at the rounding floor or at a stalled premise step, one
+    solve per epoch run; the result must be the one the full epoch loop would give."""
+
+    # steps too long for their few halvings: each accepted step lowers the train RMSE by
+    # more than 1e-5 of itself, and the stalled one raises it by more than 2e-4 at every
+    # halving, so the stall does not hang on rounding
+    @pytest.mark.parametrize("seed, learning_rate, max_halvings, stall_epoch",
+                             [(9, 100.0, 3, 0), (2, 180.0, 4, 25)],
+                             ids=["seed9-stall0", "seed2-stall25"])
+    def test_stall_matches_fit_capped_at_stall_epoch(self, monkeypatch, seed, learning_rate,
+                                                     max_halvings, stall_epoch):
+        ds = tanh_dataset(seed)
+        config = TrainConfig(epochs=40, learning_rate=learning_rate, max_halvings=max_halvings)
         calls = counted_lstsq(monkeypatch)
-        model, history = train_hybrid(ds, TrainConfig(epochs=50))
+        model, history = train_hybrid(ds, config)
         assert history.stop_epoch == stall_epoch
         assert len(calls) == stall_epoch + 1
 
-        capped, capped_history = train_hybrid(ds, TrainConfig(epochs=stall_epoch + 1))
+        capped, capped_history = train_hybrid(ds, replace(config, epochs=stall_epoch + 1))
         assert capped_history.stop_epoch is None
-        assert np.array_equal(model.consequents, capped.consequents)
-        for name in ("_a", "_b", "_c"):
-            assert np.array_equal(getattr(model, name), getattr(capped, name))
+        assert_same_fit(model, capped)
         # the capped fit ends before it can take, and stall on, that last premise step
         assert model.metadata["flags"] == capped.metadata["flags"] + ["premise_step_stalled"]
-        assert history.flags == model.metadata["flags"]
         k = stall_epoch + 1
         assert np.array_equal(history.train_rmse[:k], capped_history.train_rmse)
         assert np.array_equal(history.test_rmse[:k], capped_history.test_rmse)
+        assert_history_held(model, history, stall_epoch, 40)
 
-        assert history.train_rmse.shape == history.test_rmse.shape == (50,)
-        assert np.all(history.train_rmse[stall_epoch:] == history.train_rmse[stall_epoch])
-        assert np.all(history.test_rmse[stall_epoch:] == history.test_rmse[stall_epoch])
-        assert model.metadata["epochs"] == 50
-        assert model.metadata["rmse"] == {"train": float(history.train_rmse[stall_epoch]),
-                                          "test": float(history.test_rmse[stall_epoch])}
-
-    def test_fit_without_stall_runs_every_epoch(self, stage1_logs, monkeypatch):
-        ds = generate_dataset(stage1_logs, train_count=500, test_count=91, seed=0)
+    def test_fit_without_stall_runs_every_epoch(self, monkeypatch):
         calls = counted_lstsq(monkeypatch)
-        model, history = train_hybrid(ds, TrainConfig(epochs=50))
+        model, history = train_hybrid(tanh_dataset(9), TrainConfig(epochs=20))
         assert history.stop_epoch is None
-        assert "premise_step_stalled" not in history.flags
-        assert len(calls) == 50
+        assert history.flags == []
+        assert len(calls) == 20
+        assert np.all(np.diff(history.train_rmse) < 0.0)
+
+    # the rank flag is that of phi itself: the ridge rows make the solved system full rank
+    @pytest.mark.parametrize("rows, flags", [
+        (200, ["rank_deficient_lse", "rounding_floor"]),
+        (500, ["rank_deficient_lse", "rounding_floor"]),
+        (2500, ["rounding_floor"]),
+    ], ids=["200", "500", "2500"])
+    def test_logged_lqr_law_stops_at_rounding_floor(self, stage1_logs, monkeypatch, rows, flags):
+        calls = counted_lstsq(monkeypatch)
+        for seed in range(10):
+            ds = generate_dataset(stage1_logs, train_count=rows, test_count=91, seed=seed)
+            calls.clear()
+            model, history = train_hybrid(ds, TrainConfig(epochs=50))
+            assert (history.stop_epoch, len(calls)) == (0, 1), seed
+            assert history.flags == flags
+            assert history.train_rmse[0] <= 1e-12 * np.sqrt(np.mean(np.square(ds.train_y)))
+            assert_history_held(model, history, 0, 50)
+
+            capped, _ = train_hybrid(ds, TrainConfig(epochs=1))
+            assert_same_fit(model, capped)
 
 
 class TestGenerateDataset:

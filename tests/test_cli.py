@@ -22,10 +22,10 @@ GOLDEN_SHA256 = {
     "lqr_design.json": "04bf712e38d7e8b777a5bcf7d30ca99624d3cc370bb7d695c01b4134379218ee",
     "dataset.csv": "0a1845a535585e4ecdc1293829a2e31e4dab680f6f78e254569a89772a5620ab",
     "dataset_split.json": "72874af59ea8c259f1c56a7f5c4493498fe0816b784950d86a6b96be7bf765e1",
-    "anfis_model.json": "106bd8285a1f08d8600898879c172413e868eead9eee8a21e5da62b1b4aee383",
-    "rmse_history.csv": "0446f3860f0ee5b0b3433cb4d7ec772aaf4aa602946e42c514266c264fa98cc5",
-    "benchmark.csv": "cfed0c66beb4666f26278c6136c7ab42240eaf01c1dfce6bb6bcba7ee2d2aeea",
-    "benchmark.txt": "9910e56934eccb46c9791b4d2f7a4489423c46edaa73a58307ef7266f3f06c33",
+    "anfis_model.json": "384d22010784c0118203ab71c7a36d55c4d89aef989f3df0698662a71f04f67c",
+    "rmse_history.csv": "23ce04801e7f7eeecd128ca8cde8c608f17cdf353bac594db86c99c0708e5423",
+    "benchmark.csv": "a6399dcc90cd7c295d9fd2a0b98237bfe278e740912b92c19e1ccc19d129fd86",
+    "benchmark.txt": "42da2a259aecc5960db5bda6d57b8ce5910e13341f67ce84171dfa5d97ce4696",
 }
 
 DERIVE_SHA256 = {
@@ -124,6 +124,22 @@ def _tsla_with_non_object_model(tmp_path):
                      "--out", str(out)])
 
 
+def _tsla_with_wrongly_typed_model(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    doc = {"premises": 3, "consequents": [], "input_ranges": [], "metadata": {}}
+    (out / cli.MODEL_FILE).write_text(json.dumps(doc))
+    return cli.main(["simulate", "--controller", "tsla", "--scenario", "impulse",
+                     "--out", str(out)])
+
+
+def _design_lqr_with(doc):
+    def run(tmp_path):
+        config = write_config(tmp_path / "config.json", doc)
+        return cli.main(["design-lqr", "--config", str(config), "--out", str(tmp_path / "out")])
+    return run
+
+
 def _train_on_empty_dataset(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["design-lqr", "--out", str(out)]) == cli.EXIT_OK
@@ -159,12 +175,17 @@ def _gen_data_on_truncated_design(tmp_path):
     (_tsla_with_truncated_model, cli.EXIT_USAGE, ("bad artifact: malformed model file",)),
     (_tsla_with_non_object_model, cli.EXIT_USAGE,
      ("bad artifact: malformed model file", "not a JSON object")),
+    (_tsla_with_wrongly_typed_model, cli.EXIT_USAGE,
+     ("bad artifact: malformed model file", "'int' object is not iterable")),
     (_train_on_empty_dataset, cli.EXIT_USAGE, ("bad artifact: ", "unexpected dataset header None")),
     (_gen_data_on_truncated_design, cli.EXIT_USAGE, ("bad artifact: ", "lqr_design.json: ")),
+    (_design_lqr_with({"lqr": {"r": True}, "sim": {"dt": "1e-3"}}), cli.EXIT_USAGE,
+     ("config error", "must be a number")),
 ], ids=["ok", "unknown-config-key", "negative-train-count", "zero-test-count", "zero-epochs",
         "negative-learning-rate", "benchmark-without-artifacts", "train-too-few-rows",
         "tsla-three-inputs", "tsla-truncated-model", "tsla-non-object-model",
-        "train-on-empty-dataset", "gen-data-truncated-design"])
+        "tsla-wrongly-typed-model", "train-on-empty-dataset", "gen-data-truncated-design",
+        "float-key-as-boolean-and-string"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err

@@ -146,6 +146,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path / "bad.json", doc))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"lqr": {"r": True}}, "lqr.r must be a number, got True"),
+        ({"sim": {"dt": "1e-3"}}, "sim.dt must be a number, got '1e-3'"),
+        ({"physical": {"cart_mass": False}}, "physical.cart_mass must be a number"),
+        ({"lqr": {"q_diag": [1200.0, 0.0, "100", 0.0]}}, "lqr.q_diag must be a number"),
+        ({"lqr": {"q_diag": [1200.0, True, 100.0, 0.0]}}, "lqr.q_diag must be a number"),
+        ({"lqr": {"q_diag": "1234"}}, "lqr.q_diag must be a list of numbers"),
+        ({"anfis": {"seed": "2"}}, "anfis.seed must be a number"),
+        ({"lqr": {"r": 10**400}}, "int too large to convert to float"),
+    ], ids=["float-boolean", "float-string", "float-false", "tuple-string-entry",
+            "tuple-boolean-entry", "tuple-as-string", "integer-string", "float-overflow"])
+    def test_non_number_rejected(self, tmp_path, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path / "bad.json", doc))
+
     def test_integral_float_accepted(self, tmp_path):
         path = write_config(tmp_path / "ok.json", {"sim": {"log_decimation": 2.0}})
         assert load_config(path).sim.log_decimation == 2
@@ -171,7 +186,9 @@ class TestCli:
             assert cli.main([command, *args]) == cli.EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         stop_lines = [ln for ln in lines if ln.startswith(("stopped after epoch", "ran all"))]
-        assert len(stop_lines) == 1
+        # the logged LQR law is affine, so the first solve already fits it to rounding
+        assert stop_lines == ["stopped after epoch 0: train RMSE reached the rounding floor,"
+                              " so a later epoch could only move it by rounding noise"]
 
         model = json.loads((tmp_path / "out" / cli.MODEL_FILE).read_text())
         assert "stop_epoch" not in model["metadata"]

@@ -1,0 +1,36 @@
+"""The default pipeline's TS-LA fit, held out: along closed-loop runs beyond the
+10-30 N stage-1 impulses, the fitted model must still command what LQR would."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from pendulum_lab.config import default_config
+from pendulum_lab.controllers import AnfisController
+from pendulum_lab.pipeline import build_dataset, design_from_config, train_from_config
+from pendulum_lab.scenarios import make_disturbance
+from pendulum_lab.simulate import run_closed_loop
+
+CONFIG = default_config()
+
+
+@pytest.fixture(scope="module")
+def default_fit():
+    design = design_from_config(CONFIG)
+    model, _ = train_from_config(CONFIG, build_dataset(CONFIG, design))
+    return design.K.ravel(), model
+
+
+@pytest.mark.parametrize("magnitude", [60.0, 70.0])
+def test_tsla_commands_the_lqr_law_beyond_its_training_impulses(default_fit, magnitude):
+    K, model = default_fit
+    impulse = replace(CONFIG.scenarios.impulse, magnitude=magnitude)
+    series = run_closed_loop(CONFIG.sim, AnfisController(model), make_disturbance(impulse),
+                             CONFIG.physical)
+    assert not series.diverged
+    z = np.column_stack([series.x, series.x_dot, series.theta_deviation(), series.theta_dot])
+    # the run leaves the box the model was fitted on
+    lo, hi = model.input_ranges.T
+    assert np.any((z < lo) | (z > hi))
+    assert np.max(np.abs(series.u + z @ K)) <= 1e-9
