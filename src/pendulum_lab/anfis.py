@@ -40,15 +40,20 @@ exactly linear, so g = [-K, 0] to rounding and the well-posed TS-LA model
 adds nothing on this data; it would only matter for a teacher whose law is
 not affine.
 
-Models are immutable once constructed; training works on private arrays and
-returns a fresh model.
+The premises are three arrays a, b and c, each (n_inputs, mfs_per_input): the
+width, shape and center of the bell of each input's membership functions.
+They are the model's only store of the premises; the model file writes one
+``{"kind": "gbell", "a", "b", "c"}`` object per membership function.
+
+Models are immutable once constructed; training derives each new model with
+`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -57,13 +62,10 @@ import numpy as np
 from .artifacts import read_csv, read_json, write_csv, write_json
 
 __all__ = [
-    "MembershipFunction",
     "AnfisModel",
     "Dataset",
     "TrainConfig",
     "TrainingHistory",
-    "firing_strengths",
-    "normalize",
     "anfis_infer",
     "premise_gradients",
     "train_hybrid",
@@ -74,35 +76,6 @@ __all__ = [
 ]
 
 DATASET_HEADER = ["x", "x_dot", "theta_dev", "theta_dot", "u"]
-
-
-@dataclass(frozen=True)
-class MembershipFunction:
-    """Generalized bell 1 / (1 + ((z - c) / a)^(2b)): peak 1 at the center c,
-    strictly positive and symmetric, width a and shoulder sharpness b."""
-
-    a: float
-    b: float
-    c: float
-    kind: str = "gbell"
-
-    def __post_init__(self) -> None:
-        if self.kind != "gbell":
-            raise ValueError(f"unsupported membership kind {self.kind!r}")
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"width a must be > 0, got {self.a!r}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise ValueError(f"shape b must be > 0, got {self.b!r}")
-        if not math.isfinite(self.c):
-            raise ValueError(f"center c must be finite, got {self.c!r}")
-
-    def __call__(self, z: float) -> float:
-        # the arithmetic of the compiled law: a power too large for a float is 0.0
-        d = (float(z) - self.c) / self.a
-        try:
-            return 1.0 / (1.0 + (d * d) ** self.b)
-        except OverflowError:
-            return 0.0
 
 
 def _bell(z, a, b, c):
@@ -116,39 +89,39 @@ def _bell(z, a, b, c):
 class AnfisModel:
     """Premise grid, consequent matrix and the training input ranges.
 
-    ``premises[k][m]`` is the m-th membership function of input k.
-    ``consequents`` has one row per rule: the input coefficients followed by
-    the constant term.  ``input_ranges[k]`` is the (min, max) seen in
-    training, kept for reproducibility and hull checks.
+    ``a``, ``b`` and ``c`` are each (n_inputs, mfs_per_input): entry [k, m]
+    is the width, shape and center of the generalized bell
+    1 / (1 + ((z_k - c) / a)^(2b)) of the m-th membership function of input
+    k, which peaks at 1 on its center.  ``consequents`` has one row per rule:
+    the input coefficients followed by the constant term.
+    ``input_ranges[k]`` is the (min, max) seen in training, kept for
+    reproducibility and hull checks.
     """
 
-    premises: tuple[tuple[MembershipFunction, ...], ...]
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
     consequents: np.ndarray
     input_ranges: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        grid = tuple(tuple(mfs) for mfs in self.premises)
-        if not grid or not all(len(mfs) == len(grid[0]) and mfs for mfs in grid):
-            raise ValueError("premises must be a rectangular, non-empty grid")
-        object.__setattr__(self, "premises", grid)
+        a, b, c = (_frozen(getattr(self, name)) for name in "abc")
+        if a.ndim != 2 or a.size == 0 or not a.shape == b.shape == c.shape:
+            raise ValueError("premises a, b and c must be one rectangular, non-empty grid")
+        if not (np.all(np.isfinite(a) & (a > 0.0)) and np.all(np.isfinite(b) & (b > 0.0))):
+            raise ValueError("premise widths a and shapes b must be finite and > 0")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("premise centers c must be finite")
+        for name, arr in zip("abc", (a, b, c)):
+            object.__setattr__(self, name, arr)
 
-        n_inputs, n_mfs = len(grid), len(grid[0])
-        n_rules = n_mfs**n_inputs
-        cons = np.asarray(self.consequents, dtype=float).reshape(n_rules, n_inputs + 1)
+        n_inputs, n_mfs = a.shape
+        cons = _frozen(self.consequents).reshape(n_mfs**n_inputs, n_inputs + 1)
         if not np.all(np.isfinite(cons)):
             raise ValueError("non-finite consequent row")
-        cons.setflags(write=False)
         object.__setattr__(self, "consequents", cons)
-
-        ranges = np.asarray(self.input_ranges, dtype=float).reshape(n_inputs, 2)
-        ranges.setflags(write=False)
-        object.__setattr__(self, "input_ranges", ranges)
-
-        for name, attr in (("a", "a"), ("b", "b"), ("c", "c")):
-            arr = np.array([[getattr(mf, attr) for mf in mfs] for mfs in grid])
-            arr.setflags(write=False)
-            object.__setattr__(self, f"_{name}", arr)
+        object.__setattr__(self, "input_ranges", _frozen(self.input_ranges).reshape(n_inputs, 2))
         # rule j -> MF index per input, lexicographic in the MF indices
         index = np.array(list(itertools.product(range(n_mfs), repeat=n_inputs)), dtype=int)
         index.setflags(write=False)
@@ -156,11 +129,7 @@ class AnfisModel:
 
     @property
     def n_inputs(self) -> int:
-        return len(self.premises)
-
-    @property
-    def mfs_per_input(self) -> int:
-        return len(self.premises[0])
+        return self.a.shape[0]
 
     @property
     def n_rules(self) -> int:
@@ -169,7 +138,7 @@ class AnfisModel:
     def memberships(self, inputs: np.ndarray) -> np.ndarray:
         """Membership degrees, shape (..., n_inputs, mfs_per_input)."""
         z = np.asarray(inputs, dtype=float)
-        return _bell(z, self._a, self._b, self._c)
+        return _bell(z, self.a, self.b, self.c)
 
     @cached_property
     def law(self):
@@ -181,33 +150,18 @@ class AnfisModel:
         # which only the cyclic collector would free
         return namespace.pop("law")
 
-    def __getstate__(self) -> dict:
-        # a generated function does not pickle; the copy compiles its own law
-        return {k: v for k, v in self.__dict__.items() if k != "law"}
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``: freezing never touches the caller's array."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def _rule_products(model: AnfisModel, mu: np.ndarray) -> np.ndarray:
     idx = model._rule_index  # (n_rules, n_inputs)
     cols = np.arange(model.n_inputs)
     return mu[..., cols, idx].prod(axis=-1)
-
-
-def firing_strengths(model: AnfisModel, inputs: Sequence[float]) -> np.ndarray:
-    """Layer-2 rule strengths: per rule, the product of its selected
-    membership values.  Strictly positive for finite inputs."""
-    z = np.asarray(inputs, dtype=float)
-    if z.shape != (model.n_inputs,):
-        raise ValueError(f"expected {model.n_inputs} inputs, got shape {z.shape}")
-    return _rule_products(model, model.memberships(z))
-
-
-def normalize(w: np.ndarray) -> np.ndarray:
-    """Layer 3: scale strengths to sum to one."""
-    w = np.asarray(w, dtype=float)
-    total = w.sum()
-    if not (total > 0.0):
-        raise ValueError("firing strengths sum to zero; input too far outside all rules")
-    return w / total
 
 
 def _consequent_outputs(model: AnfisModel, z: np.ndarray) -> np.ndarray:
@@ -234,7 +188,7 @@ def _law_source(model: AnfisModel) -> str:
     emit = lines.append
 
     mu = []
-    for k, params in enumerate(zip(model._a.tolist(), model._b.tolist(), model._c.tolist())):
+    for k, params in enumerate(zip(model.a.tolist(), model.b.tolist(), model.c.tolist())):
         names = []
         for m, (a, b, c) in enumerate(zip(*params)):
             name = f"m{k}_{m}"
@@ -389,21 +343,23 @@ def generate_dataset(runs, train_count: int = 500, test_count: int = 91, seed: i
     )
 
 
+# the start model's grid: membership functions per input and their bell shape b
+MFS_PER_INPUT = 2
+SHAPE_B = 2.0
+# a premise step is halved at most this many times before it counts as stalled
+MAX_HALVINGS = 20
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
     learning_rate: float = 0.01
-    mfs_per_input: int = 2
-    shape_b: float = 2.0
-    max_halvings: int = 20
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not (self.learning_rate > 0.0):
             raise ValueError("learning_rate must be > 0")
-        if self.mfs_per_input < 1:
-            raise ValueError("mfs_per_input must be >= 1")
 
 
 @dataclass
@@ -427,26 +383,19 @@ class TrainingHistory:
                    for i, (tr, te) in enumerate(zip(self.train_rmse, self.test_rmse))))
 
 
-def initial_model(X: np.ndarray, mfs_per_input: int = 2, shape_b: float = 2.0) -> AnfisModel:
-    """Grid-partition start: centers spread over each input's range, widths
-    half the spacing between centers, all consequents zero."""
+def initial_model(X: np.ndarray) -> AnfisModel:
+    """Grid-partition start: ``MFS_PER_INPUT`` centers spread over each input's
+    range, widths half the spacing between centers, shapes ``SHAPE_B``, all
+    consequents zero."""
     X = np.asarray(X, dtype=float)
     n_inputs = X.shape[1]
     lo, hi = X.min(axis=0), X.max(axis=0)
-    premises = []
-    for k in range(n_inputs):
-        span = max(hi[k] - lo[k], 1e-6)
-        if mfs_per_input == 1:
-            centers = [0.5 * (lo[k] + hi[k])]
-            width = span / 2.0
-        else:
-            centers = np.linspace(lo[k], hi[k], mfs_per_input)
-            width = span / (2.0 * (mfs_per_input - 1))
-        premises.append(tuple(MembershipFunction(a=width, b=shape_b, c=float(c)) for c in centers))
-    n_rules = mfs_per_input**n_inputs
+    width = np.maximum(hi - lo, 1e-6) / (2.0 * (MFS_PER_INPUT - 1))
     return AnfisModel(
-        premises=tuple(premises),
-        consequents=np.zeros((n_rules, n_inputs + 1)),
+        a=np.repeat(width[:, None], MFS_PER_INPUT, axis=1),
+        b=np.full((n_inputs, MFS_PER_INPUT), SHAPE_B),
+        c=np.linspace(lo, hi, MFS_PER_INPUT, axis=1),
+        consequents=np.zeros((MFS_PER_INPUT**n_inputs, n_inputs + 1)),
         input_ranges=np.column_stack([lo, hi]),
     )
 
@@ -479,12 +428,12 @@ def premise_gradients(
     G = (2.0 * r[:, None]) * (F - Z[:, None]) / totals * w  # (n, j)
 
     # scatter rule gradients onto the (input, mf) grid the rule selects
-    k, m = model.n_inputs, model.mfs_per_input
+    k, m = model.a.shape
     assign = np.zeros((model.n_rules, k, m))
     assign[np.arange(model.n_rules)[:, None], np.arange(k)[None, :], model._rule_index] = 1.0
     P = np.einsum("nj,jkm->nkm", G, assign)  # dSSE/dmu * mu
 
-    a, b, c = model._a, model._b, model._c
+    a, b, c = model.a, model.b, model.c
     one_minus = 1.0 - mu
     diff = X[:, :, None] - c
     safe_diff = np.where(np.abs(diff) < 1e-300, 1.0, diff)
@@ -495,20 +444,6 @@ def premise_gradients(
     grad_c = (P * np.where(diff == 0.0, 0.0, 2.0 * b * one_minus / safe_diff)).sum(axis=0)
     grad_b = (P * (-one_minus) * log_t).sum(axis=0)
     return grad_a, grad_b, grad_c
-
-
-def _rebuild(model: AnfisModel, a, b, c, consequents, metadata=None) -> AnfisModel:
-    premises = tuple(
-        tuple(MembershipFunction(a=float(a[k, m]), b=float(b[k, m]), c=float(c[k, m]))
-              for m in range(a.shape[1]))
-        for k in range(a.shape[0])
-    )
-    return AnfisModel(
-        premises=premises,
-        consequents=consequents,
-        input_ranges=model.input_ranges,
-        metadata=metadata if metadata is not None else dict(model.metadata),
-    )
 
 
 def _rmse(pred: np.ndarray, target: np.ndarray) -> float:
@@ -543,17 +478,17 @@ def _solve_consequents(phi: np.ndarray, y: np.ndarray, prior: np.ndarray) -> np.
 
 
 def _premise_step(model: AnfisModel, X: np.ndarray, y: np.ndarray, train_err: float,
-                  config: TrainConfig, a_floor: float) -> Optional[AnfisModel]:
-    """One gradient step on the premises, halved until the training RMSE does
-    not rise by more than 1e-12 of itself; None when every halving fails."""
+                  learning_rate: float, a_floor: float) -> Optional[AnfisModel]:
+    """One gradient step on the premises, halved up to ``MAX_HALVINGS`` times
+    until the training RMSE does not rise by more than 1e-12 of itself; None
+    when every halving fails."""
     grad_a, grad_b, grad_c = premise_gradients(model, X, y)
     scale = 1.0 / X.shape[0]
-    step = config.learning_rate
-    for _ in range(config.max_halvings + 1):
-        a_new = np.maximum(model._a - step * scale * grad_a, a_floor)
-        b_new = np.maximum(model._b - step * scale * grad_b, 0.5)
-        c_new = model._c - step * scale * grad_c
-        candidate = _rebuild(model, a_new, b_new, c_new, model.consequents)
+    step = learning_rate
+    for _ in range(MAX_HALVINGS + 1):
+        candidate = replace(model, a=np.maximum(model.a - step * scale * grad_a, a_floor),
+                            b=np.maximum(model.b - step * scale * grad_b, 0.5),
+                            c=model.c - step * scale * grad_c)
         if _rmse(_infer_batch(candidate, X), y) <= train_err * (1.0 + 1e-12):
             return candidate
         step *= 0.5
@@ -567,7 +502,7 @@ def train_hybrid(
 
     Each epoch solves the consequents for the current premises, records
     train/test RMSE, then takes one premise gradient step (`_premise_step`),
-    halving the step up to ``max_halvings`` times whenever it would increase
+    halving the step up to ``MAX_HALVINGS`` times whenever it would increase
     the training error.  A candidate is accepted when its training RMSE is
     at most the current one times (1 + 1e-12), so the recorded training RMSE
     never rises by more than that relative amount.
@@ -602,7 +537,7 @@ def train_hybrid(
     epochs = config.epochs
     X, y = dataset.train_X, dataset.train_y
     Xt, yt = dataset.test_X, dataset.test_y
-    model = initial_model(X, config.mfs_per_input, config.shape_b)
+    model = initial_model(X)
     n_params = model.n_rules * (model.n_inputs + 1)
     if X.shape[0] < n_params:
         raise ValueError(
@@ -622,8 +557,7 @@ def train_hybrid(
         if "rank_deficient_lse" not in flags and np.linalg.matrix_rank(phi) < n_params:
             flags.append("rank_deficient_lse")
         theta = _solve_consequents(phi, y, prior)
-        model = _rebuild(model, model._a, model._b, model._c,
-                         theta.reshape(model.n_rules, model.n_inputs + 1))
+        model = replace(model, consequents=theta)
         train_err = _rmse(phi @ theta, y)
         train_hist[epoch] = train_err
         test_hist[epoch] = _rmse(_infer_batch(model, Xt), yt) if Xt.shape[0] else math.nan
@@ -633,7 +567,7 @@ def train_hybrid(
         elif epoch == epochs - 1:
             break
         else:
-            accepted = _premise_step(model, X, y, train_err, config, a_floor)
+            accepted = _premise_step(model, X, y, train_err, config.learning_rate, a_floor)
             if accepted is not None:
                 model = accepted
                 continue
@@ -651,7 +585,7 @@ def train_hybrid(
         "rmse_pct_of_range": rmse_pct,
         "flags": list(flags),
     }
-    model = _rebuild(model, model._a, model._b, model._c, model.consequents, metadata)
+    model = replace(model, metadata=metadata)
     return model, TrainingHistory(train_rmse=train_hist, test_rmse=test_hist, flags=flags,
                                   stop_epoch=stop_epoch)
 
@@ -664,8 +598,8 @@ def save_model(model: AnfisModel, path) -> None:
     """Canonical JSON dump; floats round-trip exactly, reruns are byte-identical."""
     doc = {
         "premises": [
-            [{"kind": mf.kind, "a": mf.a, "b": mf.b, "c": mf.c} for mf in mfs]
-            for mfs in model.premises
+            [{"kind": "gbell", "a": a, "b": b, "c": c} for a, b, c in zip(*params)]
+            for params in zip(model.a.tolist(), model.b.tolist(), model.c.tolist())
         ],
         "consequents": model.consequents.tolist(),
         "input_ranges": model.input_ranges.tolist(),
@@ -674,22 +608,33 @@ def save_model(model: AnfisModel, path) -> None:
     write_json(path, doc)
 
 
+def _number(value):
+    # a JSON number; bool is an int subclass, but true is not a width
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def load_model(path) -> AnfisModel:
-    """The model `save_model` wrote; a section of the wrong JSON type is a
-    ValueError that names the file, as a file that does not parse is."""
+    """The model `save_model` wrote.  Anything else is a ValueError that names
+    the file: a file that does not parse, a section of the wrong JSON type, a
+    membership kind other than "gbell", a premise, consequent or range entry
+    that is not a number (``true`` included), or metadata that is not an
+    object."""
     doc = read_json(path, "model", ("premises", "consequents", "input_ranges", "metadata"))
     try:
-        premises = tuple(
-            tuple(MembershipFunction(a=mf["a"], b=mf["b"], c=mf["c"],
-                                     kind=mf.get("kind", "gbell"))
-                  for mf in mfs)
-            for mfs in doc["premises"]
-        )
+        premises = doc["premises"]
+        kinds = [mf.get("kind", "gbell") for mfs in premises for mf in mfs]
+        if any(kind != "gbell" for kind in kinds):
+            raise ValueError(f"unsupported membership kind in {kinds!r}")
+        a, b, c = ([[_number(mf[key]) for mf in mfs] for mfs in premises] for key in "abc")
+        if not isinstance(doc["metadata"], dict):
+            raise TypeError("metadata must be a JSON object")
         return AnfisModel(
-            premises=premises,
-            consequents=np.array(doc["consequents"]),
-            input_ranges=np.array(doc["input_ranges"]),
+            a=a, b=b, c=c,
+            consequents=[[_number(v) for v in row] for row in doc["consequents"]],
+            input_ranges=[[_number(v) for v in row] for row in doc["input_ranges"]],
             metadata=doc["metadata"],
         )
-    except TypeError as exc:
+    except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc

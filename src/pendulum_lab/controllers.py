@@ -177,10 +177,12 @@ def _deviation(state: PlantState) -> tuple[float, float, float, float]:
 class LqrController:
     """Stateless full-state feedback u = -K z around an `LqrDesign`.
 
-    The product stays numpy's ``K @ z``: on an OpenBLAS build it is a gemv
-    that fuses its multiply-adds (fma(k3, z3, fma(k2, z2, ...))), which a
-    Python sum cannot reproduce, and every artifact downstream of stage 1
-    (dataset, model, table) carries those exact bits.
+    The product stays numpy's ``K @ z``, a BLAS gemv, so its last bits
+    belong to the BLAS kernel that runs.  OpenBLAS's SkylakeX kernel gives
+    bits that a Python left fold of the four products does not reproduce;
+    its Nehalem, Sandybridge and Haswell kernels give the fold's bits.
+    Every artifact downstream of stage 1 (dataset, model, table) carries the
+    bits of the kernel it was made with.
     """
 
     def __init__(self, design: LqrDesign):

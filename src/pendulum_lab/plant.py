@@ -43,7 +43,6 @@ __all__ = [
     "LinearStateSpace",
     "TransferFunction",
     "Controllability",
-    "nonlinear_derivative",
     "derivative_fn",
     "linearize",
     "transfer_functions",
@@ -51,9 +50,6 @@ __all__ = [
     "controllability",
     "ctrb",
     "root_locus_sweep",
-    "kinetic_energy",
-    "potential_energy",
-    "total_energy",
     "write_poles_csv",
     "write_locus_csv",
 ]
@@ -125,9 +121,6 @@ class PlantState:
         """State relative to the upright equilibrium: (x, x', theta - pi, theta')."""
         return np.array([self.x, self.x_dot, self.theta - UPRIGHT_THETA, self.theta_dot])
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.x_dot, self.theta, self.theta_dot])
-
 
 @dataclass(frozen=True)
 class LinearStateSpace:
@@ -173,25 +166,19 @@ class TransferFunction:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
-    def monic(self) -> "TransferFunction":
-        lead = self.denominator[0]
-        return TransferFunction(
-            tuple(c / lead for c in self.numerator),
-            tuple(c / lead for c in self.denominator),
-        )
-
-
-def _sincos_upright(theta: float) -> tuple[float, float]:
-    # Evaluate about the upright constant so theta == UPRIGHT_THETA gives
-    # sin == 0.0 exactly and the equilibrium is a true fixed point in floats.
-    phi = theta - UPRIGHT_THETA
-    return -math.sin(phi), -math.cos(phi)
-
 
 def derivative_fn(params: PhysicalParams):
-    """Return a fast ``f(x_dot, theta, theta_dot, force) -> (x_dd, theta_dd)``
-    closure with the parameters bound.  This is the hot path used by the
-    integrator; `nonlinear_derivative` wraps it with validation."""
+    """Return ``accel(x_dot, theta, theta_dot, force) -> (x_dd, theta_dd)``
+    with the parameters bound.
+
+    The accelerations solve the 2x2 mass-matrix system
+
+        [m_c+m_p      m_p l cos(theta)] [x''    ]   [u - b x' + m_p l sin(theta) theta'^2]
+        [m_p l cos..  J + m_p l^2     ] [theta'']   [-m_p g l sin(theta)                 ]
+
+    whose determinant is positive for every theta when J > 0.  `accel` is
+    the bitwise reference of `simulate.rk4_stepper`, which inlines it.
+    """
     m_total = params.total_mass
     j_pivot = params.pivot_inertia
     ml = params.pend_mass * params.half_length
@@ -199,7 +186,10 @@ def derivative_fn(params: PhysicalParams):
     b = params.friction
 
     def accel(x_dot: float, theta: float, theta_dot: float, force: float):
-        s, c = _sincos_upright(theta)
+        # evaluated about the upright constant, so theta == UPRIGHT_THETA gives
+        # sin == 0.0 exactly and the equilibrium is a true fixed point in floats
+        phi = theta - UPRIGHT_THETA
+        s, c = -math.sin(phi), -math.cos(phi)
         m12 = ml * c
         r1 = force - b * x_dot + ml * s * theta_dot * theta_dot
         r2 = -mgl * s
@@ -211,28 +201,12 @@ def derivative_fn(params: PhysicalParams):
     return accel
 
 
-def nonlinear_derivative(state: PlantState, u: float, params: PhysicalParams) -> np.ndarray:
-    """Time derivative (x', x'', theta', theta'') of the nonlinear plant.
-
-    The accelerations solve the 2x2 mass-matrix system
-
-        [m_c+m_p      m_p l cos(theta)] [x''    ]   [u - b x' + m_p l sin(theta) theta'^2]
-        [m_p l cos..  J + m_p l^2     ] [theta'']   [-m_p g l sin(theta)                 ]
-
-    whose determinant is positive for every theta when J > 0.
-    """
-    if not math.isfinite(u):
-        raise ValueError("non-finite input force")
-    x_dd, theta_dd = derivative_fn(params)(state.x_dot, state.theta, state.theta_dot, u)
-    return np.array([state.x_dot, x_dd, state.theta_dot, theta_dd])
-
-
 def linearize(params: PhysicalParams) -> LinearStateSpace:
     """Linear model about the upright equilibrium, deviation state
     (x, x', theta - pi, theta').
 
     The closed forms below agree with the numeric Jacobian of
-    `nonlinear_derivative` at (0, 0, pi, 0) to rounding; the sign convention
+    `derivative_fn` at (0, 0, pi, 0) to rounding; the sign convention
     is fixed by that Jacobian.
     """
     a = params.alpha
@@ -366,30 +340,6 @@ def root_locus_sweep(
             raise ValueError(f"gains must be finite and non-negative, got {k!r}")
         rows.append((k, _polynomial_roots(den + k * num)))
     return rows
-
-
-def kinetic_energy(state: PlantState, params: PhysicalParams) -> float:
-    """Translational + rotational kinetic energy of cart and pendulum."""
-    _, c = _sincos_upright(state.theta)
-    return (
-        0.5 * params.total_mass * state.x_dot**2
-        + 0.5 * params.pivot_inertia * state.theta_dot**2
-        + params.pend_mass * params.half_length * c * state.x_dot * state.theta_dot
-    )
-
-
-def potential_energy(state: PlantState, params: PhysicalParams) -> float:
-    """Gravitational energy, zero at the pivot height: -m_p g l cos(theta).
-
-    Maximal upright, minimal hanging; together with `kinetic_energy` this is
-    the conserved total when friction and input force vanish.
-    """
-    _, c = _sincos_upright(state.theta)
-    return -params.pend_mass * params.gravity * params.half_length * c
-
-
-def total_energy(state: PlantState, params: PhysicalParams) -> float:
-    return kinetic_energy(state, params) + potential_energy(state, params)
 
 
 def write_poles_csv(path, labelled_poles: Iterable[tuple[str, complex]]) -> None:

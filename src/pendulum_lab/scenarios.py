@@ -26,7 +26,6 @@ __all__ = [
     "NoiseSpec",
     "MetricBands",
     "TransientMetrics",
-    "impulse_signal",
     "make_disturbance",
     "compute_metrics",
     "BenchmarkCell",
@@ -64,11 +63,6 @@ class ImpulseSpec:
             raise ValueError(f"onset must be >= 0, got {self.onset!r}")
         if not math.isfinite(self.magnitude):
             raise ValueError("magnitude must be finite")
-
-
-def impulse_signal(spec: ImpulseSpec, t: float) -> float:
-    """Difference of two steps; integrates to magnitude * width exactly."""
-    return make_disturbance(spec)(t)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .artifacts import read_csv
 from .plant import UPRIGHT_THETA, PhysicalParams, PlantState
 
 __all__ = [
@@ -126,14 +125,6 @@ class TimeSeries:
             # hold some 10 MB of float objects for a 40 s log at 1 ms
             fh.writelines(",".join(map(repr, row)) + "\r\n"
                           for row in map(np.ndarray.tolist, table))
-
-    @classmethod
-    def from_csv(cls, path) -> "TimeSeries":
-        table = read_csv(path, CSV_HEADER, "time-series")
-        data = np.array([[float(v) for v in row] for row in table])
-        if data.size == 0:
-            data = data.reshape(0, len(CSV_HEADER))
-        return cls(*(data[:, i].copy() for i in range(len(CSV_HEADER))))
 
 
 def rk4_stepper(params: PhysicalParams, dt: float):

@@ -1,7 +1,7 @@
 import gc
 import json
 import math
-import pickle
+import re
 import weakref
 from dataclasses import replace
 from functools import reduce
@@ -14,27 +14,38 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pendulum_lab import anfis
-from pendulum_lab.anfis import (AnfisModel, Dataset, MembershipFunction, TrainConfig,
-                                _design_matrix, _infer_batch, anfis_infer, firing_strengths,
-                                generate_dataset, initial_model, load_model, normalize,
-                                premise_gradients, save_model, train_hybrid)
+from pendulum_lab.anfis import (AnfisModel, Dataset, TrainConfig, _design_matrix, _infer_batch,
+                                _rule_products, anfis_infer, generate_dataset, initial_model,
+                                load_model, premise_gradients, save_model, train_hybrid)
 from pendulum_lab.simulate import TimeSeries
+
+
+def grid_model(grid, consequents, input_ranges=None):
+    """A model from its premise grid: one (a, b, c) triple per membership function,
+    shaped (n_inputs, mfs_per_input, 3)."""
+    a, b, c = np.moveaxis(np.asarray(grid, dtype=float), -1, 0)
+    if input_ranges is None:
+        input_ranges = np.tile([-1.0, 1.0], (a.shape[0], 1))
+    return AnfisModel(a=a, b=b, c=c, consequents=consequents, input_ranges=input_ranges)
 
 
 def toy_model(n_inputs=2, n_mfs=2, seed=0):
     rng = np.random.default_rng(seed)
-    premises = tuple(
-        tuple(
-            MembershipFunction(a=float(rng.uniform(0.5, 2.0)),
-                               b=float(rng.uniform(1.0, 3.0)),
-                               c=float(rng.uniform(-1.0, 1.0)))
-            for _ in range(n_mfs)
-        )
-        for _ in range(n_inputs)
-    )
-    consequents = rng.normal(size=(n_mfs**n_inputs, n_inputs + 1))
-    ranges = np.tile([-1.0, 1.0], (n_inputs, 1))
-    return AnfisModel(premises=premises, consequents=consequents, input_ranges=ranges)
+    grid = [[(rng.uniform(0.5, 2.0), rng.uniform(1.0, 3.0), rng.uniform(-1.0, 1.0))
+             for _ in range(n_mfs)] for _ in range(n_inputs)]
+    return grid_model(grid, rng.normal(size=(n_mfs**n_inputs, n_inputs + 1)))
+
+
+def strengths(model, z):
+    """Layer 2: the rule strengths, as training computes them."""
+    return _rule_products(model, model.memberships(z))
+
+
+def normalized(model, Z):
+    """Layer 3 as training computes it: the constant columns of `_design_matrix`,
+    whose column block for rule j is wbar_j * (z, 1)."""
+    n = model.n_inputs
+    return _design_matrix(model, np.atleast_2d(np.asarray(Z, dtype=float)))[:, n::n + 1]
 
 
 def affine_dataset(K, n_rows=591, seed=11):
@@ -81,7 +92,7 @@ def reference_infer(model, inputs):
     if len(z) != model.n_inputs:
         raise ValueError(f"expected {model.n_inputs} inputs, got {len(z)}")
     w = [1.0]
-    for zk, a_k, b_k, c_k in zip(z, model._a.tolist(), model._b.tolist(), model._c.tolist()):
+    for zk, a_k, b_k, c_k in zip(z, model.a.tolist(), model.b.tolist(), model.c.tolist()):
         mu = [reference_bell(zk, a, b, c) for a, b, c in zip(a_k, b_k, c_k)]
         w = [wj * m for wj in w for m in mu]
     total = left_sum(w)
@@ -95,128 +106,129 @@ def reference_infer(model, inputs):
 
 
 class TestMembershipFunction:
+    """Layer 1, the generalized bell, as `AnfisModel.memberships` computes it."""
+
+    @staticmethod
+    def bell(z, a=0.7, b=2.0, c=1.3):
+        return float(grid_model([[(a, b, c)]], [[0.0, 0.0]]).memberships([z])[0, 0])
+
     def test_peak_is_exactly_one(self):
-        mf = MembershipFunction(a=0.7, b=2.0, c=1.3)
-        assert mf(1.3) == 1.0
+        assert self.bell(1.3) == 1.0
 
     @given(z=st.floats(-1e6, 1e6))
     def test_values_in_unit_interval(self, z):
-        mf = MembershipFunction(a=0.7, b=2.0, c=1.3)
-        assert 0.0 < mf(z) <= 1.0
+        assert 0.0 < self.bell(z) <= 1.0
 
     @given(dz=st.floats(0.0, 1e3))
     def test_symmetric_about_center(self, dz):
-        mf = MembershipFunction(a=0.7, b=2.0, c=1.3)
-        assert mf(1.3 + dz) == pytest.approx(mf(1.3 - dz), rel=1e-12)
+        assert self.bell(1.3 + dz) == pytest.approx(self.bell(1.3 - dz), rel=1e-12)
 
-    @settings(max_examples=300)
-    @given(a=st.floats(1e-3, 10.0), b=st.floats(0.5, 4.0), c=st.floats(-3.0, 3.0),
-           z=st.floats(-1e3, 1e3))
-    def test_law_arithmetic_bitwise(self, a, b, c, z):
-        mf = MembershipFunction(a=a, b=b, c=c)
-        assert mf(z).hex() == reference_bell(z, a, b, c).hex()
-
-    def test_law_arithmetic_on_random_draws(self):
+    def test_agrees_with_the_law_arithmetic_to_rounding(self):
+        # numpy's power need not be the C library's pow that the compiled law calls
         rng = np.random.default_rng(23)
         draws = np.column_stack([rng.uniform(0.01, 5.0, 20_000), rng.uniform(0.5, 4.0, 20_000),
                                  rng.uniform(-3.0, 3.0, 20_000), rng.uniform(-10.0, 10.0, 20_000)])
-        for a, b, c, z in draws.tolist():
-            assert MembershipFunction(a=a, b=b, c=c)(z) == reference_bell(z, a, b, c)
+        a, b, c, z = draws.T
+        # one input per draw, each with a single membership function
+        model = AnfisModel(a=a[:, None], b=b[:, None], c=c[:, None],
+                           consequents=np.zeros(draws.shape[0] + 1),
+                           input_ranges=np.tile([-1.0, 1.0], (draws.shape[0], 1)))
+        expected = [reference_bell(*row) for row in zip(z.tolist(), a.tolist(), b.tolist(),
+                                                        c.tolist())]
+        assert_allclose(model.memberships(z)[:, 0], expected, rtol=1e-14, atol=0)
 
     def test_overflowing_power_is_zero(self):
-        assert MembershipFunction(a=1e-100, b=2.0, c=0.0)(1.0) == 0.0
+        assert self.bell(1.0, a=1e-100, b=2.0, c=0.0) == 0.0
 
     @pytest.mark.parametrize("kwargs", [{"a": 0.0}, {"b": 0.0}, {"c": math.nan}])
     def test_validation(self, kwargs):
         base = {"a": 1.0, "b": 2.0, "c": 0.0}
         with pytest.raises(ValueError):
-            MembershipFunction(**{**base, **kwargs})
+            grid_model([[tuple({**base, **kwargs}.values())]], [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("shapes", [((2, 2), (2, 2), (2, 3)), ((0, 2),) * 3, ((4,),) * 3],
+                             ids=["ragged", "empty", "flat"])
+    def test_premise_grid_must_be_rectangular_and_non_empty(self, shapes):
+        a, b, c = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValueError, match="rectangular, non-empty grid"):
+            AnfisModel(a=a, b=b, c=c, consequents=np.zeros(20), input_ranges=np.zeros(8))
 
 
 class TestFiringStrengths:
     def test_grid_point_fires_its_rule_fully(self):
         model = toy_model(n_inputs=4, n_mfs=2, seed=1)
         # input at the centers of MF index 1 for every input -> rule (1,1,1,1)
-        z = np.array([model.premises[k][1].c for k in range(4)])
-        w = firing_strengths(model, z)
+        w = strengths(model, model.c[:, 1])
         assert w[-1] == pytest.approx(1.0, rel=1e-12)  # lexicographic last rule
         assert np.all(w > 0.0)
 
     def test_all_positive_for_any_finite_input(self):
         model = toy_model(n_inputs=4, n_mfs=2, seed=2)
-        w = firing_strengths(model, np.array([1e5, -1e5, 3.0, -42.0]))
+        w = strengths(model, np.array([1e5, -1e5, 3.0, -42.0]))
         assert np.all(w > 0.0)
 
     def test_two_input_single_mf_product(self):
-        mf1 = MembershipFunction(a=1.0, b=2.0, c=0.2)
-        mf2 = MembershipFunction(a=0.5, b=1.0, c=-0.4)
-        model = AnfisModel(
-            premises=((mf1,), (mf2,)),
-            consequents=np.zeros((1, 3)),
-            input_ranges=np.tile([-1.0, 1.0], (2, 1)),
-        )
-        z = np.array([0.9, 0.1])
-        w = firing_strengths(model, z)
+        model = grid_model([[(1.0, 2.0, 0.2)], [(0.5, 1.0, -0.4)]], np.zeros((1, 3)))
+        w = strengths(model, np.array([0.9, 0.1]))
         assert w.shape == (1,)
-        assert w[0] == pytest.approx(mf1(0.9) * mf2(0.1), rel=1e-12)
+        expected = reference_bell(0.9, 1.0, 2.0, 0.2) * reference_bell(0.1, 0.5, 1.0, -0.4)
+        assert w[0] == pytest.approx(expected, rel=1e-12)
 
     def test_lexicographic_rule_order(self):
         model = toy_model(n_inputs=2, n_mfs=2, seed=3)
         z = np.array([0.3, -0.7])
-        mu = [[model.premises[k][m](z[k]) for m in range(2)] for k in range(2)]
+        mu = model.memberships(z)
         expected = [mu[0][0] * mu[1][0], mu[0][0] * mu[1][1], mu[0][1] * mu[1][0], mu[0][1] * mu[1][1]]
-        assert_allclose(firing_strengths(model, z), expected, rtol=1e-12)
+        assert_allclose(strengths(model, z), expected, rtol=1e-12)
 
     def test_input_shape_checked(self):
-        with pytest.raises(ValueError):
-            firing_strengths(toy_model(), np.zeros(3))
+        with pytest.raises(ValueError, match="expected 2 inputs"):
+            anfis_infer(toy_model(), np.zeros(3))
 
 
 class TestNormalize:
     def test_uniform(self):
-        assert_allclose(normalize(np.ones(16)), np.full(16, 1.0 / 16.0), rtol=0)
+        # identical membership functions give every rule the same strength
+        model = grid_model([[(1.0, 2.0, 0.3)] * 2] * 4, np.zeros(80))
+        assert_allclose(normalized(model, np.full(4, 0.3)), np.full((1, 16), 1.0 / 16.0), rtol=0)
+        Z = np.random.default_rng(4).uniform(-2.0, 2.0, (5, 4))
+        assert_allclose(normalized(model, Z), np.full((5, 16), 1.0 / 16.0), rtol=1e-15)
 
     def test_dominant_strength(self):
-        w = np.full(16, 1e-6)
-        w[3] = 1.0
-        assert normalize(w)[3] == pytest.approx(1.0, abs=2e-5)
+        model = grid_model([[(0.05, 2.0, -1.0), (0.05, 2.0, 1.0)]] * 4, np.zeros(80))
+        # the centers of rule 3, MF indices (0, 0, 1, 1)
+        assert normalized(model, [-1.0, -1.0, 1.0, 1.0])[0, 3] == pytest.approx(1.0, abs=2e-5)
 
     def test_matches_exhaustive_recomputation(self):
-        rng = np.random.default_rng(4)
-        w = rng.uniform(0.01, 5.0, size=16)
+        model = toy_model(n_inputs=4, n_mfs=2, seed=4)
+        z = np.random.default_rng(4).uniform(-1.5, 1.5, size=4)
+        w = strengths(model, z)
         total = 0.0
         for v in w:
             total += v
-        assert_allclose(normalize(w), [v / total for v in w], rtol=1e-12)
+        assert_allclose(normalized(model, z)[0], [v / total for v in w], rtol=1e-12)
 
-    @given(st.lists(st.floats(1e-12, 1e6), min_size=2, max_size=32))
+    @given(st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4))
     @settings(max_examples=100)
-    def test_sums_to_one(self, w):
-        assert abs(normalize(np.array(w)).sum() - 1.0) <= 1e-12
+    def test_sums_to_one(self, z):
+        assert abs(normalized(toy_model(n_inputs=4, n_mfs=2, seed=4), z).sum() - 1.0) <= 1e-12
 
     def test_rejects_zero_sum(self):
-        with pytest.raises(ValueError):
-            normalize(np.zeros(4))
+        # so far outside every rule that every membership is 0.0
+        with pytest.raises(ValueError, match="sum to zero"):
+            _infer_batch(toy_model(n_inputs=4, n_mfs=2, seed=4), np.full((1, 4), 1e200))
 
 
 class TestInference:
     def test_single_rule_is_pure_affine(self):
-        mf = MembershipFunction(a=0.1, b=3.0, c=5.0)
-        model = AnfisModel(
-            premises=((mf,), (mf,)),
-            consequents=np.array([[2.0, -3.0, 0.25]]),
-            input_ranges=np.tile([-1.0, 1.0], (2, 1)),
-        )
+        model = grid_model([[(0.1, 3.0, 5.0)]] * 2, np.array([[2.0, -3.0, 0.25]]))
         for z in ([0.0, 0.0], [100.0, -7.0], [5.0, 5.0]):
             assert anfis_infer(model, np.array(z)) == pytest.approx(
                 2.0 * z[0] - 3.0 * z[1] + 0.25, rel=1e-12)
 
     def test_identical_consequents_collapse(self):
-        model = toy_model(n_inputs=3, n_mfs=2, seed=5)
         row = np.array([1.5, -0.5, 2.0, 0.75])
-        model = AnfisModel(premises=model.premises,
-                           consequents=np.tile(row, (8, 1)),
-                           input_ranges=model.input_ranges)
+        model = replace(toy_model(n_inputs=3, n_mfs=2, seed=5), consequents=np.tile(row, (8, 1)))
         rng = np.random.default_rng(6)
         for _ in range(20):
             z = rng.uniform(-3.0, 3.0, size=3)
@@ -225,11 +237,11 @@ class TestInference:
     def test_permutation_consistency(self):
         model = toy_model(n_inputs=2, n_mfs=2, seed=7)
         z = np.array([0.4, -0.9])
-        w = firing_strengths(model, z)
+        w = strengths(model, z)
         f = model.consequents[:, :2] @ z + model.consequents[:, 2]
         perm = np.array([3, 1, 0, 2])
-        direct = float(normalize(w) @ f)
-        permuted = float(normalize(w[perm]) @ f[perm])
+        direct = float(w / w.sum() @ f)
+        permuted = float(w[perm] / w[perm].sum() @ f[perm])
         assert anfis_infer(model, z) == pytest.approx(direct, rel=1e-12)
         assert direct == pytest.approx(permuted, rel=1e-12)
 
@@ -239,33 +251,28 @@ def models_and_inputs(draw):
     """A model with 1-4 inputs and 1-3 MFs per input, and one input vector."""
     n_inputs = draw(st.integers(1, 4))
     n_mfs = draw(st.integers(1, 3))
-    mf = st.builds(MembershipFunction, a=st.floats(0.1, 5.0), b=st.floats(0.5, 4.0),
-                   c=st.floats(-3.0, 3.0))
-    premises = tuple(tuple(draw(mf) for _ in range(n_mfs)) for _ in range(n_inputs))
+    mf = st.tuples(st.floats(0.1, 5.0), st.floats(0.5, 4.0), st.floats(-3.0, 3.0))
+    grid = [[draw(mf) for _ in range(n_mfs)] for _ in range(n_inputs)]
     n_params = n_mfs**n_inputs * (n_inputs + 1)
     coef = draw(st.lists(st.floats(-100.0, 100.0), min_size=n_params, max_size=n_params))
-    model = AnfisModel(premises=premises, consequents=np.array(coef),
-                       input_ranges=np.tile([-1.0, 1.0], (n_inputs, 1)))
+    model = grid_model(grid, np.array(coef))
     z = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n_inputs, max_size=n_inputs)))
     return model, z
 
 
 class TestScalarInference:
-    """`anfis_infer` (Python floats) against the numpy layers and `_infer_batch`."""
+    """`anfis_infer` (Python floats) against the numpy batch path, `_infer_batch`."""
 
     @settings(max_examples=300, deadline=None)
     @given(models_and_inputs())
     def test_matches_numpy_layers(self, case):
         model, z = case
         C = model.consequents
-        rule_out = C[:, :-1] @ z + C[:, -1]
-        reference = float(normalize(firing_strengths(model, z)) @ rule_out)
+        reference = float(_infer_batch(model, z[None])[0])
         # the two paths sum in different orders: allow 1e-12 of the largest
         # rule's term magnitudes, far above rounding and far below any misrouted rule
         tol = 1e-12 * (1.0 + float(np.max(np.abs(C[:, :-1] * z).sum(axis=1) + np.abs(C[:, -1]))))
-        value = anfis_infer(model, z)
-        assert abs(value - reference) <= tol
-        assert abs(value - float(_infer_batch(model, z[None])[0])) <= tol
+        assert abs(anfis_infer(model, z) - reference) <= tol
 
     def test_sequence_types_agree_bitwise(self):
         model = toy_model(n_inputs=4, n_mfs=2, seed=20)
@@ -285,14 +292,10 @@ class TestScalarInference:
 
     def test_overflowing_membership_is_zero(self):
         # at z = 1 the narrow MF's ((z - c) / a)^2 is 1e200, and raising it to b = 2 overflows
-        narrow = MembershipFunction(a=1e-100, b=2.0, c=0.0)
-        wide = MembershipFunction(a=1.0, b=2.0, c=0.0)
-        ranges = np.array([[-1.0, 1.0]])
-        model = AnfisModel(premises=((narrow, wide),),
-                           consequents=np.array([[1.0, 5.0], [2.0, -1.0]]), input_ranges=ranges)
+        narrow, wide = (1e-100, 2.0, 0.0), (1.0, 2.0, 0.0)
+        model = grid_model([[narrow, wide]], np.array([[1.0, 5.0], [2.0, -1.0]]))
         assert anfis_infer(model, [1.0]) == 2.0 * 1.0 - 1.0  # the wide MF's rule alone
-        alone = AnfisModel(premises=((narrow,),), consequents=np.array([[1.0, 5.0]]),
-                           input_ranges=ranges)
+        alone = grid_model([[narrow]], np.array([[1.0, 5.0]]))
         with pytest.raises(ValueError):
             anfis_infer(alone, [1.0])
 
@@ -304,12 +307,11 @@ def law_cases(draw):
     n_inputs = draw(st.integers(1, 4))
     n_mfs = draw(st.integers(1, 3))
     width = st.one_of(st.floats(0.1, 5.0), st.floats(1e-200, 1e-30))
-    mf = st.builds(MembershipFunction, a=width, b=st.floats(0.5, 4.0), c=st.floats(-3.0, 3.0))
-    premises = tuple(tuple(draw(mf) for _ in range(n_mfs)) for _ in range(n_inputs))
+    mf = st.tuples(width, st.floats(0.5, 4.0), st.floats(-3.0, 3.0))
+    grid = [[draw(mf) for _ in range(n_mfs)] for _ in range(n_inputs)]
     n_params = n_mfs**n_inputs * (n_inputs + 1)
     coef = draw(st.lists(st.floats(-100.0, 100.0), min_size=n_params, max_size=n_params))
-    model = AnfisModel(premises=premises, consequents=np.array(coef),
-                       input_ranges=np.tile([-1.0, 1.0], (n_inputs, 1)))
+    model = grid_model(grid, np.array(coef))
     z = draw(st.lists(st.floats(-1e3, 1e3), min_size=n_inputs, max_size=n_inputs))
     return model, z
 
@@ -330,8 +332,7 @@ class TestCompiledLaw:
         assert anfis_infer(model, z).hex() == expected.hex()
 
     def test_signed_zero_consequents(self):
-        model = AnfisModel(premises=((MembershipFunction(a=1.0, b=2.0, c=0.0),),),
-                           consequents=np.array([[-0.0, -0.0]]), input_ranges=[[-1.0, 1.0]])
+        model = grid_model([[(1.0, 2.0, 0.0)]], np.array([[-0.0, -0.0]]))
         for z in (0.5, -0.5, 0.0):
             assert anfis_infer(model, [z]).hex() == reference_infer(model, [z]).hex()
 
@@ -390,14 +391,9 @@ class TestPremiseGradients:
             for k in range(2):
                 for m in range(2):
                     def perturbed(delta):
-                        prem = [list(mfs) for mfs in model.premises]
-                        mf = prem[k][m]
-                        vals = {"a": mf.a, "b": mf.b, "c": mf.c}
-                        vals[which] += delta
-                        prem[k][m] = MembershipFunction(**vals)
-                        return AnfisModel(premises=tuple(tuple(p) for p in prem),
-                                          consequents=model.consequents,
-                                          input_ranges=model.input_ranges)
+                        grid = getattr(model, which).copy()
+                        grid[k, m] += delta
+                        return replace(model, **{which: grid})
 
                     fd = (sse(perturbed(step)) - sse(perturbed(-step))) / (2 * step)
                     assert grad[k, m] == pytest.approx(fd, rel=1e-5, abs=1e-8)
@@ -405,7 +401,7 @@ class TestPremiseGradients:
     def test_zero_at_center_singularities(self):
         # sample exactly on a center: gradients stay finite
         model = toy_model(n_inputs=2, n_mfs=2, seed=3)
-        X = np.array([[model.premises[0][0].c, model.premises[1][1].c]])
+        X = np.array([[model.c[0, 0], model.c[1, 1]]])
         grads = premise_gradients(model, X, np.array([0.3]))
         for g in grads:
             assert np.all(np.isfinite(g))
@@ -423,12 +419,8 @@ class TestTrainHybrid:
         K = np.array([-34.64, -20.73, 67.03, 13.09])
         ds = affine_dataset(K)
         # oracle: the uniform-consequent model reproduces the affine law outright
-        reference = initial_model(ds.train_X)
-        reference = AnfisModel(
-            premises=reference.premises,
-            consequents=np.tile(np.concatenate([-K, [0.0]]), (16, 1)),
-            input_ranges=reference.input_ranges,
-        )
+        reference = replace(initial_model(ds.train_X),
+                            consequents=np.tile(np.concatenate([-K, [0.0]]), (16, 1)))
         direct_err = max(abs(anfis_infer(reference, x) - t) for x, t in zip(ds.train_X[:50], ds.train_y[:50]))
         assert direct_err <= 1e-12
 
@@ -462,8 +454,7 @@ class TestTrainHybrid:
         g = np.linalg.lstsq(Xe, ds.train_y, rcond=None)[0]
 
         def objective(consequents):
-            bumped = AnfisModel(premises=model.premises, consequents=consequents,
-                                input_ranges=model.input_ranges)
+            bumped = replace(model, consequents=consequents)
             sse = float(np.sum((_infer_batch(bumped, ds.train_X) - ds.train_y) ** 2))
             return sse + lam * float(np.sum((consequents - g) ** 2))
 
@@ -535,7 +526,7 @@ def tanh_dataset(seed):
 
 def assert_same_fit(model, capped):
     assert np.array_equal(model.consequents, capped.consequents)
-    for name in ("_a", "_b", "_c"):
+    for name in "abc":
         assert np.array_equal(getattr(model, name), getattr(capped, name))
 
 
@@ -562,7 +553,8 @@ class TestEarlyStop:
     def test_stall_matches_fit_capped_at_stall_epoch(self, monkeypatch, seed, learning_rate,
                                                      max_halvings, stall_epoch):
         ds = tanh_dataset(seed)
-        config = TrainConfig(epochs=40, learning_rate=learning_rate, max_halvings=max_halvings)
+        monkeypatch.setattr(anfis, "MAX_HALVINGS", max_halvings)
+        config = TrainConfig(epochs=40, learning_rate=learning_rate)
         calls = counted_lstsq(monkeypatch)
         model, history = train_hybrid(ds, config)
         assert history.stop_epoch == stall_epoch
@@ -656,13 +648,23 @@ class TestPersistence:
             z = rng.uniform(-2.0, 2.0, size=4)
             assert anfis_infer(model, z) == anfis_infer(back, z)
 
-    def test_pickle_after_inference(self):
-        model = toy_model(n_inputs=4, n_mfs=2, seed=26)
-        z = [0.3, -0.1, 0.7, 0.2]
-        value = anfis_infer(model, z)
-        back = pickle.loads(pickle.dumps(model))
-        assert "law" not in back.__dict__
-        assert anfis_infer(back, z) == value
+    @pytest.mark.parametrize("doctor", [
+        lambda doc: doc["premises"][0][0].update(a=True),
+        lambda doc: doc["premises"][1][0].update(c="0.5"),
+        lambda doc: doc["premises"][2][1].update(kind="triangle"),
+        lambda doc: doc["premises"][3].pop(),
+        lambda doc: doc["consequents"][2].__setitem__(0, None),
+        lambda doc: doc.update(metadata=[1, 2]),
+    ], ids=["boolean-width", "string-center", "other-kind", "ragged-grid", "null-consequent",
+            "list-metadata"])
+    def test_rejects_doctored_file(self, tmp_path, doctor):
+        path = tmp_path / "model.json"
+        save_model(toy_model(n_inputs=4, n_mfs=2, seed=28), path)
+        doc = json.loads(path.read_text())
+        doctor(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"malformed model file {path}: ")):
+            load_model(path)
 
     def test_truncated_file_reports_position(self, tmp_path):
         model = toy_model(seed=18)

@@ -133,6 +133,20 @@ def _tsla_with_wrongly_typed_model(tmp_path):
                      "--out", str(out)])
 
 
+def _benchmark_on_model_with(mf_changes, section_changes):
+    """`benchmark` on a 4-input, one-rule model file whose first membership function
+    takes ``mf_changes`` and whose sections take ``section_changes``."""
+    def run(tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        mf = {"kind": "gbell", "a": 1.0, "b": 2.0, "c": 0.0}
+        doc = {"premises": [[{**mf, **mf_changes}]] + [[mf]] * 3, "consequents": [[0.0] * 5],
+               "input_ranges": [[-1.0, 1.0]] * 4, "metadata": {}, **section_changes}
+        (out / cli.MODEL_FILE).write_text(json.dumps(doc))
+        return cli.main(["benchmark", "--out", str(out)])
+    return run
+
+
 def _design_lqr_with(doc):
     def run(tmp_path):
         config = write_config(tmp_path / "config.json", doc)
@@ -177,6 +191,10 @@ def _gen_data_on_truncated_design(tmp_path):
      ("bad artifact: malformed model file", "not a JSON object")),
     (_tsla_with_wrongly_typed_model, cli.EXIT_USAGE,
      ("bad artifact: malformed model file", "'int' object is not iterable")),
+    (_benchmark_on_model_with({"a": True}, {}), cli.EXIT_USAGE,
+     ("bad artifact: malformed model file", "expected a number, got True")),
+    (_benchmark_on_model_with({}, {"metadata": [1, 2]}), cli.EXIT_USAGE,
+     ("bad artifact: malformed model file", "metadata must be a JSON object")),
     (_train_on_empty_dataset, cli.EXIT_USAGE, ("bad artifact: ", "unexpected dataset header None")),
     (_gen_data_on_truncated_design, cli.EXIT_USAGE, ("bad artifact: ", "lqr_design.json: ")),
     (_design_lqr_with({"lqr": {"r": True}, "sim": {"dt": "1e-3"}}), cli.EXIT_USAGE,
@@ -184,7 +202,8 @@ def _gen_data_on_truncated_design(tmp_path):
 ], ids=["ok", "unknown-config-key", "negative-train-count", "zero-test-count", "zero-epochs",
         "negative-learning-rate", "benchmark-without-artifacts", "train-too-few-rows",
         "tsla-three-inputs", "tsla-truncated-model", "tsla-non-object-model",
-        "tsla-wrongly-typed-model", "train-on-empty-dataset", "gen-data-truncated-design",
+        "tsla-wrongly-typed-model", "benchmark-on-boolean-width", "benchmark-on-list-metadata",
+        "train-on-empty-dataset", "gen-data-truncated-design",
         "float-key-as-boolean-and-string"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from pendulum_lab.anfis import AnfisModel, MembershipFunction
+from pendulum_lab.anfis import AnfisModel
 from pendulum_lab.config import default_config
 from pendulum_lab.controllers import (AnfisController, CareError, LqrController, LqrDesign,
                                       PidController, PidGains, design_lqr, solve_care)
@@ -105,13 +105,9 @@ def design():
 def mimic_model():
     # all consequents equal to (-K, 0): reproduces u = -K x everywhere
     K = design_lqr(SS, Q_BENCH, 1.0).K.ravel()
-    premises = tuple(
-        tuple(MembershipFunction(a=1.0, b=2.0, c=float(c)) for c in (-0.5, 0.5))
-        for _ in range(4)
-    )
     consequents = np.tile(np.concatenate([-K, [0.0]]), (16, 1))
-    model = AnfisModel(premises=premises, consequents=consequents,
-                       input_ranges=np.tile([-0.5, 0.5], (4, 1)))
+    model = AnfisModel(a=np.ones((4, 2)), b=np.full((4, 2), 2.0), c=np.tile([-0.5, 0.5], (4, 1)),
+                       consequents=consequents, input_ranges=np.tile([-0.5, 0.5], (4, 1)))
     return model, K
 
 
@@ -239,9 +235,8 @@ class TestAnfisController:
                                                                              abs=1e-4)
 
     def test_rejects_model_without_four_inputs(self):
-        premises = tuple((MembershipFunction(a=1.0, b=2.0, c=0.0),) for _ in range(3))
-        model = AnfisModel(premises=premises, consequents=np.zeros((1, 4)),
-                           input_ranges=np.tile([-1.0, 1.0], (3, 1)))
+        model = AnfisModel(a=np.ones((3, 1)), b=np.full((3, 1), 2.0), c=np.zeros((3, 1)),
+                           consequents=np.zeros((1, 4)), input_ranges=np.tile([-1.0, 1.0], (3, 1)))
         with pytest.raises(ValueError, match="4 deviation inputs, got 3"):
             AnfisController(model)
 

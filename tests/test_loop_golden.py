@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pendulum_lab.anfis import AnfisModel, MembershipFunction
+from pendulum_lab.anfis import AnfisModel
 from pendulum_lab.config import default_config
 from pendulum_lab.controllers import AnfisController, LqrController, PidController, design_lqr
 from pendulum_lab.plant import UPRIGHT_THETA, PlantState, linearize
@@ -27,13 +27,12 @@ DESIGN = design_lqr(linearize(PARAMS), np.diag(CONFIG.lqr.q_diag), CONFIG.lqr.r)
 def tsla_model():
     """A 16-rule model near u = -K z whose rules all differ, so every rule weighs in."""
     K = DESIGN.K.ravel()
-    premises = tuple(
-        tuple(MembershipFunction(a=width, b=2.0, c=c) for c in (-width, width))
-        for width in (0.5, 1.0, 0.2, 1.5)
-    )
+    width = np.array([[0.5], [1.0], [0.2], [1.5]])  # per input; centers at -width, +width
     consequents = [np.concatenate([-K * (1.0 + 0.02 * j), [0.01 * (j - 7.5)]]) for j in range(16)]
     ranges = np.array([[-0.5, 0.5], [-1.0, 1.0], [-0.2, 0.2], [-1.5, 1.5]])
-    return AnfisModel(premises=premises, consequents=np.array(consequents), input_ranges=ranges)
+    return AnfisModel(a=np.repeat(width, 2, axis=1), b=np.full((4, 2), 2.0),
+                      c=width * np.array([-1.0, 1.0]), consequents=np.array(consequents),
+                      input_ranges=ranges)
 
 
 CONTROLLERS = {

@@ -15,11 +15,9 @@ from pendulum_lab.plant import (
     UPRIGHT_THETA,
     controllability,
     ctrb,
-    kinetic_energy,
+    derivative_fn,
     linearize,
-    nonlinear_derivative,
     poles,
-    potential_energy,
     root_locus_sweep,
     transfer_functions,
 )
@@ -27,12 +25,18 @@ from pendulum_lab.plant import (
 PARAMS = PhysicalParams()  # benchmark values, J = 0.006
 
 
+def state_derivative(state, u, params=PARAMS):
+    """(x', x'', theta', theta'') of the nonlinear plant, through `derivative_fn`."""
+    x_dd, theta_dd = derivative_fn(params)(state.x_dot, state.theta, state.theta_dot, u)
+    return np.array([state.x_dot, x_dd, state.theta_dot, theta_dd])
+
+
 def fd_jacobian(params, step=1e-6):
     """Central finite-difference Jacobian of the dynamics at upright, u = 0."""
     eq = np.array([0.0, 0.0, UPRIGHT_THETA, 0.0])
 
     def f(v, u=0.0):
-        return nonlinear_derivative(PlantState(*v), u, params)
+        return state_derivative(PlantState(*v), u, params)
 
     J = np.empty((4, 4))
     for j in range(4):
@@ -62,11 +66,11 @@ class TestPhysicalParams:
 
 class TestNonlinearDerivative:
     def test_upright_equilibrium(self):
-        deriv = nonlinear_derivative(PlantState(theta=UPRIGHT_THETA), 0.0, PARAMS)
+        deriv = state_derivative(PlantState(theta=UPRIGHT_THETA), 0.0)
         assert_allclose(deriv, np.zeros(4), atol=0.0)
 
     def test_hanging_equilibrium(self):
-        deriv = nonlinear_derivative(PlantState(theta=0.0), 0.0, PARAMS)
+        deriv = state_derivative(PlantState(theta=0.0), 0.0)
         assert_allclose(deriv, np.zeros(4), atol=1e-13)
 
     def test_tipped_state_matches_mass_matrix_solve(self):
@@ -82,15 +86,11 @@ class TestNonlinearDerivative:
         rhs = np.array([0.0, -PARAMS.pend_mass * PARAMS.gravity * PARAMS.half_length * s])
         x_dd, theta_dd = np.linalg.solve(M, rhs)
 
-        deriv = nonlinear_derivative(PlantState(theta=theta), 0.0, PARAMS)
+        deriv = state_derivative(PlantState(theta=theta), 0.0)
         assert deriv[3] > 0.0  # upright is repelling
         assert math.copysign(1.0, deriv[3]) == math.copysign(1.0, theta_dd)
         assert_allclose(deriv[1], x_dd, rtol=1e-12)
         assert_allclose(deriv[3], theta_dd, rtol=1e-12)
-
-    def test_rejects_nonfinite_force(self):
-        with pytest.raises(ValueError):
-            nonlinear_derivative(PlantState(), math.nan, PARAMS)
 
     def test_rejects_nonfinite_state(self):
         with pytest.raises(ValueError):
@@ -271,18 +271,3 @@ class TestRootLocus:
         _, pend = transfer_functions(PARAMS)
         with pytest.raises(ValueError):
             root_locus_sweep(pend, [-1.0])
-
-
-class TestEnergy:
-    def test_potential_extremes(self):
-        up = potential_energy(PlantState(theta=UPRIGHT_THETA), PARAMS)
-        down = potential_energy(PlantState(theta=0.0), PARAMS)
-        assert up == pytest.approx(0.2 * 9.8 * 0.3)
-        assert down == pytest.approx(-0.2 * 9.8 * 0.3)
-
-    def test_kinetic_zero_at_rest(self):
-        assert kinetic_energy(PlantState(theta=1.0), PARAMS) == 0.0
-
-    def test_kinetic_positive_for_motion(self):
-        st_ = PlantState(x_dot=1.0, theta=2.0, theta_dot=-3.0)
-        assert kinetic_energy(st_, PARAMS) > 0.0

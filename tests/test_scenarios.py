@@ -9,8 +9,7 @@ from numpy.testing import assert_allclose
 from pendulum_lab.controllers import LqrController, design_lqr
 from pendulum_lab.plant import PhysicalParams, UPRIGHT_THETA, linearize
 from pendulum_lab.scenarios import (BENCHMARK_HEADER, BenchmarkTable, ImpulseSpec, MetricBands,
-                                    NoiseSpec, compute_metrics, impulse_signal, make_disturbance,
-                                    run_benchmark)
+                                    NoiseSpec, compute_metrics, make_disturbance, run_benchmark)
 from pendulum_lab.simulate import SimConfig, TimeSeries, run_closed_loop
 
 PARAMS = PhysicalParams()
@@ -38,22 +37,22 @@ def lqr_controller():
 class TestImpulseSignal:
     def test_zero_before_onset(self):
         spec = ImpulseSpec(magnitude=10.0, onset=20.0, width=0.1)
-        assert impulse_signal(spec, 20.0 - 1e-9) == 0.0
+        assert make_disturbance(spec)(20.0 - 1e-9) == 0.0
 
     def test_magnitude_at_onset(self):
         spec = ImpulseSpec(magnitude=10.0, onset=20.0, width=0.1)
-        assert impulse_signal(spec, 20.0) == 10.0
+        assert make_disturbance(spec)(20.0) == 10.0
 
     def test_zero_at_window_end(self):
         spec = ImpulseSpec(magnitude=10.0, onset=20.0, width=0.1)
-        assert impulse_signal(spec, 20.1) == 0.0
+        assert make_disturbance(spec)(20.1) == 0.0
 
     def test_rectangle_integral_exact(self):
         spec = ImpulseSpec(magnitude=7.0, onset=3.0, width=0.25)
         n = 1000
         dt = spec.width / n
         grid = spec.onset + np.arange(n) * dt  # rectangles tiling the window
-        total = sum(impulse_signal(spec, t) * dt for t in grid)
+        total = sum(make_disturbance(spec)(t) * dt for t in grid)
         assert total == pytest.approx(spec.magnitude * spec.width, rel=1e-12)
 
     def test_validation(self):

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pendulum_lab import simulate
-from pendulum_lab.anfis import AnfisModel, MembershipFunction
+from pendulum_lab.anfis import AnfisModel
 from pendulum_lab.config import default_config
 from pendulum_lab.controllers import AnfisController, LqrController, PidController, design_lqr
-from pendulum_lab.plant import (PhysicalParams, PlantState, UPRIGHT_THETA, derivative_fn,
-                                linearize, total_energy)
+from pendulum_lab.plant import PhysicalParams, PlantState, UPRIGHT_THETA, derivative_fn, linearize
 from pendulum_lab.scenarios import ImpulseSpec, NoiseSpec, make_disturbance
 from pendulum_lab.simulate import (DIVERGENCE_LIMIT, SimConfig, TimeSeries, rk4_step,
                                    rk4_stepper, run_closed_loop, run_closed_loops)
@@ -37,10 +36,11 @@ def expm_series(M):
 
 
 def free_rollout(theta0, dt, horizon):
+    """The state (x, x', theta, theta') after an unforced run from rest at theta0."""
     state = PlantState(theta=theta0)
     for _ in range(round(horizon / dt)):
         state = rk4_step(state, 0.0, 0.0, dt, PARAMS)
-    return state
+    return np.array([state.x, state.x_dot, state.theta, state.theta_dot])
 
 
 def lqr_controller():
@@ -66,8 +66,7 @@ class TestRk4Step:
 
     def test_fourth_order_convergence(self):
         # Richardson: endpoint differences across halved steps fall ~16x
-        ends = [free_rollout(UPRIGHT_THETA - 0.3, dt, 1.0).as_array()
-                for dt in (1e-2, 5e-3, 2.5e-3)]
+        ends = [free_rollout(UPRIGHT_THETA - 0.3, dt, 1.0) for dt in (1e-2, 5e-3, 2.5e-3)]
         e1 = np.linalg.norm(ends[0] - ends[1])
         e2 = np.linalg.norm(ends[1] - ends[2])
         order = math.log2(e1 / e2)
@@ -150,6 +149,16 @@ class TestRk4Stepper:
         want = rk4_over_accel(PARAMS, (0.2, -1.0, UPRIGHT_THETA - 0.4, 2.0), 2.5, 1e-3)
         assert (nxt.x, nxt.x_dot, nxt.theta, nxt.theta_dot) == want
         assert nxt.t == 1.5 + 1e-3
+
+
+def total_energy(state, params):
+    """Kinetic plus gravitational energy of cart and pendulum, the potential zero at the
+    pivot height: conserved when friction and input force vanish."""
+    c = -math.cos(state.theta - UPRIGHT_THETA)
+    kinetic = (0.5 * params.total_mass * state.x_dot**2
+               + 0.5 * params.pivot_inertia * state.theta_dot**2
+               + params.pend_mass * params.half_length * c * state.x_dot * state.theta_dot)
+    return kinetic - params.pend_mass * params.gravity * params.half_length * c
 
 
 class TestEnergyConservation:
@@ -253,13 +262,12 @@ class TestRunClosedLoop:
 def tsla_model():
     """A 16-rule model near u = -K z whose rules all differ, so every rule weighs in."""
     K = lqr_controller().design.K.ravel()
-    premises = tuple(
-        tuple(MembershipFunction(a=width, b=2.0, c=c) for c in (-width, width))
-        for width in (0.5, 1.0, 0.2, 1.5)
-    )
+    width = np.array([[0.5], [1.0], [0.2], [1.5]])  # per input; centers at -width, +width
     consequents = [np.concatenate([-K * (1.0 + 0.02 * j), [0.01 * (j - 7.5)]]) for j in range(16)]
     ranges = np.array([[-0.5, 0.5], [-1.0, 1.0], [-0.2, 0.2], [-1.5, 1.5]])
-    return AnfisModel(premises=premises, consequents=np.array(consequents), input_ranges=ranges)
+    return AnfisModel(a=np.repeat(width, 2, axis=1), b=np.full((4, 2), 2.0),
+                      c=width * np.array([-1.0, 1.0]), consequents=np.array(consequents),
+                      input_ranges=ranges)
 
 
 TSLA_MODEL = tsla_model()
@@ -403,9 +411,9 @@ class TestTimeSeriesCsv:
         series = run_closed_loop(cfg, lqr_controller(), dist, PARAMS)
         path = tmp_path / "run.csv"
         series.to_csv(path)
-        back = TimeSeries.from_csv(path)
-        for col in ("t", "x", "x_dot", "theta", "theta_dot", "u", "d"):
-            assert np.array_equal(getattr(series, col), getattr(back, col))
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        for j, col in enumerate(("t", "x", "x_dot", "theta", "theta_dot", "u", "d")):
+            assert np.array_equal(getattr(series, col), back[:, j])
 
     def test_header(self, tmp_path):
         series = run_closed_loop(SimConfig(horizon=0.01), None, None, PARAMS)
