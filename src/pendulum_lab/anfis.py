@@ -85,7 +85,7 @@ def _bell(z, a, b, c):
         return 1.0 / (1.0 + t**b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnfisModel:
     """Premise grid, consequent matrix and the training input ranges.
 
@@ -249,7 +249,7 @@ def _infer_batch(model: AnfisModel, X: np.ndarray) -> np.ndarray:
 # training
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """(x, x_dot, theta_dev, theta_dot, u) rows with a disjoint train/test split."""
 

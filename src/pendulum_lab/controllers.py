@@ -122,7 +122,7 @@ def solve_care(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
     return S, K
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LqrDesign:
     """Weights, Riccati solution and gain row of one LQR design."""
 
@@ -195,9 +195,6 @@ class LqrController:
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)
 
-    def reset(self) -> None:
-        pass
-
 
 @dataclass(frozen=True)
 class PidGains:
@@ -226,14 +223,15 @@ class PidController:
     error by the trapezoidal rule and runs the derivative path through the
     filtered differentiator kd N s / (s + N), discretized with backward
     Euler:  d_k = (d_{k-1} + kd N (e_k - e_{k-1})) / (1 + N dt).
-    ``integral``, ``prev_error`` and ``derivative`` hold that state.
+    ``integral``, ``prev_error`` and ``derivative`` hold that state, zero
+    at construction.
     """
 
     def __init__(self, gains: PidGains):
         self.gains = gains
         self._kp, self._ki, self._n = gains.kp, gains.ki, gains.filter_n
         self._kd_n = gains.kd * gains.filter_n
-        self.reset()
+        self.integral = self.prev_error = self.derivative = 0.0
 
     def command(self, z: tuple[float, float, float, float], dt: float) -> float:
         if not (dt > 0.0):
@@ -248,9 +246,6 @@ class PidController:
 
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)
-
-    def reset(self) -> None:
-        self.integral = self.prev_error = self.derivative = 0.0
 
 
 class AnfisController:
@@ -274,6 +269,3 @@ class AnfisController:
 
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)
-
-    def reset(self) -> None:
-        pass

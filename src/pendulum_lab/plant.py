@@ -122,7 +122,7 @@ class PlantState:
         return np.array([self.x, self.x_dot, self.theta - UPRIGHT_THETA, self.theta_dot])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearStateSpace:
     """Matrices (A, B, C, D) of the plant linearized about upright.
 
@@ -251,8 +251,6 @@ def transfer_functions(params: PhysicalParams) -> tuple[TransferFunction, Transf
         X(s)/U(s) = ((J+m_p l^2) s^2 - m_p g l) / alpha / (s * cubic).
     """
     a = params.alpha
-    if a <= 0.0:
-        raise ValueError("alpha must be positive")
     j_pivot = params.pivot_inertia
     ml = params.pend_mass * params.half_length
     mgl = params.pend_mass * params.gravity * params.half_length

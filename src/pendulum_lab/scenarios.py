@@ -247,7 +247,6 @@ class BenchmarkCell:
     magnitude: Optional[float]
     metrics: TransientMetrics
     diverged: bool
-    final_x: float
 
 
 @dataclass
@@ -274,7 +273,7 @@ class BenchmarkTable:
             mean = self.impulse_mean(name)
             if mean is not None:
                 rows.append(self._csv_row(
-                    BenchmarkCell(name, "impulse-mean", None, mean, False, math.nan)))
+                    BenchmarkCell(name, "impulse-mean", None, mean, False)))
         write_csv(path, BENCHMARK_HEADER, rows)
 
     @staticmethod
@@ -349,12 +348,13 @@ def run_benchmark(
 
     The impulse scenario repeats once per magnitude (the table also reports
     the per-controller mean); the noise scenario runs once, optionally with
-    its own shorter horizon.  One controller's impulse cells are one
-    `run_closed_loops` family: they share a single run up to the onset, where
-    their forces first differ, and each branch then goes on with its own copy
-    of the controller, which gives the same log as a run of its own.  The
-    noise cell gets a fresh controller and stream.  A cell that diverges is
-    reported in-table rather than raised.
+    its own shorter horizon.  Each factory builds a controller in its initial
+    state, and each run takes a new one.  One controller's impulse cells are
+    one `run_closed_loops` family: they share a single run up to the onset,
+    where their force grids first differ, and each branch then goes on with
+    its own `copy.copy` of the controller, which gives the same log as a run
+    of its own.  The noise cell gets a new controller and stream.  A cell
+    that diverges is reported in-table rather than raised.
     """
     bands = bands or MetricBands()
     noise_cfg = sim_config if noise_horizon is None else replace(sim_config, horizon=noise_horizon)
@@ -362,24 +362,18 @@ def run_benchmark(
     impulses = [replace(impulse, magnitude=m) for m in magnitudes]
 
     def cell(name, scenario, magnitude, series, onset) -> BenchmarkCell:
-        final_x = float(series.x[-1]) if len(series) else math.nan
         return BenchmarkCell(name, scenario, magnitude, compute_metrics(series, onset, bands),
-                             series.diverged, final_x)
-
-    def fresh(factory) -> Controller:
-        controller = factory()
-        controller.reset()
-        return controller
+                             series.diverged)
 
     cells = []
     for name, factory in controller_factories.items():
-        family = run_closed_loops(sim_config, fresh(factory),
+        family = run_closed_loops(sim_config, factory(),
                                   [make_disturbance(spec) for spec in impulses], params)
         # strict: the family runs to its end here, so that nothing of it is
         # held through the noise cell
         for magnitude, series in zip(magnitudes, family, strict=True):
             cells.append(cell(name, "impulse", magnitude, series, impulse.onset))
             del series  # the next branch is built while this one would be held
-        series = run_closed_loop(noise_cfg, fresh(factory), make_disturbance(noise), params)
+        series = run_closed_loop(noise_cfg, factory(), make_disturbance(noise), params)
         cells.append(cell(name, "noise", None, series, 0.0))
     return BenchmarkTable(cells=cells)

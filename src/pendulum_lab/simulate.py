@@ -6,13 +6,16 @@ integrator is classical fourth-order Runge-Kutta with the total force held
 constant over each step (zero-order hold); this keeps runs bit-reproducible,
 which the golden tests and the benchmark rely on.
 
-A run terminates early with ``diverged=True`` as soon as any state component
-leaves [-1e6, 1e6] or turns non-finite; the partial log is kept.
+Every run steps on the grid ``t0 + i*dt`` (i = 0 .. n_steps).  A disturbance
+is a force as a function of t, read once per grid time before the run, so
+the loop itself reads forces by step index.  A run terminates early with
+``diverged=True`` as soon as any state component leaves [-1e6, 1e6] or
+turns non-finite; the partial log is kept.
 
 `run_closed_loops` runs one controller under several disturbances and
-simulates the stretch where their forces agree (say, before an impulse's
-onset) once, forking where they first differ; each log is bitwise the one
-`run_closed_loop` gives alone.
+simulates the stretch where their force grids agree (say, before an
+impulse's onset) once, forking at the first step where they differ; each
+log is bitwise the one `run_closed_loop` gives alone.
 """
 
 from __future__ import annotations
@@ -43,25 +46,22 @@ CSV_HEADER = ["t", "x", "x_dot", "theta", "theta_dot", "u", "d"]
 
 
 class Controller(Protocol):
-    """Behavioural contract shared by all controllers.
+    """Behavioural contract shared by all controllers: `command` and `copy.copy`.
 
     `command` maps the deviation state ``z = (x, x', theta - pi, theta')``,
     a tuple of floats, to a voltage command under zero-order hold; it is the
-    only law `run_closed_loop` calls, once per step, so a controller must
-    implement it.  `reset` returns any internal state (integrators, filters)
-    to its construction-time values so a reset controller replays its first
-    run exactly.  `copy.copy` must capture that state: `run_closed_loops`
+    only law `run_closed_loop` calls, once per step.  `copy.copy` must
+    capture any internal state (integrators, filters): `run_closed_loops`
     forks a run by shallow copies, and each copy must give exactly the
     commands the original would.  The shipped controllers hold only floats
-    and immutable references, so they qualify.  They also offer
-    ``step(measured, dt)``, which takes a `PlantState` and forwards to
-    `command`; it serves callers at the `PlantState` edge and is not part of
-    this contract.
+    and immutable references, so they qualify.  A run starts from the state
+    its controller is in, so a fresh run takes a freshly built controller.
+    The shipped controllers also offer ``step(measured, dt)``, which takes a
+    `PlantState` and forwards to `command`; it serves callers at the
+    `PlantState` edge and is not part of this contract.
     """
 
     def command(self, z: tuple[float, float, float, float], dt: float) -> float: ...
-
-    def reset(self) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class SimConfig:
             raise ValueError(f"log_decimation must be a positive integer, got {self.log_decimation!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class TimeSeries:
     """Columnar log of a run: states, commanded voltage and disturbance force.
 
@@ -218,58 +218,33 @@ def rk4_step(
     return PlantState(*nxt, t=state.t + dt)
 
 
-def _fork_step(disturbances, t0: float, dt: float, n_steps: int) -> int:
-    """First step at which two of the disturbances give forces with different
-    bits (0.0 and -0.0 differ, NaN differs from itself); ``n_steps + 1`` when
-    they agree throughout, which one disturbance always does.  Disturbances
-    depend only on t, so they can be read ahead of the run."""
-    if len(disturbances) < 2:
-        return n_steps + 1
-    first, *rest = (f if f is not None else _no_force for f in disturbances)
-    copysign = math.copysign
-    for i in range(n_steps + 1):
-        t = t0 + i * dt
-        d = first(t)
-        for force in rest:
-            e = force(t)
-            if not (e == d and copysign(1.0, e) == copysign(1.0, d)):
-                return i
-    return n_steps + 1
-
-
-def _no_force(t: float) -> float:
-    return 0.0
-
-
-def _advance(config: SimConfig, step, state, start: int, stop: int, command, disturbance,
+def _advance(config: SimConfig, step, state, start: int, stop: int, command, forces,
              rows: list):
     """Run the loop over steps ``start .. stop - 1`` from ``state``, the plant
-    state entering step ``start``, appending logged rows to ``rows``.
+    state entering step ``start``, under ``forces[i]`` at step i, appending
+    the logged (x, x', theta, theta', u) to ``rows``.
 
     Returns the state entering step ``stop``, or None once the run has
-    diverged.  Step i runs at ``t0 + i*dt`` whichever call runs it, so a run
-    split across calls has the bits of one call over the whole horizon.
+    diverged.  Step i logs when ``i % log_decimation == 0`` whichever call
+    runs it, so a run split across calls logs the steps of one call.
     """
     dt = config.dt
     gain = config.actuator_gain
     decimation = config.log_decimation
     limit = DIVERGENCE_LIMIT
-    n_steps = round(config.horizon / dt)
-    t0 = config.initial_state.t
+    last = len(forces) - 1
     x, x_dot, theta, theta_dot = state
 
     for i in range(start, stop):
-        t = t0 + i * dt
-        d = disturbance(t) if disturbance is not None else 0.0
         if command is not None:
             u = command((x, x_dot, theta - UPRIGHT_THETA, theta_dot), dt)
         else:
             u = 0.0
         if i % decimation == 0:
-            rows.append((t, x, x_dot, theta, theta_dot, u, d))
-        if i == n_steps:
+            rows.append((x, x_dot, theta, theta_dot, u))
+        if i == last:
             break
-        x, x_dot, theta, theta_dot = step((x, x_dot, theta, theta_dot), gain * u + d)
+        x, x_dot, theta, theta_dot = step((x, x_dot, theta, theta_dot), gain * u + forces[i])
         # NaN fails every comparison, so it counts as diverged too
         if not (-limit <= x <= limit and -limit <= x_dot <= limit
                 and -limit <= theta <= limit and -limit <= theta_dot <= limit):
@@ -277,12 +252,18 @@ def _advance(config: SimConfig, step, state, start: int, stop: int, command, dis
     return x, x_dot, theta, theta_dot
 
 
-def _series(data: np.ndarray, diverged: bool) -> TimeSeries:
-    return TimeSeries(*(data[:, k] for k in range(len(CSV_HEADER))), diverged=diverged)
-
-
 def _table(rows: list) -> np.ndarray:
-    return np.array(rows, dtype=float).reshape(len(rows), len(CSV_HEADER))
+    return np.array(rows, dtype=float).reshape(len(rows), 5)
+
+
+def _series(data: np.ndarray, times: np.ndarray, forces: np.ndarray, decimation: int,
+            diverged: bool) -> TimeSeries:
+    """The series of the (x, x', theta, theta', u) rows ``data``, logged at steps
+    0, decimation, 2*decimation, ...; its t and d columns are the grid's
+    values at those steps."""
+    logged = slice(0, len(data) * decimation, decimation)
+    table = np.column_stack((times[logged], data, forces[logged]))
+    return TimeSeries(*table.T, diverged=diverged)
 
 
 def run_closed_loops(
@@ -295,15 +276,17 @@ def run_closed_loops(
 
     Yields one `TimeSeries` per disturbance, in order, each bitwise the log
     `run_closed_loop` gives for that disturbance and a controller in the
-    state ``controller`` is in now.  A single trajectory runs while every
-    disturbance returns the same force bits; at the first step where two
-    differ, the run forks.  Each branch resumes at that step index with its
-    own `copy.copy` of the controller, taken before that step's command, so
-    the controller must keep its state in what `copy.copy` copies (see
-    `Controller`).  A run that diverges, or ends, before the fork gives every
-    disturbance the same log.  The shared rows are kept once; each series is
-    built just before it is yielded, so a caller that drops each series
-    before asking for the next holds one at a time.
+    state ``controller`` is in now.  Each disturbance is read once, at every
+    time ``t0 + i*dt`` of the step grid (i = 0 .. n_steps), into a force grid;
+    None reads as zeros.  Forces depend only on t, so this reads them ahead
+    of the run.  A single trajectory runs up to the first step where the
+    grids' float64 bits differ (so 0.0 and -0.0 differ); there the run forks.
+    Each branch resumes at that step with its own `copy.copy` of the
+    controller, taken before that step's command (see `Controller`).  A run
+    that diverges, or ends, before the fork gives every disturbance the same
+    log.  The shared rows are kept once; each series is built just before it
+    is yielded, so a caller that drops each series before asking for the
+    next holds one at a time.
     """
     disturbances = list(disturbances)
     if not disturbances:
@@ -311,27 +294,34 @@ def run_closed_loops(
     step = rk4_stepper(params, config.dt)
     n_steps = round(config.horizon / config.dt)
     initial = config.initial_state
-    fork = _fork_step(disturbances, initial.t, config.dt, n_steps)
+    times = initial.t + np.arange(n_steps + 1) * config.dt
+    grid = times.tolist()
+    forces = np.array([[0.0] * len(grid) if f is None else list(map(f, grid))
+                       for f in disturbances], dtype=float)
+    bits = forces.view(np.int64)
+    differ = np.flatnonzero((bits != bits[0]).any(axis=0))
+    fork = int(differ[0]) if differ.size else n_steps + 1
+    decimation = config.log_decimation
     command = controller.command if controller is not None else None
 
     rows: list = []
     state = _advance(config, step, (initial.x, initial.x_dot, initial.theta, initial.theta_dot),
-                     0, fork, command, disturbances[0], rows)
+                     0, fork, command, forces[0].tolist(), rows)
     if state is None or fork > n_steps:
-        for _ in disturbances:
-            yield _series(_table(rows), diverged=state is None)
+        for row in forces:
+            yield _series(_table(rows), times, row, decimation, diverged=state is None)
         return
 
     shared = _table(rows)
     del rows
     branches = [copy.copy(controller) for _ in disturbances]
-    for branch, disturbance in zip(branches, disturbances):
+    for branch, row in zip(branches, forces):
         rows = []
         end = _advance(config, step, state, fork, n_steps + 1,
-                       branch.command if branch is not None else None, disturbance, rows)
+                       branch.command if branch is not None else None, row.tolist(), rows)
         data = np.concatenate((shared, _table(rows)))
         del rows
-        yield _series(data, diverged=end is None)
+        yield _series(data, times, row, decimation, diverged=end is None)
         del data  # so the branch is freed once the caller drops its series
 
 

@@ -185,28 +185,15 @@ class TestPidStep:
 
 class TestPidController:
     def test_reads_only_the_angle(self):
-        ctrl = PidController(PidGains(kp=5.0, ki=2.0, kd=0.5, filter_n=100.0))
+        gains = PidGains(kp=5.0, ki=2.0, kd=0.5, filter_n=100.0)
         a = PlantState(x=0.0, x_dot=0.0, theta=UPRIGHT_THETA + 0.1, theta_dot=0.0)
         b = PlantState(x=3.0, x_dot=-2.0, theta=UPRIGHT_THETA + 0.1, theta_dot=7.0)
-        out_a = ctrl.step(a, 1e-3)
-        ctrl.reset()
-        out_b = ctrl.step(b, 1e-3)
-        assert out_a == out_b
+        assert PidController(gains).step(a, 1e-3) == PidController(gains).step(b, 1e-3)
 
     def test_error_sign_pushes_back_upright(self):
         ctrl = PidController(PidGains(kp=10.0))
         tipped = PlantState(theta=UPRIGHT_THETA + 0.2)
         assert ctrl.step(tipped, 1e-3) < 0.0
-
-    def test_reset_replays_exactly(self):
-        ctrl = PidController(PidGains(kp=5.0, ki=3.0, kd=0.7, filter_n=200.0))
-        errors = np.sin(np.linspace(0.0, 4.0, 200))
-        states = [PlantState(theta=UPRIGHT_THETA + e) for e in errors]
-        first = [ctrl.step(s, 1e-3) for s in states]
-        ctrl.reset()
-        second = [ctrl.step(s, 1e-3) for s in states]
-        assert first == second
-
 
     def test_copy_mid_run_replays_the_remaining_commands(self):
         ctrl = PidController(PidGains(kp=5.0, ki=3.0, kd=0.7, filter_n=200.0))
@@ -246,7 +233,6 @@ class TestAnfisController:
         states = [PlantState(0.1, -0.2, UPRIGHT_THETA + 0.05, 0.3),
                   PlantState(-0.3, 0.1, UPRIGHT_THETA - 0.02, -0.1)]
         first = [ctrl.step(s, 1e-3) for s in states]
-        ctrl.reset()
         assert [ctrl.step(s, 1e-3) for s in states] == first
 
 
@@ -268,14 +254,12 @@ def recorded_states():
 ], ids=["LQR", "PI", "PID", "TS-LA"])
 def test_step_is_command_on_the_deviation(make, mimic_model):
     states = recorded_states()
-    via_step, via_command = make(mimic_model[0]), make(mimic_model[0])
     runs = []
-    for _ in range(2):  # the second pass follows reset()
+    for _ in range(2):  # each pass on newly built controllers
+        via_step, via_command = make(mimic_model[0]), make(mimic_model[0])
         a = [via_step.step(PlantState(*s), 1e-3) for s in states]
         b = [via_command.command((x, xd, th - UPRIGHT_THETA, thd), 1e-3)
              for x, xd, th, thd, _ in states]
         assert list(map(float.hex, a)) == list(map(float.hex, b))
         runs.append(b)
-        via_step.reset()
-        via_command.reset()
     assert runs[0] == runs[1]

@@ -53,9 +53,6 @@ class PumpController:
     def command(self, z, dt):
         return 20.0 * z[1]
 
-    def reset(self):
-        pass
-
 
 class TestRk4Step:
     def test_equilibrium_is_exact_fixed_point(self):
@@ -308,9 +305,6 @@ class CountingController:
         self.calls.append(None)
         return self.inner.command(z, dt)
 
-    def reset(self):
-        self.inner.reset()
-
 
 def impulse(spec):
     return lambda: make_disturbance(spec) if spec is not None else None
@@ -366,6 +360,37 @@ class TestRunClosedLoops:
         assert len(calls) == 301
         assert log_bytes(family[0]) == log_bytes(family[1]) == log_bytes(family[2])
         assert family[0].t is not family[1].t
+
+    def test_reads_each_disturbance_once_per_step(self):
+        cfg = SimConfig(horizon=0.3)
+        reads = [[], [], []]
+
+        def recorded(spec, times):
+            force = make_disturbance(spec)
+            return lambda t: times.append(t) or force(t)
+
+        specs = [ImpulseSpec(m, onset=0.1, width=0.05) for m in (10.0, 20.0, 30.0)]
+        family = run_closed_loops(cfg, lqr_controller(),
+                                  [recorded(s, r) for s, r in zip(specs, reads)], PARAMS)
+        assert [len(series) for series in family] == [301] * 3
+        assert [len(times) for times in reads] == [301] * 3
+        assert len(set(reads[0])) == 301
+
+    @pytest.mark.parametrize("specs", [
+        [NoiseSpec(power=0.5, seed=3)],
+        [ImpulseSpec(10.0, onset=0.6, width=0.05), ImpulseSpec(20.0, onset=0.6, width=0.05)],
+    ], ids=["noise", "impulse-family"])
+    def test_logs_t_and_d_from_the_step_grid(self, specs):
+        t0, dt = 0.37, 1e-3
+        cfg = SimConfig(dt=dt, horizon=0.5, log_decimation=7,
+                        initial_state=PlantState(theta=UPRIGHT_THETA + 0.02, t=t0))
+        family = run_closed_loops(cfg, lqr_controller(), [make_disturbance(s) for s in specs],
+                                  PARAMS)
+        times = [t0 + i * dt for i in range(0, 501, 7)]
+        for series, spec in zip(family, specs, strict=True):
+            force = make_disturbance(spec)
+            assert list(map(float.hex, series.t)) == list(map(float.hex, times))
+            assert list(map(float.hex, series.d)) == [float(force(t)).hex() for t in times]
 
     def test_noise_family_with_different_seeds_forks_at_step_0(self):
         cfg = SimConfig(horizon=0.3)
