@@ -14,8 +14,11 @@ its artifacts plus a manifest (config hash, seed, version) into --out, and
 reruns byte-identically given the same config and seed.  Exit codes: 0
 success; 1 usage or config error, or an artifact in --out that is missing
 or malformed (a design, dataset, split or model file that does not parse,
-or a TS-LA model without the 4 deviation inputs); 2 numerical failure; 3
-benchmark cells that only failed by divergence.
+or a TS-LA model without the 4 deviation inputs); 2 numerical failure; 3 a
+benchmark that ran, but with a cell whose pendulum fell (|theta - pi| past
+pi/2) or whose run diverged.  PI's linear loop is unstable, so its cells
+fall by construction and the default `benchmark --auto` exits 3.  A
+`simulate` run that falls or diverges still exits 0.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .simulate import run_closed_loop
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
-EXIT_DIVERGED_CELLS = 3
+EXIT_DIVERGED_CELLS = 3  # a cell fell or diverged
 
 DESIGN_FILE = "lqr_design.json"
 DATASET_FILE = "dataset.csv"
@@ -268,6 +271,8 @@ def cmd_simulate(args) -> int:
     print(f"{len(series)} rows logged to {out / name}")
     if series.diverged:
         print("run diverged before the horizon")
+    elif series.fell:
+        print(f"pendulum fell at t = {series.t[-1]:.2f} s")
     else:
         m = compute_metrics(series, onset, config.scenarios.bands)
         print(f"settling {m.settling_time:.4g} s, peak theta dev "
@@ -298,11 +303,13 @@ def cmd_benchmark(args) -> int:
     print(text, end="")
     _manifest(out, "benchmark", config, args, ["benchmark.csv", "benchmark.txt"])
 
-    diverged = [_cell_name(c) for c in table.cells if c.diverged]
-    if diverged:
-        print("diverged cells:", ", ".join(diverged))
-        return EXIT_DIVERGED_CELLS
-    return EXIT_OK
+    code = EXIT_OK
+    for outcome in ("fell", "diverged"):
+        names = [_cell_name(c) for c in table.cells if c.outcome == outcome]
+        if names:
+            print(f"{outcome} cells:", ", ".join(names))
+            code = EXIT_DIVERGED_CELLS
+    return code
 
 
 def _cell_name(cell) -> str:

@@ -4,8 +4,8 @@ The two disturbance families mirror the experiment protocol: a rectangular
 force impulse (a sharp knock on the cart) and band-limited white noise
 (sample-and-hold Gaussian force, a crosswind stand-in).  Metrics are
 extracted from logged runs; quantities that never converge, grow without
-bound, or belong to a diverged run carry ``math.inf`` as an explicit
-unbounded flag.
+bound, or belong to a run that fell or diverged carry ``math.inf`` as an
+explicit unbounded flag.
 """
 
 from __future__ import annotations
@@ -45,7 +45,11 @@ BENCHMARK_HEADER = [
     "peak_xdot",
     "sse_theta",
     "sse_x",
+    "outcome",
 ]
+
+# a cell's outcome, from best to worst
+OUTCOMES = ("settled", "unsettled", "fell", "diverged")
 
 
 @dataclass(frozen=True)
@@ -186,18 +190,24 @@ def compute_metrics(
     of the high fraction of the post-onset peak deviation to the first
     crossing of the low fraction.  Peaks are maximal absolute deviations
     after onset.  Steady-state errors average the final window, carrying the
-    unbounded flag on drift.  A diverged run flags every metric.
+    unbounded flag on drift.  A diverged run flags every metric.  A run that
+    fell flags all but the peaks, which it measures over its partial log
+    (over its last, fallen row if it fell before the onset).
     """
     bands = bands or MetricBands()
     if series.diverged:
         return _ALL_UNBOUNDED
+    t = series.t
+    dev = np.abs(series.theta_deviation())
+    if series.fell:
+        after = t >= min(onset, t[-1])
+        return TransientMetrics(UNBOUNDED, UNBOUNDED, float(dev[after].max()),
+                                float(np.abs(series.x_dot[after]).max()), UNBOUNDED, UNBOUNDED)
     if len(series) < 2:
         raise ValueError("series too short for metrics")
-    t = series.t
     if t[-1] < onset + 10.0:
         raise ValueError(f"series must cover onset + 10 s (ends at {t[-1]:.3f})")
 
-    dev = np.abs(series.theta_deviation())
     after = t >= onset
     t_after = t[after]
     dev_after = dev[after]
@@ -242,20 +252,29 @@ def compute_metrics(
 
 @dataclass(frozen=True)
 class BenchmarkCell:
+    """One run's metrics; ``outcome`` is one of `OUTCOMES` (settled: back in the
+    settle band before the run ends)."""
+
     controller: str
     scenario: str
     magnitude: Optional[float]
     metrics: TransientMetrics
-    diverged: bool
+    outcome: str
+
+
+def _worst(outcomes) -> str:
+    return max(outcomes, key=OUTCOMES.index)
 
 
 @dataclass
 class BenchmarkTable:
     cells: list[BenchmarkCell]
 
+    def impulse_cells(self, controller: str) -> list[BenchmarkCell]:
+        return [c for c in self.cells if c.controller == controller and c.scenario == "impulse"]
+
     def impulse_mean(self, controller: str) -> Optional[TransientMetrics]:
-        rows = [c.metrics.as_row() for c in self.cells
-                if c.controller == controller and c.scenario == "impulse"]
+        rows = [c.metrics.as_row() for c in self.impulse_cells(controller)]
         if not rows:
             return None
         return TransientMetrics(*(float(np.mean(col)) for col in zip(*rows)))
@@ -272,8 +291,8 @@ class BenchmarkTable:
         for name in self.controllers():
             mean = self.impulse_mean(name)
             if mean is not None:
-                rows.append(self._csv_row(
-                    BenchmarkCell(name, "impulse-mean", None, mean, False)))
+                worst = _worst(c.outcome for c in self.impulse_cells(name))
+                rows.append(self._csv_row(BenchmarkCell(name, "impulse-mean", None, mean, worst)))
         write_csv(path, BENCHMARK_HEADER, rows)
 
     @staticmethod
@@ -289,6 +308,7 @@ class BenchmarkTable:
             repr(float(m.peak_xdot)),
             repr(float(m.sse_theta)),
             repr(float(m.sse_x)),
+            cell.outcome,
         ]
 
     def to_text(self) -> str:
@@ -301,23 +321,27 @@ class BenchmarkTable:
                 return "unbounded"
             return f"{v * unit_scale:.4g}"
 
-        def section(title: str, rows: list[tuple[str, list[float]]]) -> None:
+        def section(title: str, rows: list[tuple[str, list[str]]]) -> None:
             out.write(title + "\n")
             out.write(f"{'Parameter':<26}" + "".join(f"{n:>12}" for n in names) + "\n")
             for label, values in rows:
-                out.write(f"{label:<26}" + "".join(f"{fmt(v[0], v[1]):>12}" for v in values) + "\n")
+                out.write(f"{label:<26}" + "".join(f"{v:>12}" for v in values) + "\n")
             out.write("\n")
 
+        deg = 180.0 / math.pi
         means = {n: self.impulse_mean(n) for n in names}
         if any(means.values()):
             section(
                 "Impulse disturbance (mean over magnitudes)",
                 [
-                    ("Settling time (s)", [(means[n].settling_time, 1.0) for n in names]),
-                    ("Deviation of theta (deg)", [(means[n].peak_theta_dev, 180.0 / math.pi) for n in names]),
-                    ("Rise time (ms)", [(means[n].rise_time, 1e3) for n in names]),
-                    ("Steady state error theta", [(means[n].sse_theta, 1.0) for n in names]),
-                    ("Steady state error x", [(means[n].sse_x, 1.0) for n in names]),
+                    ("Outcome (worst)", [_worst(c.outcome for c in self.impulse_cells(n))
+                                       for n in names]),
+                    ("Settling time (s)", [fmt(means[n].settling_time) for n in names]),
+                    ("Deviation of theta (deg)",
+                     [fmt(means[n].peak_theta_dev, deg) for n in names]),
+                    ("Rise time (ms)", [fmt(means[n].rise_time, 1e3) for n in names]),
+                    ("Steady state error theta", [fmt(means[n].sse_theta) for n in names]),
+                    ("Steady state error x", [fmt(means[n].sse_x) for n in names]),
                 ],
             )
         noise_cells = {c.controller: c for c in self.cells if c.scenario == "noise"}
@@ -325,10 +349,11 @@ class BenchmarkTable:
             section(
                 "White-noise disturbance",
                 [
+                    ("Outcome", [noise_cells[n].outcome for n in names]),
                     ("Max deviation theta (deg)",
-                     [(noise_cells[n].metrics.peak_theta_dev, 180.0 / math.pi) for n in names]),
+                     [fmt(noise_cells[n].metrics.peak_theta_dev, deg) for n in names]),
                     ("Max deviation x_dot (m/s)",
-                     [(noise_cells[n].metrics.peak_xdot, 1.0) for n in names]),
+                     [fmt(noise_cells[n].metrics.peak_xdot) for n in names]),
                 ],
             )
         return out.getvalue()
@@ -354,7 +379,8 @@ def run_benchmark(
     where their force grids first differ, and each branch then goes on with
     its own `copy.copy` of the controller, which gives the same log as a run
     of its own.  The noise cell gets a new controller and stream.  A cell
-    that diverges is reported in-table rather than raised.
+    whose pendulum falls, or whose run diverges, is reported in-table rather
+    than raised.
     """
     bands = bands or MetricBands()
     noise_cfg = sim_config if noise_horizon is None else replace(sim_config, horizon=noise_horizon)
@@ -362,8 +388,14 @@ def run_benchmark(
     impulses = [replace(impulse, magnitude=m) for m in magnitudes]
 
     def cell(name, scenario, magnitude, series, onset) -> BenchmarkCell:
-        return BenchmarkCell(name, scenario, magnitude, compute_metrics(series, onset, bands),
-                             series.diverged)
+        metrics = compute_metrics(series, onset, bands)
+        if series.diverged:
+            outcome = "diverged"
+        elif series.fell:
+            outcome = "fell"
+        else:
+            outcome = "settled" if math.isfinite(metrics.settling_time) else "unsettled"
+        return BenchmarkCell(name, scenario, magnitude, metrics, outcome)
 
     cells = []
     for name, factory in controller_factories.items():

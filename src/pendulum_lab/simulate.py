@@ -8,9 +8,12 @@ which the golden tests and the benchmark rely on.
 
 Every run steps on the grid ``t0 + i*dt`` (i = 0 .. n_steps).  A disturbance
 is a force as a function of t, read once per grid time before the run, so
-the loop itself reads forces by step index.  A run terminates early with
-``diverged=True`` as soon as any state component leaves [-1e6, 1e6] or
-turns non-finite; the partial log is kept.
+the loop itself reads forces by step index.  A run ends early, keeping its
+partial log, at the first state past either of two bounds: ``fell=True``
+once |theta - pi| > pi/2 (the first state past the horizontal is logged,
+with its command, as the last row), and ``diverged=True`` once any
+component leaves [-1e6, 1e6] or turns non-finite.  A state past both has
+diverged.
 
 `run_closed_loops` runs one controller under several disturbances and
 simulates the stretch where their force grids agree (say, before an
@@ -31,6 +34,7 @@ from .plant import UPRIGHT_THETA, PhysicalParams, PlantState
 
 __all__ = [
     "DIVERGENCE_LIMIT",
+    "FALL_ANGLE",
     "SimConfig",
     "TimeSeries",
     "Controller",
@@ -41,6 +45,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e6
+FALL_ANGLE = math.pi / 2  # |theta - pi| past this: the pendulum fell
 
 CSV_HEADER = ["t", "x", "x_dot", "theta", "theta_dot", "u", "d"]
 
@@ -96,7 +101,8 @@ class TimeSeries:
     """Columnar log of a run: states, commanded voltage and disturbance force.
 
     ``u`` is the controller output (volts) before the actuator gain; ``d`` is
-    the disturbance force.  ``diverged`` marks truncated runs.
+    the disturbance force.  ``diverged`` and ``fell`` mark a run that ended
+    early, and why; its last row is its last logged step.
     """
 
     t: np.ndarray
@@ -107,6 +113,7 @@ class TimeSeries:
     u: np.ndarray
     d: np.ndarray
     diverged: bool = False
+    fell: bool = False
 
     def __len__(self) -> int:
         return self.t.size
@@ -224,14 +231,18 @@ def _advance(config: SimConfig, step, state, start: int, stop: int, command, for
     state entering step ``start``, under ``forces[i]`` at step i, appending
     the logged (x, x', theta, theta', u) to ``rows``.
 
-    Returns the state entering step ``stop``, or None once the run has
-    diverged.  Step i logs when ``i % log_decimation == 0`` whichever call
-    runs it, so a run split across calls logs the steps of one call.
+    Returns ``(outcome, i, state)``: the run stands at step i in ``state``.
+    The outcome is None if the run reached step ``stop`` (or the grid's last
+    step), else "fell" or "diverged" with the first state past the bounds.
+    Step i logs when ``i % log_decimation == 0`` whichever call runs it, so a
+    run split across calls logs the steps of one call; a fallen state logs
+    whatever its step.
     """
     dt = config.dt
     gain = config.actuator_gain
     decimation = config.log_decimation
     limit = DIVERGENCE_LIMIT
+    low, high = UPRIGHT_THETA - FALL_ANGLE, UPRIGHT_THETA + FALL_ANGLE
     last = len(forces) - 1
     x, x_dot, theta, theta_dot = state
 
@@ -243,13 +254,21 @@ def _advance(config: SimConfig, step, state, start: int, stop: int, command, for
         if i % decimation == 0:
             rows.append((x, x_dot, theta, theta_dot, u))
         if i == last:
-            break
+            return None, i, (x, x_dot, theta, theta_dot)
         x, x_dot, theta, theta_dot = step((x, x_dot, theta, theta_dot), gain * u + forces[i])
-        # NaN fails every comparison, so it counts as diverged too
+        # one test for both ends: NaN fails every comparison, so it leaves the box too
         if not (-limit <= x <= limit and -limit <= x_dot <= limit
-                and -limit <= theta <= limit and -limit <= theta_dot <= limit):
-            return None
-    return x, x_dot, theta, theta_dot
+                and low <= theta <= high and -limit <= theta_dot <= limit):
+            state = (x, x_dot, theta, theta_dot)
+            if not all(-limit <= v <= limit for v in state):
+                return "diverged", i + 1, state
+            if command is not None:
+                u = command((x, x_dot, theta - UPRIGHT_THETA, theta_dot), dt)
+            else:
+                u = 0.0
+            rows.append((*state, u))
+            return "fell", i + 1, state
+    return None, stop, (x, x_dot, theta, theta_dot)
 
 
 def _table(rows: list) -> np.ndarray:
@@ -257,13 +276,15 @@ def _table(rows: list) -> np.ndarray:
 
 
 def _series(data: np.ndarray, times: np.ndarray, forces: np.ndarray, decimation: int,
-            diverged: bool) -> TimeSeries:
+            outcome: Optional[str], end: int) -> TimeSeries:
     """The series of the (x, x', theta, theta', u) rows ``data``, logged at steps
-    0, decimation, 2*decimation, ...; its t and d columns are the grid's
-    values at those steps."""
-    logged = slice(0, len(data) * decimation, decimation)
+    0, decimation, 2*decimation, ... and, for a fallen run, at its last step
+    ``end``; its t and d columns are the grid's values at those steps."""
+    logged = np.arange(0, len(data) * decimation, decimation)
+    if outcome == "fell":
+        logged[-1] = end
     table = np.column_stack((times[logged], data, forces[logged]))
-    return TimeSeries(*table.T, diverged=diverged)
+    return TimeSeries(*table.T, diverged=outcome == "diverged", fell=outcome == "fell")
 
 
 def run_closed_loops(
@@ -283,10 +304,11 @@ def run_closed_loops(
     grids' float64 bits differ (so 0.0 and -0.0 differ); there the run forks.
     Each branch resumes at that step with its own `copy.copy` of the
     controller, taken before that step's command (see `Controller`).  A run
-    that diverges, or ends, before the fork gives every disturbance the same
-    log.  The shared rows are kept once; each series is built just before it
-    is yielded, so a caller that drops each series before asking for the
-    next holds one at a time.
+    that falls, diverges or ends before the fork gives every disturbance the
+    same states and commands; the d column is each disturbance's own.  The
+    shared rows are kept once; each series is built just before it is
+    yielded, so a caller that drops each series before asking for the next
+    holds one at a time.
     """
     disturbances = list(disturbances)
     if not disturbances:
@@ -305,11 +327,12 @@ def run_closed_loops(
     command = controller.command if controller is not None else None
 
     rows: list = []
-    state = _advance(config, step, (initial.x, initial.x_dot, initial.theta, initial.theta_dot),
-                     0, fork, command, forces[0].tolist(), rows)
-    if state is None or fork > n_steps:
+    outcome, end, state = _advance(
+        config, step, (initial.x, initial.x_dot, initial.theta, initial.theta_dot),
+        0, fork, command, forces[0].tolist(), rows)
+    if outcome is not None or fork > n_steps:
         for row in forces:
-            yield _series(_table(rows), times, row, decimation, diverged=state is None)
+            yield _series(_table(rows), times, row, decimation, outcome, end)
         return
 
     shared = _table(rows)
@@ -317,11 +340,12 @@ def run_closed_loops(
     branches = [copy.copy(controller) for _ in disturbances]
     for branch, row in zip(branches, forces):
         rows = []
-        end = _advance(config, step, state, fork, n_steps + 1,
-                       branch.command if branch is not None else None, row.tolist(), rows)
+        outcome, end, _ = _advance(config, step, state, fork, n_steps + 1,
+                                   branch.command if branch is not None else None,
+                                   row.tolist(), rows)
         data = np.concatenate((shared, _table(rows)))
         del rows
-        yield _series(data, times, row, decimation, diverged=end is None)
+        yield _series(data, times, row, decimation, outcome, end)
         del data  # so the branch is freed once the caller drops its series
 
 

@@ -1,12 +1,13 @@
 """End-to-end checks through `cli.main`: a short benchmark golden and the exit codes."""
 
 import copy
+import csv
 import hashlib
 import json
 
 import pytest
 
-from pendulum_lab import cli
+from pendulum_lab import cli, simulate
 
 # Short horizons and a 200-row dataset keep `benchmark --auto` to a few seconds while still
 # running every stage, both impulse magnitudes and the noise cell for PI, PID and TS-LA.
@@ -24,8 +25,8 @@ GOLDEN_SHA256 = {
     "dataset_split.json": "72874af59ea8c259f1c56a7f5c4493498fe0816b784950d86a6b96be7bf765e1",
     "anfis_model.json": "384d22010784c0118203ab71c7a36d55c4d89aef989f3df0698662a71f04f67c",
     "rmse_history.csv": "23ce04801e7f7eeecd128ca8cde8c608f17cdf353bac594db86c99c0708e5423",
-    "benchmark.csv": "a6399dcc90cd7c295d9fd2a0b98237bfe278e740912b92c19e1ccc19d129fd86",
-    "benchmark.txt": "42da2a259aecc5960db5bda6d57b8ce5910e13341f67ce84171dfa5d97ce4696",
+    "benchmark.csv": "4f41352cd295490a79e057f10935e3de15921d6987235910db13713e9e622580",
+    "benchmark.txt": "48da8a4bbda01c5ddf31de6bd8d4baaa9ebb580d358700c74981a893eb4f587c",
 }
 
 DERIVE_SHA256 = {
@@ -45,11 +46,14 @@ def sha256_of(out, names):
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
-def test_short_benchmark_golden(tmp_path):
+def test_short_benchmark_golden(tmp_path, capsys):
     config = write_config(tmp_path / "short.json", SHORT_BENCHMARK)
     out = tmp_path / "out"
     code = cli.main(["benchmark", "--auto", "--config", str(config), "--out", str(out)])
-    assert code == cli.EXIT_OK
+    # PI's linear loop is unstable, and PID cannot catch the 60 N knock
+    assert code == cli.EXIT_DIVERGED_CELLS
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "fell cells: PI/impulse@10, PI/impulse@60, PI/noise, PID/impulse@60"
     assert sha256_of(out, GOLDEN_SHA256) == GOLDEN_SHA256
 
 
@@ -214,16 +218,54 @@ def test_exit_codes(tmp_path, capsys, run, code, stderr):
         assert err == ""
 
 
-def test_diverged_cells_exit_3(tmp_path, capsys):
-    # a 1e5 N knock topples every controller; the 10 N cells and the noise cells still recover.
-    # The two impulse cells of a controller share their run up to the onset, so this also
-    # checks that each branch carries its own divergence flag.
+def _knock_benchmark(tmp_path):
+    """`benchmark --auto` with a 1e5 N knock next to the 10 N one: the exit code and the
+    rows of benchmark.csv."""
     doc = copy.deepcopy(SHORT_BENCHMARK)
     doc["scenarios"]["impulse"]["repeat_magnitudes"] = [10.0, 1e5]
     config = write_config(tmp_path / "knock.json", doc)
-    code = cli.main(["benchmark", "--auto", "--config", str(config), "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = cli.main(["benchmark", "--auto", "--config", str(config), "--out", str(out)])
+    with open(out / "benchmark.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return code, rows
+
+
+def test_diverged_cells_exit_3(tmp_path, capsys, monkeypatch):
+    # the knock throws every cart past 50 m/s before its pendulum falls; the 10 N and noise
+    # cells stay inside that limit.  The two impulse cells of a controller share their run up
+    # to the onset, so this also checks that each branch carries its own outcome.
+    monkeypatch.setattr(simulate, "DIVERGENCE_LIMIT", 50.0)
+    code, rows = _knock_benchmark(tmp_path)
     assert code == cli.EXIT_DIVERGED_CELLS
     lines = capsys.readouterr().out.splitlines()
-    assert "diverged cells: PI/impulse@100000, PID/impulse@100000, TS-LA/impulse@100000" in lines
-    cells = [line for line in lines if line.startswith("diverged cells: ")][0]
-    assert not [c for c in cells.split(": ")[1].split(", ") if c.endswith("@10")]
+    assert lines[-2:] == [
+        "fell cells: PI/impulse@10, PI/noise",
+        "diverged cells: PI/impulse@100000, PID/impulse@100000, TS-LA/impulse@100000"]
+    outcomes = {(r["controller"], r["magnitude"]): r["outcome"] for r in rows
+                if r["scenario"] == "impulse"}
+    assert outcomes == {(name, m): "diverged" if m == "100000.0" else
+                        "fell" if name == "PI" else "settled"
+                        for name in ("PI", "PID", "TS-LA") for m in ("10.0", "100000.0")}
+
+
+def test_fallen_cells_exit_3(tmp_path, capsys):
+    # at the real limit the same knock topples every pendulum, which then counts as a fall
+    code, rows = _knock_benchmark(tmp_path)
+    assert code == cli.EXIT_DIVERGED_CELLS
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == ("fell cells: PI/impulse@10, PI/impulse@100000, PI/noise, "
+                         "PID/impulse@100000, TS-LA/impulse@100000")
+    fell = [r for r in rows if r["outcome"] == "fell" and r["scenario"] != "impulse-mean"]
+    assert len(fell) == 5
+    assert all(float(r["peak_theta_deg"]) > 90.0 and r["settling_s"] == "inf" for r in fell)
+
+
+def test_simulate_reports_a_fall(tmp_path, capsys):
+    # PI falls 3.31 s into the default noise run, and the log ends at the fallen state
+    code = cli.main(["simulate", "--controller", "pi", "--scenario", "noise",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"3312 rows logged to {tmp_path / 'timeseries_pi_noise.csv'}",
+        "pendulum fell at t = 3.31 s"]

@@ -3,7 +3,8 @@
 Each digest is the SHA-256 of the run's float64 log columns (t, x, x_dot, theta,
 theta_dot, u, d) stacked row by row, with the divergence flag appended.  They pin the
 simulation bit for bit: a change to the integrator, a control law or a disturbance
-source that moves any logged value by one ulp changes a digest.
+source that moves any logged value by one ulp changes a digest.  PI's linear loop is
+unstable, so its two runs fall and end early; `FALLEN_ROWS` pins where.
 """
 
 import hashlib
@@ -53,9 +54,9 @@ GOLDEN_SHA256 = {
     ("LQR", "noise"):
         "e0ab5d41f643947193a6090ba6f0e7c06e32da59c627708cada354ff339cf9a4",
     ("PI", "impulse"):
-        "21d582924d46dcf16e2fb8cc2addc1346b7a24b485d7e41e9538fab1b41d0103",
+        "c05ca438389dd718b3da7babf5589c8b19bd0d8404d2fbe9d5543400cebab4a4",
     ("PI", "noise"):
-        "181f1107fc03618d84af4a19e70554973650e3ee6475151c0e2d4803e034da26",
+        "513bb322572148794940dc9d971945b63b3b9c4ca26c6ead363701832714dfdd",
     ("PID", "impulse"):
         "4ee68947b86d0ddb2ee0ae312235f5d7e794bd5cd137170c5e45faa13c86c65e",
     ("PID", "noise"):
@@ -65,6 +66,10 @@ GOLDEN_SHA256 = {
     ("TS-LA", "noise"):
         "33373040cdabcff2c90bd47f57886cd89519d32f7de18439ff1945e4d0d3e98e",
 }
+
+# rows logged by the runs that fall: PI passes |theta - pi| = pi/2 at 1.611 s (impulse)
+# and 1.638 s (noise); every other run logs all 3001 steps
+FALLEN_ROWS = {("PI", "impulse"): 1612, ("PI", "noise"): 1639}
 
 
 def log_digest(series) -> str:
@@ -78,5 +83,6 @@ def log_digest(series) -> str:
 def test_closed_loop_log_digest(controller, disturbance):
     series = run_closed_loop(SIM, CONTROLLERS[controller](),
                              make_disturbance(DISTURBANCES[disturbance]), PARAMS)
-    assert len(series) == 3001 and not series.diverged
+    rows = FALLEN_ROWS.get((controller, disturbance), 3001)
+    assert (len(series), series.fell, series.diverged) == (rows, rows < 3001, False)
     assert log_digest(series) == GOLDEN_SHA256[controller, disturbance]

@@ -8,14 +8,15 @@ from numpy.testing import assert_allclose
 
 from pendulum_lab.controllers import LqrController, design_lqr
 from pendulum_lab.plant import PhysicalParams, UPRIGHT_THETA, linearize
-from pendulum_lab.scenarios import (BENCHMARK_HEADER, BenchmarkTable, ImpulseSpec, MetricBands,
-                                    NoiseSpec, compute_metrics, make_disturbance, run_benchmark)
+from pendulum_lab.scenarios import (BENCHMARK_HEADER, BenchmarkCell, BenchmarkTable, ImpulseSpec,
+                                    MetricBands, NoiseSpec, TransientMetrics, compute_metrics,
+                                    make_disturbance, run_benchmark)
 from pendulum_lab.simulate import SimConfig, TimeSeries, run_closed_loop
 
 PARAMS = PhysicalParams()
 
 
-def synthetic_series(t, theta_dev, x=None, x_dot=None, diverged=False):
+def synthetic_series(t, theta_dev, x=None, x_dot=None, diverged=False, fell=False):
     n = t.size
     zeros = np.zeros(n)
     return TimeSeries(
@@ -27,6 +28,7 @@ def synthetic_series(t, theta_dev, x=None, x_dot=None, diverged=False):
         u=zeros,
         d=zeros,
         diverged=diverged,
+        fell=fell,
     )
 
 
@@ -136,6 +138,25 @@ class TestComputeMetrics:
         m = compute_metrics(synthetic_series(t, np.zeros(t.size), diverged=True), onset=0.0)
         assert all(math.isinf(v) for v in m.as_row())
 
+    def test_fallen_series_flags_all_but_the_peaks(self):
+        # a run that fell 3.3 s in, well short of onset + 10 s; the faster cart before the
+        # onset does not count
+        t = np.arange(0.0, 3.3, 1e-3)
+        dev = np.linspace(0.0, 1.6, t.size)
+        x_dot = np.where(t < 1.0, -5.0, t)
+        series = synthetic_series(t, dev, x_dot=x_dot, fell=True)
+        m = compute_metrics(series, onset=1.0)
+        assert (m.peak_theta_dev, m.peak_xdot) == (series.theta_deviation()[-1], t[-1])
+        assert all(math.isinf(v) for v in (m.settling_time, m.rise_time, m.sse_theta, m.sse_x))
+
+    def test_fall_before_the_onset_peaks_at_the_fallen_state(self):
+        t = np.arange(0.0, 3.3, 1e-3)
+        dev = np.linspace(0.0, 1.6, t.size)
+        x_dot = np.where(t < 1.0, -5.0, t)
+        series = synthetic_series(t, dev, x_dot=x_dot, fell=True)
+        m = compute_metrics(series, onset=20.0)
+        assert (m.peak_theta_dev, m.peak_xdot) == (series.theta_deviation()[-1], t[-1])
+
     def test_requires_ten_seconds_past_onset(self):
         t = np.arange(0.0, 5.0, 1e-3)
         with pytest.raises(ValueError, match="onset"):
@@ -182,7 +203,7 @@ class TestRunBenchmark:
         assert len(table.cells) == 2  # one impulse magnitude + noise
         assert table.cells[0].scenario == "impulse"
         assert table.cells[1].scenario == "noise"
-        assert not table.cells[0].diverged
+        assert [cell.outcome for cell in table.cells] == ["settled", "settled"]
 
     def test_csv_layout(self, quick_setup, tmp_path):
         sim, impulse, noise = quick_setup
@@ -209,3 +230,32 @@ class TestRunBenchmark:
         assert "Impulse disturbance" in text
         assert "White-noise disturbance" in text
         assert "LQR" in text
+
+    def test_outcomes_in_csv_and_text(self, quick_setup, tmp_path):
+        # an LQR cell settles; a second controller with no feedback falls in every cell
+        sim, impulse, noise = quick_setup
+        factories = {"LQR": lqr_controller, "none": lambda: NoFeedback()}
+        table = run_benchmark(PARAMS, factories, [10.0, 20.0], impulse, noise, sim)
+        assert [(c.controller, c.outcome) for c in table.cells] == (
+            [("LQR", "settled")] * 3 + [("none", "fell")] * 3)
+        path = tmp_path / "bench.csv"
+        table.to_csv(path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows[0][-1] == "outcome"
+        assert [(r[0], r[1], r[-1]) for r in rows[-2:]] == [
+            ("LQR", "impulse-mean", "settled"), ("none", "impulse-mean", "fell")]
+        text = table.to_text().splitlines()
+        assert text.count(f"{'Outcome (worst)':<26}{'settled':>12}{'fell':>12}") == 1
+        assert text.count(f"{'Outcome':<26}{'settled':>12}{'fell':>12}") == 1
+
+    def test_worst_outcome_of_the_impulse_cells(self):
+        metrics = TransientMetrics(*(1.0,) * 6)
+        cells = [BenchmarkCell("C", "impulse", m, metrics, outcome)
+                 for m, outcome in [(1.0, "settled"), (2.0, "diverged"), (3.0, "fell")]]
+        text = BenchmarkTable(cells).to_text()
+        assert f"{'Outcome (worst)':<26}{'diverged':>12}" in text.splitlines()
+
+
+class NoFeedback:
+    def command(self, z, dt):
+        return 0.0

@@ -1,6 +1,7 @@
 import copy
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from pendulum_lab.config import default_config
 from pendulum_lab.controllers import AnfisController, LqrController, PidController, design_lqr
 from pendulum_lab.plant import PhysicalParams, PlantState, UPRIGHT_THETA, derivative_fn, linearize
 from pendulum_lab.scenarios import ImpulseSpec, NoiseSpec, make_disturbance
-from pendulum_lab.simulate import (DIVERGENCE_LIMIT, SimConfig, TimeSeries, rk4_step,
-                                   rk4_stepper, run_closed_loop, run_closed_loops)
+from pendulum_lab.simulate import (DIVERGENCE_LIMIT, FALL_ANGLE, SimConfig, TimeSeries,
+                                   rk4_step, rk4_stepper, run_closed_loop, run_closed_loops)
 
 PARAMS = PhysicalParams()
 
@@ -209,12 +210,24 @@ class TestRunClosedLoop:
         assert crossing > 0
         assert np.all(np.diff(dev[: crossing + 1]) >= 0.0)
 
-    def test_divergence_flag_and_partial_log(self):
+    def test_divergence_flag_and_partial_log(self, monkeypatch):
+        # the pump topples the pendulum at 0.226 s; a 10-unit limit ends the run before that
+        monkeypatch.setattr(simulate, "DIVERGENCE_LIMIT", 10.0)
         cfg = SimConfig(horizon=40.0, initial_state=PlantState(x_dot=0.01))
         series = run_closed_loop(cfg, PumpController(), None, PARAMS)
-        assert series.diverged
+        assert series.diverged and not series.fell
         assert len(series) < 40_001
         assert np.all(np.isfinite(series.x))
+
+    def test_fall_flag_and_partial_log(self):
+        cfg = SimConfig(horizon=40.0, initial_state=PlantState(x_dot=0.01))
+        series = run_closed_loop(cfg, PumpController(), None, PARAMS)
+        assert series.fell and not series.diverged
+        assert len(series) == 227 and series.t[-1] == 0.226
+        dev = np.abs(series.theta_deviation())
+        assert dev[-1] > math.pi / 2 >= dev[:-1].max()
+        # the fallen state is logged with its command
+        assert series.u[-1] == PumpController().command((0.0, series.x_dot[-1], 0.0, 0.0), 1e-3)
 
     @pytest.mark.parametrize("value, diverged", [
         (math.nan, True),
@@ -225,13 +238,43 @@ class TestRunClosedLoop:
     ], ids=["nan", "inf", "just-past-limit", "at-limit", "at-minus-limit"])
     @pytest.mark.parametrize("component", range(4))
     def test_divergence_limit(self, monkeypatch, value, diverged, component):
-        # every step lands on the same state, with one component set to `value`
+        # every step lands on the same state, with one component set to `value`; a finite
+        # theta that far from pi has fallen, and the fallen state is logged
         state = [0.0, 0.0, UPRIGHT_THETA, 0.0]
         state[component] = value
         monkeypatch.setattr(simulate, "rk4_stepper", lambda params, dt: lambda s, force: tuple(state))
         series = run_closed_loop(SimConfig(horizon=0.01), None, None, PARAMS)
-        assert series.diverged is diverged
-        assert len(series) == (1 if diverged else 11)
+        fell = component == 2 and not diverged
+        assert (series.diverged, series.fell) == (diverged, fell)
+        assert len(series) == (1 if diverged else 2 if fell else 11)
+
+    @pytest.mark.parametrize("theta, fell", [
+        (UPRIGHT_THETA + FALL_ANGLE, False),
+        (UPRIGHT_THETA - FALL_ANGLE, False),
+        (math.nextafter(UPRIGHT_THETA + FALL_ANGLE, math.inf), True),
+        (math.nextafter(UPRIGHT_THETA - FALL_ANGLE, -math.inf), True),
+    ], ids=["at-plus", "at-minus", "past-plus", "past-minus"])
+    def test_fall_bound(self, monkeypatch, theta, fell):
+        # theta stays in [pi - pi/2, pi + pi/2], both ends included
+        state = (0.0, 0.0, theta, 0.0)
+        monkeypatch.setattr(simulate, "rk4_stepper", lambda params, dt: lambda s, force: state)
+        series = run_closed_loop(SimConfig(horizon=0.01), None, None, PARAMS)
+        assert (series.fell, series.diverged, len(series)) == (fell, False, 2 if fell else 11)
+
+    def test_divergence_wins_over_a_fall_at_the_same_step(self, monkeypatch):
+        state = (2 * DIVERGENCE_LIMIT, 0.0, UPRIGHT_THETA + 2.0, 0.0)
+        monkeypatch.setattr(simulate, "rk4_stepper", lambda params, dt: lambda s, force: state)
+        series = run_closed_loop(SimConfig(horizon=0.01), None, None, PARAMS)
+        assert (series.diverged, series.fell, len(series)) == (True, False, 1)
+
+    def test_fallen_state_is_logged_whatever_its_step(self):
+        cfg = SimConfig(horizon=40.0, initial_state=PlantState(x_dot=0.01))
+        full = run_closed_loop(cfg, PumpController(), None, PARAMS)
+        thin = run_closed_loop(replace(cfg, log_decimation=7), PumpController(), None, PARAMS)
+        assert thin.fell and (len(full) - 1) % 7 != 0
+        for col in ("t", "x", "x_dot", "theta", "theta_dot", "u", "d"):
+            logged = getattr(full, col)
+            assert np.array_equal(getattr(thin, col), np.append(logged[:-1:7], logged[-1]))
 
     def test_determinism_bit_identical(self):
         cfg = SimConfig(horizon=5.0)
@@ -279,7 +322,7 @@ FAMILY_CONTROLLERS = {
 def log_bytes(series):
     columns = (series.t, series.x, series.x_dot, series.theta, series.theta_dot, series.u,
                series.d)
-    return [column.tobytes() for column in columns] + [series.diverged]
+    return [column.tobytes() for column in columns] + [series.diverged, series.fell]
 
 
 def assert_family_matches_standalone(cfg, make_controller, disturbances):
@@ -409,21 +452,46 @@ class TestRunClosedLoops:
         assert math.copysign(1.0, family[1].d[0]) == -1.0
         assert log_bytes(family[0])[:6] == log_bytes(family[1])[:6]
 
-    def test_divergence_before_the_fork_ends_every_branch(self):
-        # PI never looks at the cart: from 999 km at 1 km/s it leaves the limit after 1 s
-        cfg = SimConfig(horizon=3.0, initial_state=PlantState(x=999_000.0, x_dot=1000.0))
+    def test_divergence_before_the_fork_ends_every_branch(self, monkeypatch):
+        # PI never looks at the cart: from 0.9 m at 1 m/s it leaves a 1 m limit after 0.1 s,
+        # long before the pendulum could fall
+        monkeypatch.setattr(simulate, "DIVERGENCE_LIMIT", 1.0)
+        cfg = SimConfig(horizon=3.0, initial_state=PlantState(x=0.9, x_dot=1.0))
         specs = [impulse(ImpulseSpec(m, onset=2.0, width=0.05)) for m in (10.0, 20.0, 30.0)]
         family = assert_family_matches_standalone(cfg, FAMILY_CONTROLLERS["PI"], specs)
         assert all(series.diverged for series in family)
         assert len(family[0]) < 2000
         assert log_bytes(family[0]) == log_bytes(family[1]) == log_bytes(family[2])
 
-    def test_only_the_toppling_branch_diverges(self):
+    def test_fall_before_the_fork_ends_every_branch(self):
+        # PI's linear loop is unstable: from 0.05 rad it falls at 1.6 s, before the onset
+        cfg = SimConfig(horizon=3.0, initial_state=PlantState(theta=UPRIGHT_THETA + 0.05))
+        specs = [impulse(ImpulseSpec(m, onset=2.0, width=0.05)) for m in (10.0, 20.0, 30.0)]
+        family = assert_family_matches_standalone(cfg, FAMILY_CONTROLLERS["PI"], specs)
+        assert all(series.fell and not series.diverged for series in family)
+        assert family[0].t[-1] < 2.0
+        assert log_bytes(family[0]) == log_bytes(family[1]) == log_bytes(family[2])
+
+    def test_only_the_toppling_branch_diverges(self, monkeypatch):
+        # the 1e5 N knock throws the cart past 50 m/s within a step, before the pendulum falls
+        monkeypatch.setattr(simulate, "DIVERGENCE_LIMIT", 50.0)
         cfg = SimConfig(horizon=8.0)
         specs = [impulse(ImpulseSpec(m, onset=0.5, width=0.05)) for m in (10.0, 1e5, 20.0)]
         family = assert_family_matches_standalone(cfg, FAMILY_CONTROLLERS["PID"], specs)
         assert [series.diverged for series in family] == [False, True, False]
+        assert not any(series.fell for series in family)
         assert len(family[0]) == len(family[2]) == 8001 > len(family[1])
+
+    @pytest.mark.parametrize("decimation", [1, 7])
+    def test_only_the_knocked_branch_falls(self, decimation):
+        cfg = SimConfig(horizon=8.0, log_decimation=decimation)
+        specs = [impulse(ImpulseSpec(m, onset=0.5, width=0.05)) for m in (10.0, 1e5, 20.0)]
+        family = assert_family_matches_standalone(cfg, FAMILY_CONTROLLERS["PID"], specs)
+        assert [series.fell for series in family] == [False, True, False]
+        assert not any(series.diverged for series in family)
+        assert 0.5 < family[1].t[-1] < 0.51
+        assert abs(family[1].theta[-1] - UPRIGHT_THETA) > math.pi / 2
+        assert len(family[0]) == len(family[2]) == 8000 // decimation + 1
 
     def test_no_disturbances_yield_nothing(self):
         assert list(run_closed_loops(SimConfig(horizon=0.1), None, [], PARAMS)) == []
