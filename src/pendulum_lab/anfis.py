@@ -10,16 +10,13 @@ rule carries an affine consequent.  The five-layer forward pass is
     layer 4  weighted consequents wbar_j (theta_j . z + theta_j0)
     layer 5  sum                  Z = sum_j wbar_j (theta_j . z + theta_j0)
 
-A single sample (the controller's path, one call per simulation step) is
-evaluated by the model's `law`: a Python function generated for that model,
-with layers 1-5 written out as straight-line float code and every premise
-and consequent value written in as a literal.  It is compiled on first use
-and cached on the model, and training, which builds hundreds of candidate
-models, never compiles one.  At 16 rules a dozen tiny numpy calls would cost
-more than the arithmetic, and a loop over parameter tuples spends most of
-its time on the loop.  Batches (the training path) go through numpy in
-`_infer_batch`, `_design_matrix` and `premise_gradients`; the two paths agree
-to rounding.
+A single sample is evaluated by straight-line float code generated for the
+model (`_law_source`), every premise and consequent value a literal: the
+closed loop inlines it, and the model's `law` compiles it on first use.
+Training, which builds hundreds of candidate models, compiles none.  At 16
+rules a dozen tiny numpy calls would cost more than the arithmetic.
+Batches (the training path) go through numpy in `_infer_batch`,
+`_design_matrix` and `premise_gradients`; the two paths agree to rounding.
 
 Training follows Jang's hybrid scheme (IEEE TSMC 1993): per epoch, the
 consequents are solved by linear least squares with the premises frozen,
@@ -144,8 +141,11 @@ class AnfisModel:
     def law(self):
         """Layers 1-5 for one sample, ``law(z0, ..., zn-1) -> float``, compiled
         from `_law_source` on first use and cached on the model."""
+        inputs = [f"z{k}" for k in range(self.n_inputs)]
+        body = _law_source(self, inputs, "out").replace("\n", "\n    ")
         namespace: dict = {}
-        exec(compile(_law_source(self), "<anfis law>", "exec"), namespace)
+        exec(compile(f"def law({', '.join(inputs)}):\n    {body}\n    return out\n",
+                     "<anfis law>", "exec"), namespace)
         # popped, so that the function and its globals form no reference cycle,
         # which only the cyclic collector would free
         return namespace.pop("law")
@@ -168,8 +168,9 @@ def _consequent_outputs(model: AnfisModel, z: np.ndarray) -> np.ndarray:
     return z @ model.consequents[:, :-1].T + model.consequents[:, -1]
 
 
-def _law_source(model: AnfisModel) -> str:
-    """Python source of the model's law: layers 1-5 unrolled over its rules.
+def _law_source(model: AnfisModel, inputs: Sequence[str], result: str) -> str:
+    """Python statements of the model's law, layers 1-5 unrolled over its rules,
+    reading the floats named ``inputs`` and setting ``result``.
 
     Every parameter is written in as its ``repr``, which round-trips a finite
     float exactly (and the model holds no other kind).  Each input k gets one
@@ -178,51 +179,50 @@ def _law_source(model: AnfisModel) -> str:
     to inf gives.  Rule strengths are prefix products, level by level in rule
     order (last input fastest).  The output is
     (sum_j w_j theta_j0 + sum_k z_k sum_j w_j theta_jk) / sum_j w_j.  Each
-    sum is a left fold from 0.0, one statement per term: a single expression
-    over thousands of terms is too deep for the compiler.  The standard
-    library's `dataclasses` generates its methods with `exec` for the same
-    reason: code written for one fixed shape runs faster than a generic loop.
+    sum is a left fold from 0.0 in statements of 16 terms, ``s = s + t1 +
+    t2 ...``: a single expression over thousands of terms is too deep for
+    the compiler.  The statements also assign ``d``, ``m*``, ``p*``,
+    ``total``, ``out`` and ``s``.
     """
-    n = model.n_inputs
-    lines = [f"def law({', '.join(f'z{k}' for k in range(n))}):"]
+    lines = []
     emit = lines.append
 
     mu = []
-    for k, params in enumerate(zip(model.a.tolist(), model.b.tolist(), model.c.tolist())):
+    for k, (z, *params) in enumerate(zip(inputs, model.a.tolist(), model.b.tolist(),
+                                         model.c.tolist())):
         names = []
         for m, (a, b, c) in enumerate(zip(*params)):
             name = f"m{k}_{m}"
-            emit(f"    d = (z{k} - {float(c)!r}) / {float(a)!r}")
-            emit("    try:")
-            emit(f"        {name} = 1.0 / (1.0 + (d * d) ** {float(b)!r})")
-            emit("    except OverflowError:")
-            emit(f"        {name} = 0.0")
+            emit(f"d = ({z} - {float(c)!r}) / {float(a)!r}")
+            emit("try:")
+            emit(f"    {name} = 1.0 / (1.0 + (d * d) ** {float(b)!r})")
+            emit("except OverflowError:")
+            emit(f"    {name} = 0.0")
             names.append(name)
         mu.append(names)
 
     w = mu[0]  # the first level's products 1.0 * mu are mu itself
-    for k in range(1, n):
+    for k in range(1, len(mu)):
         level = [f"p{k}_{j}" for j in range(len(w) * len(mu[k]))]
         for name, (p, m) in zip(level, itertools.product(w, mu[k])):
-            emit(f"    {name} = {p} * {m}")
+            emit(f"{name} = {p} * {m}")
         w = level
 
     def fold(target, terms):
-        emit(f"    {target} = 0.0 + {terms[0]}")
-        for t in terms[1:]:
-            emit(f"    {target} += {t}")
+        for start in range(0, len(terms), 16):
+            emit(f"{target} = {target if start else '0.0'} + {' + '.join(terms[start:start + 16])}")
 
     cons = model.consequents.tolist()
     fold("total", w)
-    emit("    if not total > 0.0:")
-    emit("        raise ValueError("
+    emit("if not total > 0.0:")
+    emit("    raise ValueError("
          "'firing strengths sum to zero; input too far outside all rules')")
     fold("out", [f"{wj} * {row[-1]!r}" for wj, row in zip(w, cons)])
-    for k in range(n):
+    for k, z in enumerate(inputs):
         fold("s", [f"{wj} * {row[k]!r}" for wj, row in zip(w, cons)])
-        emit(f"    out += z{k} * s")
-    emit("    return out / total")
-    return "\n".join(lines) + "\n"
+        emit(f"out = out + {z} * s")
+    emit(f"{result} = out / total")
+    return "\n".join(lines)
 
 
 def anfis_infer(model: AnfisModel, inputs: Sequence[float]) -> float:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .anfis import AnfisModel
+from .anfis import AnfisModel, _law_source
 from .artifacts import read_json, write_json
 from .plant import UPRIGHT_THETA, LinearStateSpace, PlantState, ctrb
 
@@ -177,8 +177,9 @@ def _deviation(state: PlantState) -> tuple[float, float, float, float]:
 class LqrController:
     """Stateless full-state feedback u = -K z around an `LqrDesign`.
 
-    The product stays numpy's ``K @ z``, a BLAS gemv, so its last bits
-    belong to the BLAS kernel that runs.  OpenBLAS's SkylakeX kernel gives
+    The product is ``np.dot(K, z)`` with K the (1, 4) gain row, a BLAS gemv
+    in `command` and in the closed loop alike, so its last bits belong to
+    the BLAS kernel that runs.  OpenBLAS's SkylakeX kernel gives
     bits that a Python left fold of the four products does not reproduce;
     its Nehalem, Sandybridge and Haswell kernels give the fold's bits.
     Every artifact downstream of stage 1 (dataset, model, table) carries the
@@ -190,7 +191,11 @@ class LqrController:
         self._K = design.K
 
     def command(self, z: tuple[float, float, float, float], dt: float) -> float:
-        return float(-(self._K @ np.array(z))[0])
+        return -np.dot(self._K, z).item()
+
+    def law_source(self, dt: float) -> tuple[str, dict, tuple]:
+        return ("u = -dot(K, (x, x_dot, phi, theta_dot)).item()",
+                {"dot": np.dot, "K": self._K}, ())
 
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)
@@ -244,6 +249,17 @@ class PidController:
         self.prev_error = error
         return self._kp * error + self._ki * integral + derivative
 
+    def law_source(self, dt: float) -> tuple[str, dict, tuple]:
+        # `command` line by line, its state in locals
+        return "\n".join((
+            "error = -phi",
+            f"integral = integral + 0.5 * (error + prev_error) * {dt!r}",
+            f"derivative = (derivative + {self._kd_n!r} * (error - prev_error))"
+            f" / {1.0 + self._n * dt!r}",
+            "prev_error = error",
+            f"u = {self._kp!r} * error + {self._ki!r} * integral + derivative",
+        )), {}, ("integral", "prev_error", "derivative")
+
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)
 
@@ -253,8 +269,8 @@ class AnfisController:
     (x, x', theta - pi, theta') straight to the voltage command.
 
     The model must take those 4 inputs, checked here rather than at the
-    first step.  The model's compiled `law` is bound once, so a command is
-    one call on the deviation floats, with the bits `anfis_infer` gives.
+    first step.  `command` calls the model's compiled `law`; the closed loop
+    inlines the law's statements.
     """
 
     def __init__(self, model: AnfisModel):
@@ -262,10 +278,12 @@ class AnfisController:
             raise ValueError(f"TS-LA model must take the 4 deviation inputs, "
                              f"got {model.n_inputs}")
         self.model = model
-        self._law = model.law
 
     def command(self, z: tuple[float, float, float, float], dt: float) -> float:
-        return self._law(*z)
+        return self.model.law(*z)
+
+    def law_source(self, dt: float) -> tuple[str, dict, tuple]:
+        return _law_source(self.model, ("x", "x_dot", "phi", "theta_dot"), "u"), {}, ()
 
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)

@@ -177,7 +177,7 @@ def derivative_fn(params: PhysicalParams):
         [m_p l cos..  J + m_p l^2     ] [theta'']   [-m_p g l sin(theta)                 ]
 
     whose determinant is positive for every theta when J > 0.  `accel` is
-    the bitwise reference of `simulate.rk4_stepper`, which inlines it.
+    the bitwise reference of the RK4 stage that `simulate` generates from it.
     """
     m_total = params.total_mass
     j_pivot = params.pivot_inertia

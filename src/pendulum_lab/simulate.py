@@ -19,6 +19,10 @@ diverged.
 simulates the stretch where their force grids agree (say, before an
 impulse's onset) once, forking at the first step where they differ; each
 log is bitwise the one `run_closed_loop` gives alone.
+
+Each `run_closed_loops` call compiles one loop function for its controller's
+kind (`_loop`), as `anfis.AnfisModel.law` is compiled: the law, the four RK4
+stages, the bound test and the logging are inline, every parameter a literal.
 """
 
 from __future__ import annotations
@@ -54,16 +58,15 @@ class Controller(Protocol):
     """Behavioural contract shared by all controllers: `command` and `copy.copy`.
 
     `command` maps the deviation state ``z = (x, x', theta - pi, theta')``,
-    a tuple of floats, to a voltage command under zero-order hold; it is the
-    only law `run_closed_loop` calls, once per step.  `copy.copy` must
-    capture any internal state (integrators, filters): `run_closed_loops`
+    a tuple of floats, to a voltage command under zero-order hold; the loop
+    calls it once per step.  The shipped kinds are inlined instead, from
+    their ``law_source(dt)`` (see `_loop`), with `command`'s bits and state
+    updates.  `copy.copy` must capture any internal state: `run_closed_loops`
     forks a run by shallow copies, and each copy must give exactly the
-    commands the original would.  The shipped controllers hold only floats
-    and immutable references, so they qualify.  A run starts from the state
-    its controller is in, so a fresh run takes a freshly built controller.
-    The shipped controllers also offer ``step(measured, dt)``, which takes a
-    `PlantState` and forwards to `command`; it serves callers at the
-    `PlantState` edge and is not part of this contract.
+    commands the original would.  A run starts from the state its controller
+    is in, so a fresh run takes a freshly built controller.  The shipped
+    controllers also offer ``step(measured, dt)``, which takes a `PlantState`
+    and forwards to `command`; it is not part of this contract.
     """
 
     def command(self, z: tuple[float, float, float, float], dt: float) -> float: ...
@@ -134,82 +137,63 @@ class TimeSeries:
                           for row in map(np.ndarray.tolist, table))
 
 
+def _rk4_constants(params: PhysicalParams, dt: float) -> dict:
+    ml = params.pend_mass * params.half_length
+    return {"neg_ml": -ml, "b": params.friction,
+            "mgl": params.pend_mass * params.gravity * params.half_length,
+            "mj": params.total_mass * params.pivot_inertia, "j": params.pivot_inertia,
+            "m": params.total_mass, "pi": UPRIGHT_THETA, "half": 0.5 * dt, "dt": dt,
+            "sixth": dt / 6.0}
+
+
+_STAGE = """\
+sn = sin(phi)
+m12 = {neg_ml} * cos(phi)
+r1 = force - {b} * {xd} + {neg_ml} * sn * {thd} * {thd}
+r2 = {mgl} * sn
+det = {mj} - m12 * m12
+a{n} = ({j} * r1 - m12 * r2) / det
+g{n} = ({m} * r2 - m12 * r1) / det"""
+
+
+def _rk4_lines(c: dict) -> list[str]:
+    """Lines of one RK4 step of (x, x_dot, theta, theta_dot) under ``force``,
+    entered with ``phi = theta - pi``; ``c`` maps `_rk4_constants`' keys to text.
+
+    `_STAGE` is `plant.derivative_fn`'s ``accel`` with its sign flips folded
+    into the constants (``neg_ml * cos`` for ``ml * -cos``, ``mgl * sin`` for
+    ``-mgl * -sin``): negation is exact, so the step is bitwise RK4 over ``accel``.
+    """
+    lines = _STAGE.format(n=1, xd="x_dot", thd="theta_dot", **c).splitlines()
+    for n, h, thd in ((2, c["half"], "theta_dot"), (3, c["half"], "thd2"), (4, c["dt"], "thd3")):
+        lines += [f"xd{n} = x_dot + {h} * a{n - 1}", f"thd{n} = theta_dot + {h} * g{n - 1}",
+                  f"phi = theta + {h} * {thd} - {c['pi']}"]
+        lines += _STAGE.format(n=n, xd=f"xd{n}", thd=f"thd{n}", **c).splitlines()
+    # x and theta first: their updates read the old x_dot and theta_dot
+    return lines + [f"x = x + {c['sixth']} * (x_dot + 2.0 * (xd2 + xd3) + xd4)",
+                    f"x_dot = x_dot + {c['sixth']} * (a1 + 2.0 * (a2 + a3) + a4)",
+                    f"theta = theta + {c['sixth']} * (theta_dot + 2.0 * (thd2 + thd3) + thd4)",
+                    f"theta_dot = theta_dot + {c['sixth']} * (g1 + 2.0 * (g2 + g3) + g4)"]
+
+
+def _compiled(source, name: str, constants: dict):
+    # globals that do not hold the function: it forms no reference cycle
+    defined: dict = {}
+    exec(source, {"sin": math.sin, "cos": math.cos, **constants}, defined)
+    return defined[name]
+
+
+_STEP = compile("\n    ".join([
+    "def step(state, force):", "x, x_dot, theta, theta_dot = state", "phi = theta - pi",
+    *_rk4_lines({name: name for name in _rk4_constants(PhysicalParams(), 1.0)}),
+    "return x, x_dot, theta, theta_dot\n"]), "<rk4 step>", "exec")
+
+
 def rk4_stepper(params: PhysicalParams, dt: float):
     """Return ``step(state, force) -> state``: one classical Runge-Kutta step
-    of length dt on the tuple (x, x', theta, theta') with the force held.
-
-    This is the loop's hot path, so the four stage accelerations are written
-    out in place.  Each stage is `plant.derivative_fn`'s ``accel`` operation
-    for operation, in the same order, so the result is bitwise that of RK4
-    over ``accel``; the tests hold the two copies to that.
-    """
-    m_total = params.total_mass
-    j_pivot = params.pivot_inertia
-    ml = params.pend_mass * params.half_length
-    neg_mgl = -(params.pend_mass * params.gravity * params.half_length)
-    b = params.friction
-    mj = m_total * j_pivot
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    sin, cos, pi = math.sin, math.cos, UPRIGHT_THETA
-
-    def step(state, force):
-        x, xd, th, thd = state
-
-        phi = th - pi
-        s = -sin(phi)
-        c = -cos(phi)
-        m12 = ml * c
-        r1 = force - b * xd + ml * s * thd * thd
-        r2 = neg_mgl * s
-        det = mj - m12 * m12
-        a1 = (j_pivot * r1 - m12 * r2) / det
-        g1 = (m_total * r2 - m12 * r1) / det
-
-        xd2 = xd + half * a1
-        thd2 = thd + half * g1
-        phi = th + half * thd - pi
-        s = -sin(phi)
-        c = -cos(phi)
-        m12 = ml * c
-        r1 = force - b * xd2 + ml * s * thd2 * thd2
-        r2 = neg_mgl * s
-        det = mj - m12 * m12
-        a2 = (j_pivot * r1 - m12 * r2) / det
-        g2 = (m_total * r2 - m12 * r1) / det
-
-        xd3 = xd + half * a2
-        thd3 = thd + half * g2
-        phi = th + half * thd2 - pi
-        s = -sin(phi)
-        c = -cos(phi)
-        m12 = ml * c
-        r1 = force - b * xd3 + ml * s * thd3 * thd3
-        r2 = neg_mgl * s
-        det = mj - m12 * m12
-        a3 = (j_pivot * r1 - m12 * r2) / det
-        g3 = (m_total * r2 - m12 * r1) / det
-
-        xd4 = xd + dt * a3
-        thd4 = thd + dt * g3
-        phi = th + dt * thd3 - pi
-        s = -sin(phi)
-        c = -cos(phi)
-        m12 = ml * c
-        r1 = force - b * xd4 + ml * s * thd4 * thd4
-        r2 = neg_mgl * s
-        det = mj - m12 * m12
-        a4 = (j_pivot * r1 - m12 * r2) / det
-        g4 = (m_total * r2 - m12 * r1) / det
-
-        return (
-            x + sixth * (xd + 2.0 * (xd2 + xd3) + xd4),
-            xd + sixth * (a1 + 2.0 * (a2 + a3) + a4),
-            th + sixth * (thd + 2.0 * (thd2 + thd3) + thd4),
-            thd + sixth * (g1 + 2.0 * (g2 + g3) + g4),
-        )
-
-    return step
+    of length dt on the tuple (x, x', theta, theta') with the force held: the
+    loop's `_rk4_lines`, compiled once, with the constants as globals."""
+    return _compiled(_STEP, "step", _rk4_constants(params, dt))
 
 
 def rk4_step(
@@ -225,54 +209,75 @@ def rk4_step(
     return PlantState(*nxt, t=state.t + dt)
 
 
-def _advance(config: SimConfig, step, state, start: int, stop: int, command, forces,
-             rows: list):
-    """Run the loop over steps ``start .. stop - 1`` from ``state``, the plant
-    state entering step ``start``, under ``forces[i]`` at step i, appending
-    the logged (x, x', theta, theta', u) to ``rows``.
+_LOOP = """\
+def loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, rows):
+    {load}
+    outcome = None
+    for i in range(start, stop):
+        phi = theta - {pi}
+        {law}
+        {decimate}rows += (x, x_dot, theta, theta_dot, u)
+        if i == {last}:
+            break
+        force = {gain} * u + forces[i]
+        {rk4}
+        # one test for both ends: NaN fails every comparison, so it leaves the box too
+        if not ({lo} <= x <= {hi} and {lo} <= x_dot <= {hi}
+                and {fell_lo} <= theta <= {fell_hi} and {lo} <= theta_dot <= {hi}):
+            i += 1
+            if ({lo} <= x <= {hi} and {lo} <= x_dot <= {hi}
+                    and {lo} <= theta <= {hi} and {lo} <= theta_dot <= {hi}):
+                phi = theta - {pi}
+                {fallen_law}
+                rows += (x, x_dot, theta, theta_dot, u)
+                outcome = "fell"
+            else:
+                outcome = "diverged"
+            break
+    else:
+        i = stop
+    {save}
+    return outcome, i, (x, x_dot, theta, theta_dot)
+"""
 
-    Returns ``(outcome, i, state)``: the run stands at step i in ``state``.
-    The outcome is None if the run reached step ``stop`` (or the grid's last
-    step), else "fell" or "diverged" with the first state past the bounds.
-    Step i logs when ``i % log_decimation == 0`` whichever call runs it, so a
-    run split across calls logs the steps of one call; a fallen state logs
-    whatever its step.
+
+def _loop(config: SimConfig, controller: Optional[Controller], params: PhysicalParams,
+          last: int):
+    """The closed loop of ``controller``'s kind, compiled from `_LOOP`.
+
+    ``loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, rows)`` runs
+    steps ``start .. stop - 1`` from that state under ``forces[i]`` with the
+    law of ``ctrl`` (the controller or a `copy.copy` of it), extending ``rows``
+    by the (x, x', theta, theta', u) of each step with ``i % log_decimation ==
+    0`` and of a fallen state.  It returns ``(outcome, i, state)``: None if the
+    run reached ``stop`` (or ``last``, the grid's end), else "fell" or
+    "diverged".  ``law_source(dt)`` gives statements that set u from x, x_dot,
+    phi and theta_dot, their globals, and the controller attributes they
+    update, held in locals and written back on return.  Other controllers'
+    law calls `command`; open loop's is ``u = 0.0``.
     """
     dt = config.dt
-    gain = config.actuator_gain
-    decimation = config.log_decimation
-    limit = DIVERGENCE_LIMIT
-    low, high = UPRIGHT_THETA - FALL_ANGLE, UPRIGHT_THETA + FALL_ANGLE
-    last = len(forces) - 1
-    x, x_dot, theta, theta_dot = state
-
-    for i in range(start, stop):
-        if command is not None:
-            u = command((x, x_dot, theta - UPRIGHT_THETA, theta_dot), dt)
-        else:
-            u = 0.0
-        if i % decimation == 0:
-            rows.append((x, x_dot, theta, theta_dot, u))
-        if i == last:
-            return None, i, (x, x_dot, theta, theta_dot)
-        x, x_dot, theta, theta_dot = step((x, x_dot, theta, theta_dot), gain * u + forces[i])
-        # one test for both ends: NaN fails every comparison, so it leaves the box too
-        if not (-limit <= x <= limit and -limit <= x_dot <= limit
-                and low <= theta <= high and -limit <= theta_dot <= limit):
-            state = (x, x_dot, theta, theta_dot)
-            if not all(-limit <= v <= limit for v in state):
-                return "diverged", i + 1, state
-            if command is not None:
-                u = command((x, x_dot, theta - UPRIGHT_THETA, theta_dot), dt)
-            else:
-                u = 0.0
-            rows.append((*state, u))
-            return "fell", i + 1, state
-    return None, stop, (x, x_dot, theta, theta_dot)
+    if controller is None:
+        law, names, state = "u = 0.0", {}, ()
+    elif hasattr(controller, "law_source"):
+        law, names, state = controller.law_source(dt)
+    else:
+        law, names, state = f"u = ctrl.command((x, x_dot, phi, theta_dot), {dt!r})", {}, ()
+    attrs = ", ".join(f"ctrl.{name}" for name in state)
+    source = _LOOP.format(
+        load=f"{', '.join(state)} = {attrs}" if state else "",
+        save=f"{attrs} = {', '.join(state)}" if state else "",
+        law=law.replace("\n", "\n" + " " * 8), fallen_law=law.replace("\n", "\n" + " " * 16),
+        decimate=f"if i % {config.log_decimation} == 0: " if config.log_decimation > 1 else "",
+        rk4="\n        ".join(_rk4_lines({k: repr(v) for k, v in _rk4_constants(params, dt).items()})),
+        pi=repr(UPRIGHT_THETA), last=last, gain=repr(config.actuator_gain),
+        lo=repr(-DIVERGENCE_LIMIT), hi=repr(DIVERGENCE_LIMIT),
+        fell_lo=repr(UPRIGHT_THETA - FALL_ANGLE), fell_hi=repr(UPRIGHT_THETA + FALL_ANGLE))
+    return _compiled(source, "loop", names)
 
 
 def _table(rows: list) -> np.ndarray:
-    return np.array(rows, dtype=float).reshape(len(rows), 5)
+    return np.array(rows, dtype=float).reshape(-1, 5)
 
 
 def _series(data: np.ndarray, times: np.ndarray, forces: np.ndarray, decimation: int,
@@ -313,7 +318,6 @@ def run_closed_loops(
     disturbances = list(disturbances)
     if not disturbances:
         return
-    step = rk4_stepper(params, config.dt)
     n_steps = round(config.horizon / config.dt)
     initial = config.initial_state
     times = initial.t + np.arange(n_steps + 1) * config.dt
@@ -324,12 +328,11 @@ def run_closed_loops(
     differ = np.flatnonzero((bits != bits[0]).any(axis=0))
     fork = int(differ[0]) if differ.size else n_steps + 1
     decimation = config.log_decimation
-    command = controller.command if controller is not None else None
+    loop = _loop(config, controller, params, n_steps)
 
     rows: list = []
-    outcome, end, state = _advance(
-        config, step, (initial.x, initial.x_dot, initial.theta, initial.theta_dot),
-        0, fork, command, forces[0].tolist(), rows)
+    outcome, end, state = loop(controller, initial.x, initial.x_dot, initial.theta,
+                               initial.theta_dot, 0, fork, forces[0].tolist(), rows)
     if outcome is not None or fork > n_steps:
         for row in forces:
             yield _series(_table(rows), times, row, decimation, outcome, end)
@@ -337,12 +340,10 @@ def run_closed_loops(
 
     shared = _table(rows)
     del rows
-    branches = [copy.copy(controller) for _ in disturbances]
-    for branch, row in zip(branches, forces):
+    for row in forces:
         rows = []
-        outcome, end, _ = _advance(config, step, state, fork, n_steps + 1,
-                                   branch.command if branch is not None else None,
-                                   row.tolist(), rows)
+        outcome, end, _ = loop(copy.copy(controller), *state, fork, n_steps + 1, row.tolist(),
+                               rows)
         data = np.concatenate((shared, _table(rows)))
         del rows
         yield _series(data, times, row, decimation, outcome, end)

@@ -358,9 +358,9 @@ class TestCompiledLaw:
         sources = []
         law_source = anfis._law_source
 
-        def counting(model):
+        def counting(model, *names):
             sources.append(model)
-            return law_source(model)
+            return law_source(model, *names)
 
         monkeypatch.setattr(anfis, "_law_source", counting)
         ds = affine_dataset(np.array([-34.64, -20.73, 67.03, 13.09]))

@@ -25,18 +25,27 @@ PACKAGE = Path(pendulum_lab.__file__).resolve().parent
 
 STEP_PROBE = "perfbench times one controller step through it"
 NOT_AFFINE = "training steps the premises only on a target that is not affine"
+INLINED = ("the closed loop inlines its `law_source`; `step` calls it, and the loop's "
+           "equivalence test holds the loop to it")
 ALLOWLIST = {
     "anfis.anfis_infer": "the reference of the compiled TS-LA law; perfbench calls it",
+    "anfis.AnfisModel.law": "the compiled single-sample law; `anfis_infer` and "
+                            "`AnfisController.command` call it",
     "anfis.premise_gradients": NOT_AFFINE + "; perfbench times it",
     "anfis._premise_step": NOT_AFFINE,
     "controllers._deviation": "serves the `step` adapters",
     "controllers.LqrController.step": STEP_PROBE,
     "controllers.PidController.step": STEP_PROBE,
     "controllers.AnfisController.step": STEP_PROBE,
+    "controllers.LqrController.command": INLINED,
+    "controllers.PidController.command": INLINED,
+    "controllers.AnfisController.command": INLINED,
     "plant.PlantState.deviation": "perfbench builds its probe inputs with it",
-    "plant.derivative_fn": "the bitwise reference of `rk4_stepper`; perfbench probes it",
-    "plant.derivative_fn.<locals>.accel": "the bitwise reference of `rk4_stepper`",
+    "plant.derivative_fn": "the bitwise reference of the RK4 lines; perfbench probes it",
+    "plant.derivative_fn.<locals>.accel": "the bitwise reference of the RK4 lines",
     "simulate.rk4_step": "perfbench times one RK4 step through it",
+    "simulate.rk4_stepper": "the closed loop inlines its lines; `rk4_step` steps through "
+                            "it and a test holds it to RK4 over `derivative_fn`",
     "cli._Parser.error": "error path: a usage error",
     "controllers.CareError.__init__": "error path: a Riccati solve that fails",
     "simulate.Controller.command": "the protocol's stub; controllers implement it",

@@ -185,6 +185,14 @@ class TestSimConfig:
             SimConfig(**kwargs)
 
 
+def stub_stage(monkeypatch, state):
+    """Make every step of the generated loop land on ``state``: its RK4 lines are
+    replaced by one assignment (hex literals, so that nan and inf survive)."""
+    values = ", ".join(f"float.fromhex({float(v).hex()!r})" for v in state)
+    monkeypatch.setattr(simulate, "_rk4_lines",
+                        lambda constants: [f"x, x_dot, theta, theta_dot = {values}"])
+
+
 class TestRunClosedLoop:
     def test_equilibrium_stays_constant(self):
         cfg = SimConfig(horizon=2.0)
@@ -242,7 +250,7 @@ class TestRunClosedLoop:
         # theta that far from pi has fallen, and the fallen state is logged
         state = [0.0, 0.0, UPRIGHT_THETA, 0.0]
         state[component] = value
-        monkeypatch.setattr(simulate, "rk4_stepper", lambda params, dt: lambda s, force: tuple(state))
+        stub_stage(monkeypatch, state)
         series = run_closed_loop(SimConfig(horizon=0.01), None, None, PARAMS)
         fell = component == 2 and not diverged
         assert (series.diverged, series.fell) == (diverged, fell)
@@ -257,13 +265,13 @@ class TestRunClosedLoop:
     def test_fall_bound(self, monkeypatch, theta, fell):
         # theta stays in [pi - pi/2, pi + pi/2], both ends included
         state = (0.0, 0.0, theta, 0.0)
-        monkeypatch.setattr(simulate, "rk4_stepper", lambda params, dt: lambda s, force: state)
+        stub_stage(monkeypatch, state)
         series = run_closed_loop(SimConfig(horizon=0.01), None, None, PARAMS)
         assert (series.fell, series.diverged, len(series)) == (fell, False, 2 if fell else 11)
 
     def test_divergence_wins_over_a_fall_at_the_same_step(self, monkeypatch):
         state = (2 * DIVERGENCE_LIMIT, 0.0, UPRIGHT_THETA + 2.0, 0.0)
-        monkeypatch.setattr(simulate, "rk4_stepper", lambda params, dt: lambda s, force: state)
+        stub_stage(monkeypatch, state)
         series = run_closed_loop(SimConfig(horizon=0.01), None, None, PARAMS)
         assert (series.diverged, series.fell, len(series)) == (True, False, 1)
 
@@ -495,6 +503,102 @@ class TestRunClosedLoops:
 
     def test_no_disturbances_yield_nothing(self):
         assert list(run_closed_loops(SimConfig(horizon=0.1), None, [], PARAMS)) == []
+
+
+class LeakyController:
+    """A custom controller with state of its own: the loop must call its `command`."""
+
+    def __init__(self):
+        self.memory = 0.0
+
+    def command(self, z, dt):
+        self.memory = 0.5 * self.memory + z[2] * dt
+        return 40.0 * z[2] + 5.0 * z[3] + 100.0 * self.memory
+
+
+LOOP_KINDS = {**FAMILY_CONTROLLERS, "custom": LeakyController, "none": lambda: None}
+PID_STATE = ("integral", "prev_error", "derivative")
+
+
+def reference_run(cfg, controller, disturbance, params, limit=DIVERGENCE_LIMIT, steps=None):
+    """The closed loop written plainly: `command` once per step, then RK4 over
+    `plant.derivative_fn`, ending at the first state past the module's bounds.
+
+    Runs ``steps`` commands (all of the grid when None) and returns the log columns
+    and flags as `log_bytes` gives them.
+    """
+    n = round(cfg.horizon / cfg.dt)
+    start = cfg.initial_state
+    state = (start.x, start.x_dot, start.theta, start.theta_dot)
+    rows, fell, diverged = [], False, False
+    for i in range(n + 1 if steps is None else steps):
+        t = float(start.t + np.float64(i) * cfg.dt)
+        d = float(disturbance(t)) if disturbance is not None else 0.0
+        z = (state[0], state[1], state[2] - UPRIGHT_THETA, state[3])
+        u = controller.command(z, cfg.dt) if controller is not None else 0.0
+        if i % cfg.log_decimation == 0 or fell:
+            rows.append((t, *state, u, d))
+        if fell or i == n:
+            break
+        state = rk4_over_accel(params, state, cfg.actuator_gain * u + d, cfg.dt)
+        if not all(-limit <= v <= limit for v in state):
+            diverged = True
+            break
+        fell = not (UPRIGHT_THETA - FALL_ANGLE <= state[2] <= UPRIGHT_THETA + FALL_ANGLE)
+    columns = np.array(rows, dtype=float).reshape(-1, 7).T
+    return [np.ascontiguousarray(c).tobytes() for c in columns] + [diverged, fell]
+
+
+class TestGeneratedLoop:
+    """Each kind's generated loop must equal, bit for bit, the loop written plainly:
+    RK4 over `derivative_fn` and the controller's `command`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(LOOP_KINDS)),
+           theta_dev=st.floats(min_value=-0.3, max_value=0.3),
+           magnitude=st.sampled_from([0.0, 10.0, -40.0, 3e3]),
+           decimation=st.sampled_from([1, 3]), gain=st.sampled_from([1.0, 2.5]),
+           limit=st.sampled_from([DIVERGENCE_LIMIT, 5.0]))
+    @example(kind="PID", theta_dev=0.05, magnitude=3e3, decimation=3, gain=2.5,
+             limit=DIVERGENCE_LIMIT)  # falls
+    @example(kind="LQR", theta_dev=0.0, magnitude=3e3, decimation=1, gain=1.0,
+             limit=5.0)  # diverges
+    @example(kind="TS-LA", theta_dev=-0.1, magnitude=-40.0, decimation=3, gain=2.5,
+             limit=DIVERGENCE_LIMIT)
+    @example(kind="none", theta_dev=0.3, magnitude=0.0, decimation=3, gain=1.0,
+             limit=DIVERGENCE_LIMIT)  # falls open loop
+    def test_matches_the_plain_loop(self, kind, theta_dev, magnitude, decimation, gain, limit):
+        cfg = SimConfig(horizon=0.4, log_decimation=decimation, actuator_gain=gain,
+                        initial_state=PlantState(x=0.1, theta=UPRIGHT_THETA + theta_dev, t=0.25))
+        spec = ImpulseSpec(magnitude, onset=0.3, width=0.02)
+        loop_controller, plain_controller = LOOP_KINDS[kind](), LOOP_KINDS[kind]()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "DIVERGENCE_LIMIT", limit)
+            series = run_closed_loop(cfg, loop_controller, make_disturbance(spec), PARAMS)
+        assert log_bytes(series) == reference_run(cfg, plain_controller, make_disturbance(spec),
+                                                  PARAMS, limit)
+        # the run leaves the controller where `command` would
+        for name in PID_STATE + ("memory",):
+            if hasattr(plain_controller, name):
+                assert getattr(loop_controller, name) == getattr(plain_controller, name)
+
+    @pytest.mark.parametrize("kind", sorted(LOOP_KINDS))
+    def test_fork_where_one_branch_falls(self, kind):
+        cfg = SimConfig(horizon=1.0, log_decimation=3,
+                        initial_state=PlantState(theta=UPRIGHT_THETA + 0.02))
+        specs = [ImpulseSpec(m, onset=0.2, width=0.05) for m in (10.0, 1e5, 20.0)]
+        controller = LOOP_KINDS[kind]()
+        family = list(run_closed_loops(cfg, controller, map(make_disturbance, specs), PARAMS))
+        assert family[1].fell and len(family[1]) < len(family[0])
+        for series, spec in zip(family, specs):
+            want = reference_run(cfg, LOOP_KINDS[kind](), make_disturbance(spec), PARAMS)
+            assert log_bytes(series) == want
+        # the controller passed in holds the state of the shared stretch: 200 commands
+        plain = LOOP_KINDS[kind]()
+        reference_run(cfg, plain, make_disturbance(specs[0]), PARAMS, steps=200)
+        for name in PID_STATE + ("memory",):
+            if hasattr(plain, name):
+                assert getattr(controller, name) == getattr(plain, name)
 
 
 class TestTimeSeriesCsv:
