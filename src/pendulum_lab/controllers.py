@@ -193,9 +193,8 @@ class LqrController:
     def command(self, z: tuple[float, float, float, float], dt: float) -> float:
         return -np.dot(self._K, z).item()
 
-    def law_source(self, dt: float) -> tuple[str, dict, tuple]:
-        return ("u = -dot(K, (x, x_dot, phi, theta_dot)).item()",
-                {"dot": np.dot, "K": self._K}, ())
+    def law_source(self) -> tuple[str, dict]:
+        return "u = -dot(K, (x, x_dot, phi, theta_dot)).item()", {"dot": np.dot, "K": self._K}
 
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)
@@ -229,7 +228,7 @@ class PidController:
     filtered differentiator kd N s / (s + N), discretized with backward
     Euler:  d_k = (d_{k-1} + kd N (e_k - e_{k-1})) / (1 + N dt).
     ``integral``, ``prev_error`` and ``derivative`` hold that state, zero
-    at construction.
+    at construction; the closed loop runs the law through `command`.
     """
 
     def __init__(self, gains: PidGains):
@@ -248,17 +247,6 @@ class PidController:
             (self.derivative + self._kd_n * (error - prev)) / (1.0 + self._n * dt))
         self.prev_error = error
         return self._kp * error + self._ki * integral + derivative
-
-    def law_source(self, dt: float) -> tuple[str, dict, tuple]:
-        # `command` line by line, its state in locals
-        return "\n".join((
-            "error = -phi",
-            f"integral = integral + 0.5 * (error + prev_error) * {dt!r}",
-            f"derivative = (derivative + {self._kd_n!r} * (error - prev_error))"
-            f" / {1.0 + self._n * dt!r}",
-            "prev_error = error",
-            f"u = {self._kp!r} * error + {self._ki!r} * integral + derivative",
-        )), {}, ("integral", "prev_error", "derivative")
 
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)
@@ -282,8 +270,8 @@ class AnfisController:
     def command(self, z: tuple[float, float, float, float], dt: float) -> float:
         return self.model.law(*z)
 
-    def law_source(self, dt: float) -> tuple[str, dict, tuple]:
-        return _law_source(self.model, ("x", "x_dot", "phi", "theta_dot"), "u"), {}, ()
+    def law_source(self) -> tuple[str, dict]:
+        return _law_source(self.model, ("x", "x_dot", "phi", "theta_dot"), "u"), {}
 
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)

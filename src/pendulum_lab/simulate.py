@@ -21,8 +21,10 @@ impulse's onset) once, forking at the first step where they differ; each
 log is bitwise the one `run_closed_loop` gives alone.
 
 Each `run_closed_loops` call compiles one loop function for its controller's
-kind (`_loop`), as `anfis.AnfisModel.law` is compiled: the law, the four RK4
-stages, the bound test and the logging are inline, every parameter a literal.
+kind (`_loop`), as `anfis.AnfisModel.law` is compiled: the four RK4 stages,
+the bound test and the logging are inline, every parameter a literal.  So is
+the law of a stateless controller (LQR, TS-LA); any other (PI, PID) runs
+through its own `command`.
 """
 
 from __future__ import annotations
@@ -59,14 +61,16 @@ class Controller(Protocol):
 
     `command` maps the deviation state ``z = (x, x', theta - pi, theta')``,
     a tuple of floats, to a voltage command under zero-order hold; the loop
-    calls it once per step.  The shipped kinds are inlined instead, from
-    their ``law_source(dt)`` (see `_loop`), with `command`'s bits and state
-    updates.  `copy.copy` must capture any internal state: `run_closed_loops`
-    forks a run by shallow copies, and each copy must give exactly the
-    commands the original would.  A run starts from the state its controller
-    is in, so a fresh run takes a freshly built controller.  The shipped
-    controllers also offer ``step(measured, dt)``, which takes a `PlantState`
-    and forwards to `command`; it is not part of this contract.
+    calls it once per step.  `copy.copy` must capture any internal state:
+    `run_closed_loops` forks a run by shallow copies, and each copy must
+    give exactly the commands the original would.  A run starts from the
+    state its controller is in, so a fresh run takes a freshly built
+    controller.  A controller may also offer ``law_source()``, statements
+    with `command`'s bits that the loop inlines in place of the call (see
+    `_loop`); they write no state back, so only a law without state may
+    offer one.  The shipped controllers also offer ``step(measured, dt)``,
+    which takes a `PlantState` and forwards to `command`; it is not part of
+    this contract.
     """
 
     def command(self, z: tuple[float, float, float, float], dt: float) -> float: ...
@@ -211,7 +215,6 @@ def rk4_step(
 
 _LOOP = """\
 def loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, rows):
-    {load}
     outcome = None
     for i in range(start, stop):
         phi = theta - {pi}
@@ -236,7 +239,6 @@ def loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, rows):
             break
     else:
         i = stop
-    {save}
     return outcome, i, (x, x_dot, theta, theta_dot)
 """
 
@@ -251,22 +253,19 @@ def _loop(config: SimConfig, controller: Optional[Controller], params: PhysicalP
     by the (x, x', theta, theta', u) of each step with ``i % log_decimation ==
     0`` and of a fallen state.  It returns ``(outcome, i, state)``: None if the
     run reached ``stop`` (or ``last``, the grid's end), else "fell" or
-    "diverged".  ``law_source(dt)`` gives statements that set u from x, x_dot,
-    phi and theta_dot, their globals, and the controller attributes they
-    update, held in locals and written back on return.  Other controllers'
-    law calls `command`; open loop's is ``u = 0.0``.
+    "diverged".  ``law_source()`` gives statements that set u from x, x_dot,
+    phi and theta_dot, and the globals they read.  Other controllers' law
+    calls `command`, which keeps their state on ``ctrl``; open loop's is
+    ``u = 0.0``.
     """
     dt = config.dt
     if controller is None:
-        law, names, state = "u = 0.0", {}, ()
+        law, names = "u = 0.0", {}
     elif hasattr(controller, "law_source"):
-        law, names, state = controller.law_source(dt)
+        law, names = controller.law_source()
     else:
-        law, names, state = f"u = ctrl.command((x, x_dot, phi, theta_dot), {dt!r})", {}, ()
-    attrs = ", ".join(f"ctrl.{name}" for name in state)
+        law, names = f"u = ctrl.command((x, x_dot, phi, theta_dot), {dt!r})", {}
     source = _LOOP.format(
-        load=f"{', '.join(state)} = {attrs}" if state else "",
-        save=f"{attrs} = {', '.join(state)}" if state else "",
         law=law.replace("\n", "\n" + " " * 8), fallen_law=law.replace("\n", "\n" + " " * 16),
         decimate=f"if i % {config.log_decimation} == 0: " if config.log_decimation > 1 else "",
         rk4="\n        ".join(_rk4_lines({k: repr(v) for k, v in _rk4_constants(params, dt).items()})),

@@ -38,7 +38,6 @@ ALLOWLIST = {
     "controllers.PidController.step": STEP_PROBE,
     "controllers.AnfisController.step": STEP_PROBE,
     "controllers.LqrController.command": INLINED,
-    "controllers.PidController.command": INLINED,
     "controllers.AnfisController.command": INLINED,
     "plant.PlantState.deviation": "perfbench builds its probe inputs with it",
     "plant.derivative_fn": "the bitwise reference of the RK4 lines; perfbench probes it",
