@@ -18,7 +18,10 @@ or a TS-LA model without the 4 deviation inputs); 2 numerical failure; 3 a
 benchmark that ran, but with a cell whose pendulum fell (|theta - pi| past
 pi/2) or whose run diverged.  PI's linear loop is unstable, so its cells
 fall by construction and the default `benchmark --auto` exits 3.  A
-`simulate` run that falls or diverges still exits 0.
+`simulate` run that falls or diverges still exits 0, as does one logged to
+less than the disturbance's onset + 10 s, which the metrics need: it prints
+why there are no metrics in their place.  `benchmark` rejects such a
+horizon as a config error (exit 1) before any stage, `--auto` ones too.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from .anfis import Dataset, load_model, save_model
 from .artifacts import read_json, write_json
 from .config import ConfigError, RunConfig, config_sha256, default_config, load_config
 from .controllers import AnfisController, CareError, LqrController, LqrDesign, PidController
-from .pipeline import (benchmark_from_config, build_dataset, design_from_config, stage1_runs,
-                       train_from_config)
+from .pipeline import (benchmark_from_config, build_dataset, check_metrics_span,
+                       design_from_config, stage1_runs, train_from_config)
 from .plant import controllability, linearize, poles, root_locus_sweep, transfer_functions, \
     write_locus_csv, write_poles_csv
-from .scenarios import compute_metrics, make_disturbance
+from .scenarios import METRICS_SPAN, compute_metrics, make_disturbance
 from .simulate import run_closed_loop
 
 EXIT_OK = 0
@@ -273,6 +276,9 @@ def cmd_simulate(args) -> int:
         print("run diverged before the horizon")
     elif series.fell:
         print(f"pendulum fell at t = {series.t[-1]:.2f} s")
+    elif series.t[-1] < onset + METRICS_SPAN:
+        print(f"no metrics: the log ends at t = {series.t[-1]:.2f} s, before onset + "
+              f"{METRICS_SPAN:g} s = {onset + METRICS_SPAN:g} s")
     else:
         m = compute_metrics(series, onset, config.scenarios.bands)
         print(f"settling {m.settling_time:.4g} s, peak theta dev "
@@ -283,6 +289,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     config = _load(args)
+    check_metrics_span(config)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 

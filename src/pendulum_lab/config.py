@@ -52,6 +52,13 @@ class Stage1Config:
     impulse_onset: float = 1.0
     horizon: float = 12.0
 
+    def __post_init__(self) -> None:
+        if not (self.initial_theta_devs or self.impulse_magnitudes):
+            raise ValueError("anfis.stage1 needs at least one run: initial_theta_devs and "
+                             "impulse_magnitudes are both empty")
+        if not (math.isfinite(self.impulse_onset) and self.impulse_onset >= 0.0):
+            raise ValueError(f"anfis.stage1.impulse_onset must be >= 0, got {self.impulse_onset!r}")
+
 
 @dataclass(frozen=True)
 class AnfisConfig:
@@ -81,6 +88,10 @@ class LqrConfig:
     def __post_init__(self) -> None:
         if len(self.q_diag) != 4:
             raise ValueError(f"lqr.q_diag must have 4 entries, got {len(self.q_diag)}")
+        if not all(math.isfinite(q) and q >= 0.0 for q in self.q_diag):
+            raise ValueError(f"lqr.q_diag entries must be >= 0, got {list(self.q_diag)}")
+        if not (math.isfinite(self.r) and self.r > 0.0):
+            raise ValueError(f"lqr.r must be > 0, got {self.r!r}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +113,13 @@ class RunConfig:
                                                            filter_n=678.646))
     anfis: AnfisConfig = field(default_factory=AnfisConfig)
     scenarios: ScenarioConfig = field(default_factory=ScenarioConfig)
+
+    def __post_init__(self) -> None:
+        # each horizon that stands in for sim.horizon must pass its check against sim.dt
+        for key, horizon in (("anfis.stage1.horizon", self.anfis.stage1.horizon),
+                             ("scenarios.noise.horizon", self.scenarios.noise_horizon)):
+            if not (math.isfinite(horizon) and horizon >= self.sim.dt):
+                raise ValueError(f"{key} must be >= sim.dt ({self.sim.dt!r}), got {horizon!r}")
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Override every stochastic seed (dataset subsampling and noise)."""

@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .anfis import AnfisModel, Dataset, TrainingHistory, generate_dataset, train_hybrid
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .controllers import AnfisController, LqrController, LqrDesign, PidController, design_lqr
 from .plant import UPRIGHT_THETA, PlantState, linearize
-from .scenarios import BenchmarkTable, ImpulseSpec, make_disturbance, run_benchmark
-from .simulate import TimeSeries, run_closed_loop
+from .scenarios import METRICS_SPAN, BenchmarkTable, ImpulseSpec, make_disturbance, run_benchmark
+from .simulate import TimeSeries, run_closed_loop, step_times
 
 __all__ = ["design_from_config", "stage1_runs", "build_dataset", "train_from_config",
-           "benchmark_from_config"]
+           "check_metrics_span", "benchmark_from_config"]
 
 
 def design_from_config(config: RunConfig) -> LqrDesign:
@@ -55,6 +55,18 @@ def build_dataset(config: RunConfig, design: LqrDesign) -> Dataset:
 
 def train_from_config(config: RunConfig, dataset: Dataset) -> tuple[AnfisModel, TrainingHistory]:
     return train_hybrid(dataset, config.anfis.train_config())
+
+
+def check_metrics_span(config: RunConfig) -> None:
+    """Raise `ConfigError` unless every benchmark run that stays up is logged to
+    `METRICS_SPAN` past its disturbance's onset, as its metrics need."""
+    noise_sim = replace(config.sim, horizon=config.scenarios.noise_horizon)
+    for key, sim, onset in (("sim.horizon", config.sim, config.scenarios.impulse.onset),
+                            ("scenarios.noise.horizon", noise_sim, 0.0)):
+        end = float(step_times(sim)[::sim.log_decimation][-1])
+        if end < onset + METRICS_SPAN:
+            raise ConfigError(f"{key} {sim.horizon!r} logs the benchmark's runs to t = {end!r} s,"
+                              f" but their metrics need onset {onset!r} + {METRICS_SPAN:g} s")
 
 
 def benchmark_from_config(config: RunConfig, model: AnfisModel) -> BenchmarkTable:

@@ -35,6 +35,9 @@ __all__ = [
 
 UNBOUNDED = math.inf
 
+# how long after its disturbance's onset a run must be logged for its metrics
+METRICS_SPAN = 10.0
+
 BENCHMARK_HEADER = [
     "controller",
     "scenario",
@@ -205,8 +208,8 @@ def compute_metrics(
                                 float(np.abs(series.x_dot[after]).max()), UNBOUNDED, UNBOUNDED)
     if len(series) < 2:
         raise ValueError("series too short for metrics")
-    if t[-1] < onset + 10.0:
-        raise ValueError(f"series must cover onset + 10 s (ends at {t[-1]:.3f})")
+    if t[-1] < onset + METRICS_SPAN:
+        raise ValueError(f"series must cover onset + {METRICS_SPAN:g} s (ends at {t[-1]:.3f})")
 
     after = t >= onset
     t_after = t[after]

@@ -291,6 +291,12 @@ def _series(data: np.ndarray, times: np.ndarray, forces: np.ndarray, decimation:
     return TimeSeries(*table.T, diverged=outcome == "diverged", fell=outcome == "fell")
 
 
+def step_times(config: SimConfig) -> np.ndarray:
+    """The step grid ``t0 + i*dt`` (i = 0 .. n_steps) of a run under ``config``."""
+    n_steps = round(config.horizon / config.dt)
+    return config.initial_state.t + np.arange(n_steps + 1) * config.dt
+
+
 def run_closed_loops(
     config: SimConfig,
     controller: Optional[Controller],
@@ -317,9 +323,9 @@ def run_closed_loops(
     disturbances = list(disturbances)
     if not disturbances:
         return
-    n_steps = round(config.horizon / config.dt)
+    times = step_times(config)
+    n_steps = len(times) - 1
     initial = config.initial_state
-    times = initial.t + np.arange(n_steps + 1) * config.dt
     grid = times.tolist()
     forces = np.array([[0.0] * len(grid) if f is None else list(map(f, grid))
                        for f in disturbances], dtype=float)

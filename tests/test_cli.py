@@ -158,6 +158,16 @@ def _design_lqr_with(doc):
     return run
 
 
+def _gen_data_with(doc):
+    """`gen-data` under ``doc`` on the default design."""
+    def run(tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["design-lqr", "--out", str(out)]) == cli.EXIT_OK
+        config = write_config(tmp_path / "config.json", doc)
+        return cli.main(["gen-data", "--config", str(config), "--out", str(out)])
+    return run
+
+
 def _train_on_empty_dataset(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["design-lqr", "--out", str(out)]) == cli.EXIT_OK
@@ -203,12 +213,26 @@ def _gen_data_on_truncated_design(tmp_path):
     (_gen_data_on_truncated_design, cli.EXIT_USAGE, ("bad artifact: ", "lqr_design.json: ")),
     (_design_lqr_with({"lqr": {"r": True}, "sim": {"dt": "1e-3"}}), cli.EXIT_USAGE,
      ("config error", "must be a number")),
+    (_design_lqr_with({"lqr": {"r": 0.0}}), cli.EXIT_USAGE,
+     ("config error", "lqr.r must be > 0, got 0.0")),
+    (_design_lqr_with({"lqr": {"r": float("inf")}}), cli.EXIT_USAGE,
+     ("config error", "lqr.r must be > 0, got inf")),
+    (_design_lqr_with({"lqr": {"q_diag": [1200.0, -1.0, 100.0, 0.0]}}), cli.EXIT_USAGE,
+     ("config error", "lqr.q_diag entries must be >= 0")),
+    (_gen_data_with({"anfis": {"stage1": {"horizon": 0.0005}}}), cli.EXIT_USAGE,
+     ("config error", "anfis.stage1.horizon must be >= sim.dt (0.001), got 0.0005")),
+    (_gen_data_with({"anfis": {"stage1": {"impulse_onset": -1.0}}}), cli.EXIT_USAGE,
+     ("config error", "anfis.stage1.impulse_onset must be >= 0, got -1.0")),
+    (_gen_data_with({"anfis": {"stage1": {"initial_theta_devs": [], "impulse_magnitudes": []}}}),
+     cli.EXIT_USAGE, ("config error", "anfis.stage1 needs at least one run")),
 ], ids=["ok", "unknown-config-key", "negative-train-count", "zero-test-count", "zero-epochs",
         "negative-learning-rate", "benchmark-without-artifacts", "train-too-few-rows",
         "tsla-three-inputs", "tsla-truncated-model", "tsla-non-object-model",
         "tsla-wrongly-typed-model", "benchmark-on-boolean-width", "benchmark-on-list-metadata",
         "train-on-empty-dataset", "gen-data-truncated-design",
-        "float-key-as-boolean-and-string"])
+        "float-key-as-boolean-and-string", "zero-lqr-r", "infinite-lqr-r",
+        "negative-q-diag-entry", "stage1-horizon-below-dt", "negative-stage1-onset",
+        "stage1-without-runs"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err
@@ -269,3 +293,54 @@ def test_simulate_reports_a_fall(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-2:] == [
         f"3312 rows logged to {tmp_path / 'timeseries_pi_noise.csv'}",
         "pendulum fell at t = 3.31 s"]
+
+
+@pytest.mark.parametrize("doc, scenario, rows, last_line", [
+    ({"scenarios": {"noise": {"horizon": 5.0}}}, "noise", 5001,
+     "no metrics: the log ends at t = 5.00 s, before onset + 10 s = 10 s"),
+    # each run ends exactly at its onset + 10 s, which is enough
+    ({"scenarios": {"noise": {"horizon": 10.0}}}, "noise", 10001, "settling "),
+    ({"sim": {"horizon": 11.0}, "scenarios": {"impulse": {"onset": 1.0}}}, "impulse", 11001,
+     "settling "),
+], ids=["noise-5s", "noise-10s", "impulse-onset-1s-11s"])
+def test_simulate_on_a_short_horizon(tmp_path, capsys, doc, scenario, rows, last_line):
+    config = write_config(tmp_path / "short.json", doc)
+    code = cli.main(["simulate", "--controller", "pid", "--scenario", scenario,
+                     "--config", str(config), "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].startswith(last_line)
+    lines = (tmp_path / f"timeseries_pid_{scenario}.csv").read_text().splitlines()
+    assert len(lines) == 1 + rows
+
+
+def test_benchmark_runs_to_exactly_onset_plus_10s(tmp_path, capsys):
+    doc = copy.deepcopy(SHORT_BENCHMARK)
+    doc["sim"]["horizon"] = 11.0
+    doc["scenarios"]["noise"]["horizon"] = 10.0
+    config = write_config(tmp_path / "edge.json", doc)
+    out = tmp_path / "out"
+    code = cli.main(["benchmark", "--auto", "--config", str(config), "--out", str(out)])
+    assert code == cli.EXIT_DIVERGED_CELLS
+    assert capsys.readouterr().err == ""
+    with open(out / "benchmark.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 3 * 4
+
+
+@pytest.mark.parametrize("doc, stderr", [
+    ({"scenarios": {"noise": {"horizon": 5.0}}},
+     ("scenarios.noise.horizon 5.0 logs the benchmark's runs to t = 5.0 s",)),
+    ({"sim": {"horizon": 29.999}}, ("sim.horizon 29.999 ", "onset 20.0 + 10 s")),
+    # the last logged step of 10 000 at a decimation of 3 is step 9 999, at t = 9.999 s
+    ({"sim": {"log_decimation": 3}, "scenarios": {"noise": {"horizon": 10.0}}},
+     ("scenarios.noise.horizon 10.0 ", "t = 9.999 s")),
+], ids=["noise-5s", "impulse-onset-20s-29.999s", "noise-10s-decimated"])
+def test_benchmark_rejects_a_short_horizon_before_any_stage(tmp_path, capsys, doc, stderr):
+    config = write_config(tmp_path / "short.json", doc)
+    out = tmp_path / "out"
+    code = cli.main(["benchmark", "--auto", "--config", str(config), "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for fragment in ("config error: ", *stderr):
+        assert fragment in captured.err
+    assert not out.exists()
