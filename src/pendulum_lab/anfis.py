@@ -59,9 +59,10 @@ import numpy as np
 from .artifacts import read_csv, read_json, write_csv, write_json
 
 __all__ = [
+    "AnfisConfig",
     "AnfisModel",
     "Dataset",
-    "TrainConfig",
+    "Stage1Config",
     "TrainingHistory",
     "anfis_infer",
     "premise_gradients",
@@ -311,7 +312,7 @@ class Dataset:
         )
 
 
-def generate_dataset(runs, train_count: int = 500, test_count: int = 91, seed: int = 0) -> Dataset:
+def generate_dataset(runs, *, train_count: int, test_count: int, seed: int) -> Dataset:
     """Subsample logged (state, command) pairs into an exact train/test split.
 
     ``runs`` is any iterable of TimeSeries-like logs.  Rows are drawn
@@ -351,15 +352,45 @@ MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 50
-    learning_rate: float = 0.01
+class Stage1Config:
+    """How the LQR data-collection runs are excited: a family of initial
+    offsets from upright plus impulse kicks, enough to cover the state region
+    the deployed controller will visit."""
+
+    initial_theta_devs: tuple[float, ...] = (-0.2, -0.1, -0.05, 0.05, 0.1, 0.2)
+    impulse_magnitudes: tuple[float, ...] = (10.0, 20.0, 30.0)
+    impulse_onset: float = 1.0
+    horizon: float = 12.0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not (self.initial_theta_devs or self.impulse_magnitudes):
+            raise ValueError("anfis.stage1 needs at least one run: initial_theta_devs and "
+                             "impulse_magnitudes are both empty")
+        if not all(map(math.isfinite, self.impulse_magnitudes)):
+            raise ValueError(f"anfis.stage1.impulse_magnitudes must be finite, "
+                             f"got {list(self.impulse_magnitudes)}")
+        if not (math.isfinite(self.impulse_onset) and self.impulse_onset >= 0.0):
+            raise ValueError(f"anfis.stage1.impulse_onset must be >= 0, got {self.impulse_onset!r}")
+
+
+@dataclass(frozen=True)
+class AnfisConfig:
+    """Training settings (`train_hybrid` reads ``epochs`` and ``learning_rate``),
+    the dataset's split sizes and seed, and the stage-1 runs it is drawn from."""
+
+    epochs: int = 50
+    learning_rate: float = 0.01
+    train_count: int = 500
+    test_count: int = 91
+    seed: int = 7
+    stage1: Stage1Config = field(default_factory=Stage1Config)
+
+    def __post_init__(self) -> None:
         if not (self.learning_rate > 0.0):
-            raise ValueError("learning_rate must be > 0")
+            raise ValueError(f"anfis.learning_rate must be > 0, got {self.learning_rate!r}")
+        for name in ("epochs", "train_count", "test_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"anfis.{name} must be >= 1, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -495,9 +526,7 @@ def _premise_step(model: AnfisModel, X: np.ndarray, y: np.ndarray, train_err: fl
     return None
 
 
-def train_hybrid(
-    dataset: Dataset, config: Optional[TrainConfig] = None
-) -> tuple[AnfisModel, TrainingHistory]:
+def train_hybrid(dataset: Dataset, config: AnfisConfig) -> tuple[AnfisModel, TrainingHistory]:
     """Hybrid least-squares / gradient-descent training.
 
     Each epoch solves the consequents for the current premises, records
@@ -532,8 +561,6 @@ def train_hybrid(
     that epoch's values.  ``config.epochs`` is the cap; the returned model
     and history are those the full loop would produce.
     """
-    if config is None:
-        config = TrainConfig()
     epochs = config.epochs
     X, y = dataset.train_X, dataset.train_y
     Xt, yt = dataset.test_X, dataset.test_y

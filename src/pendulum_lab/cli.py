@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -259,15 +258,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     controller = _controller_for(args.controller, config, out)
 
-    if args.scenario == "impulse":
-        spec = config.scenarios.impulse
-        sim_cfg = config.sim
-        onset = spec.onset
-    else:
-        spec = config.scenarios.noise
-        sim_cfg = replace(config.sim, horizon=config.scenarios.noise_horizon)
-        onset = 0.0
-
+    sim_cfg, spec, onset = config.scenarios.run(args.scenario, config.sim)
     series = run_closed_loop(sim_cfg, controller, make_disturbance(spec), config.physical)
     name = f"timeseries_{args.controller}_{args.scenario}.csv"
     series.to_csv(out / name)

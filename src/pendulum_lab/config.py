@@ -1,14 +1,15 @@
 """Run configuration: one JSON document drives every command.
 
-Sections mirror the toolkit's stages: physical parameters, simulation
-settings, LQR weights, PI/PID gains, ANFIS training plus its stage-1 data
-collection, and the disturbance scenarios with metric bands.  Parsing is
+Each section's dataclass lives next to the code it configures: physical
+`plant.PhysicalParams`, sim `simulate.SimConfig`, lqr `LqrConfig` (here), pi
+and pid `controllers.PidGains`, anfis `anfis.AnfisConfig` and scenarios
+`scenarios.ScenarioConfig`; `RunConfig` holds one of each.  Parsing is
 strict: unknown keys are rejected so that a config plus the code version
 fully determines a run.  `default_config()` carries the benchmark defaults.
 
-The frozen dataclasses below are the schema: a section is a dataclass, a
-key is one of its fields and takes the type of the field's default.
-`_FORMS` holds the keys whose JSON form differs from their field:
+Those frozen dataclasses are the schema: a section is a dataclass, a key is
+one of its fields and takes the type of the field's default.  `_FORMS`
+holds the keys whose JSON form differs from their field:
 
     sim.initial_state.theta_dev          theta - pi
     scenarios.impulse.repeat_magnitudes  scenarios.impulse_repeat_magnitudes
@@ -16,8 +17,8 @@ key is one of its fields and takes the type of the field's default.
     scenarios.metrics                    scenarios.bands
     scenarios.metrics.settle_band_deg    scenarios.bands.settle_band, in radians
 
-A file cannot set `pi.kd`, `pi.filter_n`, `sim.initial_state.t`,
-`bands.rise_high` or `bands.rise_low` (`_HIDDEN`).
+A file cannot set the 3 fields in `_HIDDEN`: `pi.kd`, `pi.filter_n` and
+`sim.initial_state.t`.
 """
 
 from __future__ import annotations
@@ -26,58 +27,19 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 
-from .anfis import TrainConfig
+from .anfis import AnfisConfig
 from .artifacts import read_json, sha256_json
 from .controllers import PidGains
 from .plant import UPRIGHT_THETA, PhysicalParams
-from .scenarios import ImpulseSpec, MetricBands, NoiseSpec
+from .scenarios import ScenarioConfig
 from .simulate import SimConfig
 
-__all__ = ["ConfigError", "RunConfig", "Stage1Config", "default_config", "load_config",
-           "config_to_dict", "config_sha256"]
+__all__ = ["ConfigError", "RunConfig", "default_config", "load_config", "config_to_dict",
+           "config_sha256"]
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Stage1Config:
-    """How the LQR data-collection runs are excited: a family of initial
-    offsets from upright plus impulse kicks, enough to cover the state region
-    the deployed controller will visit."""
-
-    initial_theta_devs: tuple[float, ...] = (-0.2, -0.1, -0.05, 0.05, 0.1, 0.2)
-    impulse_magnitudes: tuple[float, ...] = (10.0, 20.0, 30.0)
-    impulse_onset: float = 1.0
-    horizon: float = 12.0
-
-    def __post_init__(self) -> None:
-        if not (self.initial_theta_devs or self.impulse_magnitudes):
-            raise ValueError("anfis.stage1 needs at least one run: initial_theta_devs and "
-                             "impulse_magnitudes are both empty")
-        if not (math.isfinite(self.impulse_onset) and self.impulse_onset >= 0.0):
-            raise ValueError(f"anfis.stage1.impulse_onset must be >= 0, got {self.impulse_onset!r}")
-
-
-@dataclass(frozen=True)
-class AnfisConfig:
-    epochs: int = 50
-    learning_rate: float = 0.01
-    train_count: int = 500
-    test_count: int = 91
-    seed: int = 7
-    stage1: Stage1Config = field(default_factory=Stage1Config)
-
-    def __post_init__(self) -> None:
-        self.train_config()
-        for name in ("train_count", "test_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-
-    def train_config(self) -> TrainConfig:
-        """The training settings; building them applies `TrainConfig`'s checks."""
-        return TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -92,15 +54,6 @@ class LqrConfig:
             raise ValueError(f"lqr.q_diag entries must be >= 0, got {list(self.q_diag)}")
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise ValueError(f"lqr.r must be > 0, got {self.r!r}")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    impulse: ImpulseSpec = field(default_factory=ImpulseSpec)
-    impulse_repeat_magnitudes: tuple[float, ...] = (10.0, 20.0, 30.0)
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-    noise_horizon: float = 30.0
-    bands: MetricBands = field(default_factory=MetricBands)
 
 
 @dataclass(frozen=True)
@@ -182,8 +135,7 @@ _FORMS = {
     ("scenarios", "bands", "settle_band"): (("settle_band_deg",), math.radians, _degrees),
 }
 # fields a config file cannot set
-_HIDDEN = {("pi", "kd"), ("pi", "filter_n"), ("sim", "initial_state", "t"),
-           ("scenarios", "bands", "rise_high"), ("scenarios", "bands", "rise_low")}
+_HIDDEN = {("pi", "kd"), ("pi", "filter_n"), ("sim", "initial_state", "t")}
 
 
 def _leaf_fields(section, path=(), json_path=()):

@@ -54,15 +54,14 @@ def build_dataset(config: RunConfig, design: LqrDesign) -> Dataset:
 
 
 def train_from_config(config: RunConfig, dataset: Dataset) -> tuple[AnfisModel, TrainingHistory]:
-    return train_hybrid(dataset, config.anfis.train_config())
+    return train_hybrid(dataset, config.anfis)
 
 
 def check_metrics_span(config: RunConfig) -> None:
     """Raise `ConfigError` unless every benchmark run that stays up is logged to
     `METRICS_SPAN` past its disturbance's onset, as its metrics need."""
-    noise_sim = replace(config.sim, horizon=config.scenarios.noise_horizon)
-    for key, sim, onset in (("sim.horizon", config.sim, config.scenarios.impulse.onset),
-                            ("scenarios.noise.horizon", noise_sim, 0.0)):
+    for key, scenario in (("sim.horizon", "impulse"), ("scenarios.noise.horizon", "noise")):
+        sim, _, onset = config.scenarios.run(scenario, config.sim)
         end = float(step_times(sim)[::sim.log_decimation][-1])
         if end < onset + METRICS_SPAN:
             raise ConfigError(f"{key} {sim.horizon!r} logs the benchmark's runs to t = {end!r} s,"
@@ -75,13 +74,4 @@ def benchmark_from_config(config: RunConfig, model: AnfisModel) -> BenchmarkTabl
         "PID": lambda: PidController(config.pid),
         "TS-LA": lambda: AnfisController(model),
     }
-    return run_benchmark(
-        config.physical,
-        factories,
-        impulse_magnitudes=config.scenarios.impulse_repeat_magnitudes,
-        impulse=config.scenarios.impulse,
-        noise=config.scenarios.noise,
-        sim_config=config.sim,
-        noise_horizon=config.scenarios.noise_horizon,
-        bands=config.scenarios.bands,
-    )
+    return run_benchmark(config.physical, factories, config.sim, config.scenarios)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "ImpulseSpec",
     "NoiseSpec",
     "MetricBands",
+    "ScenarioConfig",
     "TransientMetrics",
     "make_disturbance",
     "compute_metrics",
@@ -37,6 +38,11 @@ UNBOUNDED = math.inf
 
 # how long after its disturbance's onset a run must be logged for its metrics
 METRICS_SPAN = 10.0
+
+# the rise time runs from the first fall of |theta - pi| to 90 % of its
+# post-onset peak to the first fall after that to 10 % of the peak
+RISE_HIGH = 0.9
+RISE_LOW = 0.1
 
 BENCHMARK_HEADER = [
     "controller",
@@ -69,7 +75,7 @@ class ImpulseSpec:
         if not (math.isfinite(self.onset) and self.onset >= 0.0):
             raise ValueError(f"onset must be >= 0, got {self.onset!r}")
         if not math.isfinite(self.magnitude):
-            raise ValueError("magnitude must be finite")
+            raise ValueError(f"magnitude must be finite, got {self.magnitude!r}")
 
 
 @dataclass(frozen=True)
@@ -132,16 +138,12 @@ class MetricBands:
     """Extraction thresholds; the settle band is on |theta - pi|."""
 
     settle_band: float = math.radians(0.5)
-    rise_high: float = 0.9
-    rise_low: float = 0.1
     tail_fraction: float = 0.1
     drift_slope: float = 1e-4
 
     def __post_init__(self) -> None:
         if not (0.0 < self.settle_band):
             raise ValueError("settle_band must be > 0")
-        if not (0.0 < self.rise_low < self.rise_high <= 1.0):
-            raise ValueError("need 0 < rise_low < rise_high <= 1")
         if not (0.0 < self.tail_fraction < 1.0):
             raise ValueError("tail_fraction must be in (0, 1)")
 
@@ -190,10 +192,10 @@ def compute_metrics(
 
     settling_time: time from onset to the last sample outside the settle
     band (unbounded if the run ends outside it).  rise_time: first crossing
-    of the high fraction of the post-onset peak deviation to the first
-    crossing of the low fraction.  Peaks are maximal absolute deviations
-    after onset.  Steady-state errors average the final window, carrying the
-    unbounded flag on drift.  A diverged run flags every metric.  A run that
+    of `RISE_HIGH` of the post-onset peak deviation to the first crossing of
+    `RISE_LOW`.  Peaks are maximal absolute deviations after onset.
+    Steady-state errors average the final window, carrying the unbounded
+    flag on drift.  A diverged run flags every metric.  A run that
     fell flags all but the peaks, which it measures over its partial log
     (over its last, fallen row if it fell before the onset).
     """
@@ -231,11 +233,11 @@ def compute_metrics(
         i_peak = int(dev_after.argmax())
         post = dev_after[i_peak:]
         t_post = t_after[i_peak:]
-        below_hi = np.nonzero(post <= bands.rise_high * peak)[0]
+        below_hi = np.nonzero(post <= RISE_HIGH * peak)[0]
         rise = UNBOUNDED
         if below_hi.size:
             i_hi = below_hi[0]
-            below_lo = np.nonzero(post[i_hi:] <= bands.rise_low * peak)[0]
+            below_lo = np.nonzero(post[i_hi:] <= RISE_LOW * peak)[0]
             if below_lo.size:
                 rise = float(t_post[i_hi + below_lo[0]] - t_post[i_hi])
 
@@ -362,36 +364,59 @@ class BenchmarkTable:
         return out.getvalue()
 
 
-def run_benchmark(
-    params: PhysicalParams,
-    controller_factories: dict[str, Callable[[], Controller]],
-    impulse_magnitudes: Sequence[float],
-    impulse: ImpulseSpec,
-    noise: NoiseSpec,
-    sim_config: SimConfig,
-    noise_horizon: Optional[float] = None,
-    bands: Optional[MetricBands] = None,
-) -> BenchmarkTable:
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """The benchmark's two scenarios: an impulse repeated once per magnitude,
+    and a noise run with its own horizon; plus the metric bands."""
+
+    impulse: ImpulseSpec = field(default_factory=ImpulseSpec)
+    impulse_repeat_magnitudes: tuple[float, ...] = (10.0, 20.0, 30.0)
+    noise: NoiseSpec = field(default_factory=NoiseSpec)
+    noise_horizon: float = 30.0
+    bands: MetricBands = field(default_factory=MetricBands)
+
+    def __post_init__(self) -> None:
+        try:
+            self.impulses()
+        except ValueError as exc:
+            raise ValueError(f"scenarios.impulse.repeat_magnitudes: {exc}") from None
+
+    def impulses(self) -> list[ImpulseSpec]:
+        """The impulse at each repeat magnitude."""
+        return [replace(self.impulse, magnitude=float(m)) for m in self.impulse_repeat_magnitudes]
+
+    def run(self, kind: str, sim: SimConfig) -> tuple[SimConfig, ImpulseSpec | NoiseSpec, float]:
+        """``(sim, disturbance spec, onset)`` of a run of scenario ``kind``: an
+        impulse run takes ``sim`` and its metrics start at the impulse's onset;
+        a noise run lasts ``noise_horizon`` and its metrics start at t = 0."""
+        if kind == "impulse":
+            return sim, self.impulse, self.impulse.onset
+        if kind == "noise":
+            return replace(sim, horizon=self.noise_horizon), self.noise, 0.0
+        raise ValueError(f"unknown scenario {kind!r}")
+
+
+def run_benchmark(params: PhysicalParams, controller_factories: dict[str, Callable[[], Controller]],
+                  sim_config: SimConfig, scenarios: ScenarioConfig) -> BenchmarkTable:
     """Run every controller against every scenario and tabulate the metrics.
 
     The impulse scenario repeats once per magnitude (the table also reports
-    the per-controller mean); the noise scenario runs once, optionally with
-    its own shorter horizon.  Each factory builds a controller in its initial
-    state, and each run takes a new one.  One controller's impulse cells are
-    one `run_closed_loops` family: they share a single run up to the onset,
-    where their force grids first differ, and each branch then goes on with
-    its own `copy.copy` of the controller, which gives the same log as a run
-    of its own.  The noise cell gets a new controller and stream.  A cell
-    whose pendulum falls, or whose run diverges, is reported in-table rather
-    than raised.
+    the per-controller mean); the noise scenario runs once, for its own
+    horizon (`ScenarioConfig.run`).  Each factory builds a controller in its
+    initial state, and each run takes a new one.  One controller's impulse
+    cells are one `run_closed_loops` family: they share a single run up to
+    the onset, where their force grids first differ, and each branch then
+    goes on with its own `copy.copy` of the controller, which gives the same
+    log as a run of its own.  The noise cell gets a new controller and
+    stream.  A cell whose pendulum falls, or whose run diverges, is reported
+    in-table rather than raised.
     """
-    bands = bands or MetricBands()
-    noise_cfg = sim_config if noise_horizon is None else replace(sim_config, horizon=noise_horizon)
-    magnitudes = [float(m) for m in impulse_magnitudes]
-    impulses = [replace(impulse, magnitude=m) for m in magnitudes]
+    impulses = scenarios.impulses()
+    impulse_sim, _, impulse_onset = scenarios.run("impulse", sim_config)
+    noise_sim, noise, noise_onset = scenarios.run("noise", sim_config)
 
     def cell(name, scenario, magnitude, series, onset) -> BenchmarkCell:
-        metrics = compute_metrics(series, onset, bands)
+        metrics = compute_metrics(series, onset, scenarios.bands)
         if series.diverged:
             outcome = "diverged"
         elif series.fell:
@@ -402,13 +427,13 @@ def run_benchmark(
 
     cells = []
     for name, factory in controller_factories.items():
-        family = run_closed_loops(sim_config, factory(),
+        family = run_closed_loops(impulse_sim, factory(),
                                   [make_disturbance(spec) for spec in impulses], params)
         # strict: the family runs to its end here, so that nothing of it is
         # held through the noise cell
-        for magnitude, series in zip(magnitudes, family, strict=True):
-            cells.append(cell(name, "impulse", magnitude, series, impulse.onset))
+        for spec, series in zip(impulses, family, strict=True):
+            cells.append(cell(name, "impulse", spec.magnitude, series, impulse_onset))
             del series  # the next branch is built while this one would be held
-        series = run_closed_loop(noise_cfg, factory(), make_disturbance(noise), params)
-        cells.append(cell(name, "noise", None, series, 0.0))
+        series = run_closed_loop(noise_sim, factory(), make_disturbance(noise), params)
+        cells.append(cell(name, "noise", None, series, noise_onset))
     return BenchmarkTable(cells=cells)

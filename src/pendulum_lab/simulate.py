@@ -44,7 +44,6 @@ __all__ = [
     "SimConfig",
     "TimeSeries",
     "Controller",
-    "rk4_stepper",
     "rk4_step",
     "run_closed_loop",
     "run_closed_loops",
@@ -193,23 +192,17 @@ _STEP = compile("\n    ".join([
     "return x, x_dot, theta, theta_dot\n"]), "<rk4 step>", "exec")
 
 
-def rk4_stepper(params: PhysicalParams, dt: float):
-    """Return ``step(state, force) -> state``: one classical Runge-Kutta step
-    of length dt on the tuple (x, x', theta, theta') with the force held: the
-    loop's `_rk4_lines`, compiled once, with the constants as globals."""
-    return _compiled(_STEP, "step", _rk4_constants(params, dt))
-
-
 def rk4_step(
     state: PlantState, u: float, d: float, dt: float, params: PhysicalParams
 ) -> PlantState:
-    """One classical Runge-Kutta step with total force u + d held constant."""
+    """One classical Runge-Kutta step with total force u + d held constant: the
+    loop's `_rk4_lines`, compiled once as `_STEP`, with the constants as globals."""
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt!r}")
     if not (math.isfinite(u) and math.isfinite(d)):
         raise ValueError("non-finite force input")
-    nxt = rk4_stepper(params, dt)(
-        (state.x, state.x_dot, state.theta, state.theta_dot), u + d)
+    step = _compiled(_STEP, "step", _rk4_constants(params, dt))
+    nxt = step((state.x, state.x_dot, state.theta, state.theta_dot), u + d)
     return PlantState(*nxt, t=state.t + dt)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pendulum_lab import anfis
-from pendulum_lab.anfis import (AnfisModel, Dataset, TrainConfig, _design_matrix, _infer_batch,
+from pendulum_lab.anfis import (AnfisConfig, AnfisModel, Dataset, _design_matrix, _infer_batch,
                                 _rule_products, anfis_infer, generate_dataset, initial_model,
                                 load_model, premise_gradients, save_model, train_hybrid)
 from pendulum_lab.simulate import TimeSeries
@@ -364,7 +364,7 @@ class TestCompiledLaw:
 
         monkeypatch.setattr(anfis, "_law_source", counting)
         ds = affine_dataset(np.array([-34.64, -20.73, 67.03, 13.09]))
-        model, _ = train_hybrid(ds, TrainConfig(epochs=3))
+        model, _ = train_hybrid(ds, AnfisConfig(epochs=3))
         assert sources == []
         assert "law" not in model.__dict__
         first = anfis_infer(model, ds.test_X[0])
@@ -412,7 +412,7 @@ class TestTrainHybrid:
         rng = np.random.default_rng(8)
         rows = np.column_stack([rng.uniform(-1, 1, size=(600, 4)), np.full(600, 2.5)])
         ds = Dataset(rows=rows, train_indices=np.arange(500), test_indices=np.arange(500, 591))
-        model, history = train_hybrid(ds, TrainConfig(epochs=1))
+        model, history = train_hybrid(ds, AnfisConfig(epochs=1))
         assert history.train_rmse[0] <= 1e-9
 
     def test_state_feedback_target_exact_fit(self):
@@ -424,7 +424,7 @@ class TestTrainHybrid:
         direct_err = max(abs(anfis_infer(reference, x) - t) for x, t in zip(ds.train_X[:50], ds.train_y[:50]))
         assert direct_err <= 1e-12
 
-        model, history = train_hybrid(ds, TrainConfig(epochs=1))
+        model, history = train_hybrid(ds, AnfisConfig(epochs=1))
         assert history.train_rmse[0] <= 1e-6
         assert history.test_rmse[0] <= 1e-5
 
@@ -434,7 +434,7 @@ class TestTrainHybrid:
         y = np.tanh(X @ np.array([1.0, -2.0, 0.5, 1.5])) + 0.3 * X[:, 0] * X[:, 2]
         ds = Dataset(rows=np.column_stack([X, y]), train_indices=np.arange(500),
                      test_indices=np.arange(500, 591))
-        model, history = train_hybrid(ds, TrainConfig(epochs=8))
+        model, history = train_hybrid(ds, AnfisConfig(epochs=8))
         diffs = np.diff(history.train_rmse)
         assert np.all(diffs <= 1e-12 * (1.0 + history.train_rmse[:-1]))
 
@@ -446,7 +446,7 @@ class TestTrainHybrid:
         y = np.sin(X @ np.array([2.0, 1.0, -1.0, 0.5]))
         ds = Dataset(rows=np.column_stack([X, y]), train_indices=np.arange(500),
                      test_indices=np.arange(500, 591))
-        model, _ = train_hybrid(ds, TrainConfig(epochs=1))
+        model, _ = train_hybrid(ds, AnfisConfig(epochs=1))
 
         phi = _design_matrix(model, ds.train_X)
         lam = anfis.RIDGE_SHARE * float(np.sum(phi**2)) / phi.shape[1]
@@ -475,7 +475,7 @@ class TestTrainHybrid:
         ds = affine_dataset(K)
         ds = Dataset(rows=np.column_stack([ds.rows[:, :4], ds.rows[:, 4] + intercept]),
                      train_indices=ds.train_indices, test_indices=ds.test_indices)
-        model, history = train_hybrid(ds, TrainConfig(epochs=50))
+        model, history = train_hybrid(ds, AnfisConfig(epochs=50))
         g = np.concatenate([-K, [intercept]])
         assert_allclose(model.consequents, np.tile(g, (16, 1)), rtol=0, atol=1e-12)
         assert history.stop_epoch == 0
@@ -485,13 +485,13 @@ class TestTrainHybrid:
         rows = np.column_stack([rng.uniform(-1, 1, size=(70, 4)), rng.normal(size=70)])
         ds = Dataset(rows=rows, train_indices=np.arange(60), test_indices=np.arange(60, 70))
         with pytest.raises(ValueError, match="too small"):
-            train_hybrid(ds, TrainConfig(epochs=1))
+            train_hybrid(ds, AnfisConfig(epochs=1))
 
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
+            AnfisConfig(epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+            AnfisConfig(learning_rate=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -554,7 +554,7 @@ class TestEarlyStop:
                                                      max_halvings, stall_epoch):
         ds = tanh_dataset(seed)
         monkeypatch.setattr(anfis, "MAX_HALVINGS", max_halvings)
-        config = TrainConfig(epochs=40, learning_rate=learning_rate)
+        config = AnfisConfig(epochs=40, learning_rate=learning_rate)
         calls = counted_lstsq(monkeypatch)
         model, history = train_hybrid(ds, config)
         assert history.stop_epoch == stall_epoch
@@ -572,7 +572,7 @@ class TestEarlyStop:
 
     def test_fit_without_stall_runs_every_epoch(self, monkeypatch):
         calls = counted_lstsq(monkeypatch)
-        model, history = train_hybrid(tanh_dataset(9), TrainConfig(epochs=20))
+        model, history = train_hybrid(tanh_dataset(9), AnfisConfig(epochs=20))
         assert history.stop_epoch is None
         assert history.flags == []
         assert len(calls) == 20
@@ -589,13 +589,13 @@ class TestEarlyStop:
         for seed in range(10):
             ds = generate_dataset(stage1_logs, train_count=rows, test_count=91, seed=seed)
             calls.clear()
-            model, history = train_hybrid(ds, TrainConfig(epochs=50))
+            model, history = train_hybrid(ds, AnfisConfig(epochs=50))
             assert (history.stop_epoch, len(calls)) == (0, 1), seed
             assert history.flags == flags
             assert history.train_rmse[0] <= 1e-12 * np.sqrt(np.mean(np.square(ds.train_y)))
             assert_history_held(model, history, 0, 50)
 
-            capped, _ = train_hybrid(ds, TrainConfig(epochs=1))
+            capped, _ = train_hybrid(ds, AnfisConfig(epochs=1))
             assert_same_fit(model, capped)
 
 
@@ -612,8 +612,8 @@ class TestGenerateDataset:
     def test_seed_determinism(self):
         rng = np.random.default_rng(13)
         rows = np.column_stack([rng.uniform(-1, 1, size=(1000, 4)), rng.normal(size=1000)])
-        a = generate_dataset([series_from_rows(rows)], seed=99)
-        b = generate_dataset([series_from_rows(rows)], seed=99)
+        a = generate_dataset([series_from_rows(rows)], train_count=500, test_count=91, seed=99)
+        b = generate_dataset([series_from_rows(rows)], train_count=500, test_count=91, seed=99)
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.train_indices, b.train_indices)
         assert np.array_equal(a.test_indices, b.test_indices)
@@ -621,13 +621,13 @@ class TestGenerateDataset:
     def test_rejects_degenerate_zero_variance(self):
         rows = np.zeros((1000, 5))
         with pytest.raises(ValueError, match="zero variance"):
-            generate_dataset([series_from_rows(rows)])
+            generate_dataset([series_from_rows(rows)], train_count=500, test_count=91, seed=0)
 
     def test_rejects_insufficient_rows(self):
         rng = np.random.default_rng(14)
         rows = np.column_stack([rng.uniform(-1, 1, size=(100, 4)), rng.normal(size=100)])
         with pytest.raises(ValueError, match="at least"):
-            generate_dataset([series_from_rows(rows)])
+            generate_dataset([series_from_rows(rows)], train_count=500, test_count=91, seed=0)
 
 
 class TestPersistence:
@@ -683,7 +683,7 @@ class TestPersistence:
     def test_dataset_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
         rows = np.column_stack([rng.uniform(-1, 1, size=(700, 4)), rng.normal(size=700)])
-        ds = generate_dataset([series_from_rows(rows)], seed=3)
+        ds = generate_dataset([series_from_rows(rows)], train_count=500, test_count=91, seed=3)
         path = tmp_path / "dataset.csv"
         ds.to_csv(path)
         assert path.read_text().splitlines()[0] == "x,x_dot,theta_dev,theta_dot,u"

@@ -4,6 +4,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -183,6 +184,14 @@ def _gen_data_on_truncated_design(tmp_path):
     return cli.main(["gen-data", "--out", str(out)])
 
 
+def _benchmark_on_infinite_repeat(tmp_path):
+    """`benchmark --auto` with a non-finite repeat magnitude: rejected before any stage,
+    so --out stays empty."""
+    code = _benchmark_with({"scenarios": {"impulse": {"repeat_magnitudes": [math.inf]}}})(tmp_path)
+    assert list((tmp_path / "out").glob("*")) == []
+    return code
+
+
 # each stderr fragment must appear; no fragments means stderr stays empty
 @pytest.mark.parametrize("run, code, stderr", [
     (_design_lqr_default, cli.EXIT_OK, ()),
@@ -225,6 +234,10 @@ def _gen_data_on_truncated_design(tmp_path):
      ("config error", "anfis.stage1.impulse_onset must be >= 0, got -1.0")),
     (_gen_data_with({"anfis": {"stage1": {"initial_theta_devs": [], "impulse_magnitudes": []}}}),
      cli.EXIT_USAGE, ("config error", "anfis.stage1 needs at least one run")),
+    (_gen_data_with({"anfis": {"stage1": {"impulse_magnitudes": [math.inf]}}}), cli.EXIT_USAGE,
+     ("config error", "anfis.stage1.impulse_magnitudes must be finite, got [inf]")),
+    (_benchmark_on_infinite_repeat, cli.EXIT_USAGE,
+     ("config error", "scenarios.impulse.repeat_magnitudes: magnitude must be finite, got inf")),
 ], ids=["ok", "unknown-config-key", "negative-train-count", "zero-test-count", "zero-epochs",
         "negative-learning-rate", "benchmark-without-artifacts", "train-too-few-rows",
         "tsla-three-inputs", "tsla-truncated-model", "tsla-non-object-model",
@@ -232,7 +245,7 @@ def _gen_data_on_truncated_design(tmp_path):
         "train-on-empty-dataset", "gen-data-truncated-design",
         "float-key-as-boolean-and-string", "zero-lqr-r", "infinite-lqr-r",
         "negative-q-diag-entry", "stage1-horizon-below-dt", "negative-stage1-onset",
-        "stage1-without-runs"])
+        "stage1-without-runs", "infinite-stage1-magnitude", "infinite-repeat-magnitude"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err

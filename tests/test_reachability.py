@@ -46,8 +46,6 @@ ALLOWLIST = {
     "plant.derivative_fn": "the bitwise reference of the RK4 lines; perfbench probes it",
     "plant.derivative_fn.<locals>.accel": "the bitwise reference of the RK4 lines",
     "simulate.rk4_step": "perfbench times one RK4 step through it",
-    "simulate.rk4_stepper": "the closed loop inlines its lines; `rk4_step` steps through "
-                            "it and a test holds it to RK4 over `derivative_fn`",
     "cli._Parser.error": "error path: a usage error",
     "controllers.CareError.__init__": "error path: a Riccati solve that fails",
     "simulate.Controller.command": "the protocol's stub; controllers implement it",

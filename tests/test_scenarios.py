@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from pendulum_lab.controllers import LqrController, design_lqr
 from pendulum_lab.plant import PhysicalParams, UPRIGHT_THETA, linearize
 from pendulum_lab.scenarios import (BENCHMARK_HEADER, BenchmarkCell, BenchmarkTable, ImpulseSpec,
-                                    MetricBands, NoiseSpec, TransientMetrics, compute_metrics,
-                                    make_disturbance, run_benchmark)
+                                    MetricBands, NoiseSpec, ScenarioConfig, TransientMetrics,
+                                    compute_metrics, make_disturbance, run_benchmark)
 from pendulum_lab.simulate import SimConfig, TimeSeries, run_closed_loop
 
 PARAMS = PhysicalParams()
@@ -199,7 +199,8 @@ def quick_setup():
 class TestRunBenchmark:
     def test_single_controller_single_cell(self, quick_setup):
         sim, impulse, noise = quick_setup
-        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0], impulse, noise, sim)
+        scenarios = ScenarioConfig(impulse, (10.0,), noise, noise_horizon=sim.horizon)
+        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, sim, scenarios)
         assert len(table.cells) == 2  # one impulse magnitude + noise
         assert table.cells[0].scenario == "impulse"
         assert table.cells[1].scenario == "noise"
@@ -207,7 +208,8 @@ class TestRunBenchmark:
 
     def test_csv_layout(self, quick_setup, tmp_path):
         sim, impulse, noise = quick_setup
-        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0], impulse, noise, sim)
+        scenarios = ScenarioConfig(impulse, (10.0,), noise, noise_horizon=sim.horizon)
+        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, sim, scenarios)
         path = tmp_path / "bench.csv"
         table.to_csv(path)
         lines = path.read_text().splitlines()
@@ -217,7 +219,8 @@ class TestRunBenchmark:
 
     def test_mean_over_impulse_repeats(self, quick_setup):
         sim, impulse, noise = quick_setup
-        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0, 20.0], impulse, noise, sim)
+        scenarios = ScenarioConfig(impulse, (10.0, 20.0), noise, noise_horizon=sim.horizon)
+        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, sim, scenarios)
         cells = [c for c in table.cells if c.scenario == "impulse"]
         mean = table.impulse_mean("LQR")
         expected = np.mean([c.metrics.settling_time for c in cells])
@@ -225,7 +228,8 @@ class TestRunBenchmark:
 
     def test_text_rendering_mentions_all_sections(self, quick_setup):
         sim, impulse, noise = quick_setup
-        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, [10.0], impulse, noise, sim)
+        scenarios = ScenarioConfig(impulse, (10.0,), noise, noise_horizon=sim.horizon)
+        table = run_benchmark(PARAMS, {"LQR": lqr_controller}, sim, scenarios)
         text = table.to_text()
         assert "Impulse disturbance" in text
         assert "White-noise disturbance" in text
@@ -235,7 +239,8 @@ class TestRunBenchmark:
         # an LQR cell settles; a second controller with no feedback falls in every cell
         sim, impulse, noise = quick_setup
         factories = {"LQR": lqr_controller, "none": lambda: NoFeedback()}
-        table = run_benchmark(PARAMS, factories, [10.0, 20.0], impulse, noise, sim)
+        scenarios = ScenarioConfig(impulse, (10.0, 20.0), noise, noise_horizon=sim.horizon)
+        table = run_benchmark(PARAMS, factories, sim, scenarios)
         assert [(c.controller, c.outcome) for c in table.cells] == (
             [("LQR", "settled")] * 3 + [("none", "fell")] * 3)
         path = tmp_path / "bench.csv"

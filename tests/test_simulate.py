@@ -16,7 +16,7 @@ from pendulum_lab.controllers import AnfisController, LqrController, PidControll
 from pendulum_lab.plant import PhysicalParams, PlantState, UPRIGHT_THETA, derivative_fn, linearize
 from pendulum_lab.scenarios import ImpulseSpec, NoiseSpec, make_disturbance
 from pendulum_lab.simulate import (DIVERGENCE_LIMIT, FALL_ANGLE, SimConfig, TimeSeries,
-                                   rk4_step, rk4_stepper, run_closed_loop, run_closed_loops)
+                                   rk4_step, run_closed_loop, run_closed_loops)
 
 PARAMS = PhysicalParams()
 
@@ -118,8 +118,9 @@ component = st.floats(min_value=-1e3, max_value=1e3)
 
 
 class TestRk4Stepper:
-    """The stepper inlines the equations of motion; it must agree with RK4 over
-    `derivative_fn` bit for bit, signed zeros included."""
+    """`rk4_step` inlines the equations of motion; it must agree with RK4 over
+    `derivative_fn` bit for bit, signed zeros included (``d = -0.0`` makes
+    ``u + d`` the force itself, bit for bit)."""
 
     @given(x=component, x_dot=component, theta=st.floats(min_value=-1e4, max_value=1e4),
            theta_dot=st.floats(min_value=-100.0, max_value=100.0),
@@ -136,9 +137,9 @@ class TestRk4Stepper:
     def test_bitwise_equal_to_rk4_over_accel(self, x, x_dot, theta, theta_dot, force, dt,
                                              friction):
         params = PhysicalParams(friction=friction)
-        state = (x, x_dot, theta, theta_dot)
-        got = rk4_stepper(params, dt)(state, force)
-        want = rk4_over_accel(params, state, force, dt)
+        nxt = rk4_step(PlantState(x, x_dot, theta, theta_dot), force, -0.0, dt, params)
+        got = (nxt.x, nxt.x_dot, nxt.theta, nxt.theta_dot)
+        want = rk4_over_accel(params, (x, x_dot, theta, theta_dot), force, dt)
         assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_rk4_step_uses_the_stepper(self):
