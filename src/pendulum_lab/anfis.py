@@ -57,6 +57,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .artifacts import read_csv, read_json, write_csv, write_json
+from .plant import UPRIGHT_THETA
 
 __all__ = [
     "AnfisConfig",
@@ -315,27 +316,36 @@ class Dataset:
 def generate_dataset(runs, *, train_count: int, test_count: int, seed: int) -> Dataset:
     """Subsample logged (state, command) pairs into an exact train/test split.
 
-    ``runs`` is any iterable of TimeSeries-like logs.  Rows are drawn
-    uniformly without replacement and the split assignment is also seeded, so
-    a given seed always yields the same dataset.  Logs with (near-)zero
-    command variance are rejected: they cannot constrain the consequents.
+    ``runs`` is any iterable of TimeSeries-like logs.  Their rows, in run
+    order, are numbered as one sequence: ``train_count + test_count`` of
+    these global indices are drawn uniformly without replacement and sorted,
+    and a seeded permutation assigns them to the two splits, so a given seed
+    always yields the same dataset.  Only the drawn rows are gathered, run by
+    run, and theta - pi is taken on them; no table of every logged row is
+    built.  The commands of all logs together must not have (near-)zero
+    variance, as such rows cannot constrain the consequents; a single log
+    may be constant.
     """
-    pools = []
-    for run in runs:
-        dev = run.theta_deviation()
-        pools.append(np.column_stack([run.x, run.x_dot, dev, run.theta_dot, run.u]))
-    if not pools:
+    logs = [(run.x, run.x_dot, run.theta, run.theta_dot, run.u) for run in runs]
+    if not logs:
         raise ValueError("no runs supplied")
-    pool = np.vstack(pools)
-    total = train_count + test_count
-    if pool.shape[0] < total:
-        raise ValueError(f"need at least {total} logged rows, got {pool.shape[0]}")
-    if float(np.var(pool[:, 4])) <= 1e-24:
+    commands = np.concatenate([log[4] for log in logs])
+    n_rows, total = commands.size, train_count + test_count
+    if n_rows < total:
+        raise ValueError(f"need at least {total} logged rows, got {n_rows}")
+    if float(np.var(commands)) <= 1e-24:
         raise ValueError("degenerate coverage: command signal has zero variance")
 
     rng = np.random.default_rng(seed)
-    picked = np.sort(rng.choice(pool.shape[0], size=total, replace=False))
-    rows = pool[picked]
+    picked = np.sort(rng.choice(n_rows, size=total, replace=False))
+    rows = np.empty((total, 5))
+    first = lo = 0  # the log's first global index, and its first row in ``rows``
+    for x, x_dot, theta, theta_dot, u in logs:
+        hi = int(np.searchsorted(picked, first + u.size))
+        local = picked[lo:hi] - first
+        rows[lo:hi] = np.column_stack([x[local], x_dot[local], theta[local] - UPRIGHT_THETA,
+                                       theta_dot[local], u[local]])
+        first, lo = first + u.size, hi
     order = rng.permutation(total)
     return Dataset(
         rows=rows,
@@ -349,6 +359,8 @@ MFS_PER_INPUT = 2
 SHAPE_B = 2.0
 # a premise step is halved at most this many times before it counts as stalled
 MAX_HALVINGS = 20
+# consequent parameters of the start model on the dataset's 4 inputs: 2^4 rules x (4 + 1)
+N_CONSEQUENTS = MFS_PER_INPUT ** (len(DATASET_HEADER) - 1) * len(DATASET_HEADER)
 
 
 @dataclass(frozen=True)
@@ -391,6 +403,9 @@ class AnfisConfig:
         for name in ("epochs", "train_count", "test_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"anfis.{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.train_count < N_CONSEQUENTS:
+            raise ValueError(f"anfis.train_count must be >= {N_CONSEQUENTS}, the model's "
+                             f"consequent parameters, got {self.train_count!r}")
 
 
 @dataclass

@@ -22,6 +22,8 @@ fall by construction and the default `benchmark --auto` exits 3.  A
 less than the disturbance's onset + 10 s, which the metrics need: it prints
 why there are no metrics in their place.  `benchmark` rejects such a
 horizon as a config error (exit 1) before any stage, `--auto` ones too.
+So is a dataset larger than the stage-1 runs log when they stay up, or a
+training set smaller than the model's 80 consequent parameters.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .artifacts import read_json, sha256_json
 from .controllers import PidGains
 from .plant import UPRIGHT_THETA, PhysicalParams
 from .scenarios import ScenarioConfig
-from .simulate import SimConfig
+from .simulate import SimConfig, logged_rows
 
 __all__ = ["ConfigError", "RunConfig", "default_config", "load_config", "config_to_dict",
            "config_sha256"]
@@ -73,6 +73,17 @@ class RunConfig:
                              ("scenarios.noise.horizon", self.scenarios.noise_horizon)):
             if not (math.isfinite(horizon) and horizon >= self.sim.dt):
                 raise ValueError(f"{key} must be >= sim.dt ({self.sim.dt!r}), got {horizon!r}")
+        # the rows stage 1 logs if every run stays up; a run that falls ends early, and
+        # generate_dataset rejects a log too short for the dataset at run time
+        stage1 = self.anfis.stage1
+        runs = len(stage1.initial_theta_devs) + len(stage1.impulse_magnitudes)
+        per_run = logged_rows(replace(self.sim, horizon=stage1.horizon))
+        total = self.anfis.train_count + self.anfis.test_count
+        if total > runs * per_run:
+            raise ValueError(
+                f"anfis.train_count + anfis.test_count is {total}, but stage 1 logs "
+                f"{runs * per_run} rows: {runs} runs of {per_run} (anfis.stage1.horizon, "
+                f"sim.dt and sim.log_decimation)")
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Override every stochastic seed (dataset subsampling and noise)."""

@@ -290,6 +290,12 @@ def step_times(config: SimConfig) -> np.ndarray:
     return config.initial_state.t + np.arange(n_steps + 1) * config.dt
 
 
+def logged_rows(config: SimConfig) -> int:
+    """Rows in the log of a run under ``config`` that neither falls nor
+    diverges: steps 0, d, 2d, ... of `step_times`' grid, d the decimation."""
+    return round(config.horizon / config.dt) // config.log_decimation + 1
+
+
 def run_closed_loops(
     config: SimConfig,
     controller: Optional[Controller],

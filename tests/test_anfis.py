@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 from functools import reduce
@@ -599,7 +600,96 @@ class TestEarlyStop:
             assert_same_fit(model, capped)
 
 
+def pooled_dataset(runs, *, train_count, test_count, seed):
+    """`generate_dataset` as first written, the reference for its bits: every logged row
+    is stacked into one pool, and the drawn rows are taken from it."""
+    pools = []
+    for run in runs:
+        dev = run.theta_deviation()
+        pools.append(np.column_stack([run.x, run.x_dot, dev, run.theta_dot, run.u]))
+    if not pools:
+        raise ValueError("no runs supplied")
+    pool = np.vstack(pools)
+    total = train_count + test_count
+    if pool.shape[0] < total:
+        raise ValueError(f"need at least {total} logged rows, got {pool.shape[0]}")
+    if float(np.var(pool[:, 4])) <= 1e-24:
+        raise ValueError("degenerate coverage: command signal has zero variance")
+
+    rng = np.random.default_rng(seed)
+    picked = np.sort(rng.choice(pool.shape[0], size=total, replace=False))
+    rows = pool[picked]
+    order = rng.permutation(total)
+    return Dataset(
+        rows=rows,
+        train_indices=np.sort(order[:train_count]),
+        test_indices=np.sort(order[train_count:]),
+    )
+
+
+def assert_same_dataset(got, want):
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert np.array_equal(got.train_indices, want.train_indices)
+    assert np.array_equal(got.test_indices, want.test_indices)
+
+
+# the (training rows, seed) grid of the benchmark's refit workload, 91 test rows each
+REFIT_GRID = [(500, s) for s in range(8)] + [(2500, s) for s in range(3)]
+
+
 class TestGenerateDataset:
+    @settings(max_examples=150, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5), data=st.data(),
+           seed=st.integers(0, 2**32 - 1), as_generator=st.booleans())
+    def test_equals_pooled_reference(self, lengths, data, seed, as_generator):
+        rng = np.random.default_rng(seed)
+        logs = [series_from_rows(rng.normal(size=(n, 5))) for n in lengths]
+        n_rows = sum(lengths)
+        total = data.draw(st.one_of(st.just(n_rows), st.integers(1, n_rows)), label="total")
+        train_count = data.draw(st.integers(1, total), label="train_count")
+        kwargs = dict(train_count=train_count, test_count=total - train_count, seed=seed)
+
+        def outcome(build, runs):
+            try:
+                return build(runs, **kwargs)
+            except ValueError as exc:  # a 1-row pool has zero command variance
+                return str(exc)
+
+        got = outcome(generate_dataset, (log for log in logs) if as_generator else logs)
+        want = outcome(pooled_dataset, logs)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_dataset(got, want)
+
+    def test_refit_grid_equals_pooled_reference(self, stage1_logs):
+        for rows, seed in REFIT_GRID:
+            assert_same_dataset(
+                generate_dataset(stage1_logs, train_count=rows, test_count=91, seed=seed),
+                pooled_dataset(stage1_logs, train_count=rows, test_count=91, seed=seed))
+
+    def test_peak_memory_below_pooled_table(self, stage1_logs):
+        pooled_bytes = sum(len(run) for run in stage1_logs) * 5 * 8
+        assert pooled_bytes == 108009 * 5 * 8
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            for rows in (500, 2500):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                generate_dataset(stage1_logs, train_count=rows, test_count=91, seed=0)
+                assert tracemalloc.get_traced_memory()[1] - base < pooled_bytes, rows
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    def test_one_constant_log_among_varying_ones(self):
+        rng = np.random.default_rng(15)
+        varying = np.column_stack([rng.uniform(-1, 1, size=(400, 4)), rng.normal(size=400)])
+        logs = [series_from_rows(np.zeros((400, 5))), series_from_rows(varying)]
+        ds = generate_dataset(logs, train_count=500, test_count=91, seed=1)
+        assert ds.rows.shape == (591, 5)
+
     def test_exact_split_counts(self):
         rng = np.random.default_rng(12)
         rows = np.column_stack([rng.uniform(-1, 1, size=(2000, 4)), rng.normal(size=2000)])

@@ -86,11 +86,15 @@ def _benchmark_without_artifacts(tmp_path):
 
 
 def _train_on_too_few_rows(tmp_path):
-    config = write_config(tmp_path / "tiny.json", {"anfis": {"train_count": 10}})
-    args = ["--config", str(config), "--out", str(tmp_path / "out")]
-    assert cli.main(["design-lqr", *args]) == cli.EXIT_OK
-    assert cli.main(["gen-data", *args]) == cli.EXIT_OK
-    return cli.main(["train", *args])
+    """`train` on a split file cut to 10 training rows: a config cannot ask for so few, so
+    the split is cut after `gen-data`."""
+    out = tmp_path / "out"
+    assert cli.main(["design-lqr", "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["gen-data", "--out", str(out)]) == cli.EXIT_OK
+    split = json.loads((out / cli.SPLIT_FILE).read_text())
+    split["train_indices"] = split["train_indices"][:10]
+    (out / cli.SPLIT_FILE).write_text(json.dumps(split))
+    return cli.main(["train", "--out", str(out)])
 
 
 def _tsla_with_three_inputs(tmp_path):
@@ -184,12 +188,14 @@ def _gen_data_on_truncated_design(tmp_path):
     return cli.main(["gen-data", "--out", str(out)])
 
 
-def _benchmark_on_infinite_repeat(tmp_path):
-    """`benchmark --auto` with a non-finite repeat magnitude: rejected before any stage,
+def _benchmark_rejected_with(doc):
+    """`benchmark --auto` under ``doc``, which the config load rejects before any stage,
     so --out stays empty."""
-    code = _benchmark_with({"scenarios": {"impulse": {"repeat_magnitudes": [math.inf]}}})(tmp_path)
-    assert list((tmp_path / "out").glob("*")) == []
-    return code
+    def run(tmp_path):
+        code = _benchmark_with(doc)(tmp_path)
+        assert list((tmp_path / "out").glob("*")) == []
+        return code
+    return run
 
 
 # each stderr fragment must appear; no fragments means stderr stays empty
@@ -236,8 +242,15 @@ def _benchmark_on_infinite_repeat(tmp_path):
      cli.EXIT_USAGE, ("config error", "anfis.stage1 needs at least one run")),
     (_gen_data_with({"anfis": {"stage1": {"impulse_magnitudes": [math.inf]}}}), cli.EXIT_USAGE,
      ("config error", "anfis.stage1.impulse_magnitudes must be finite, got [inf]")),
-    (_benchmark_on_infinite_repeat, cli.EXIT_USAGE,
+    (_benchmark_rejected_with({"scenarios": {"impulse": {"repeat_magnitudes": [math.inf]}}}),
+     cli.EXIT_USAGE,
      ("config error", "scenarios.impulse.repeat_magnitudes: magnitude must be finite, got inf")),
+    (_benchmark_rejected_with({"anfis": {"train_count": 60, "test_count": 1}}), cli.EXIT_USAGE,
+     ("config error", "anfis.train_count must be >= 80, the model's consequent parameters, "
+      "got 60")),
+    (_gen_data_with({"anfis": {"train_count": 200000}}), cli.EXIT_USAGE,
+     ("config error", "anfis.train_count + anfis.test_count is 200091, but stage 1 logs "
+      "108009 rows: 9 runs of 12001")),
 ], ids=["ok", "unknown-config-key", "negative-train-count", "zero-test-count", "zero-epochs",
         "negative-learning-rate", "benchmark-without-artifacts", "train-too-few-rows",
         "tsla-three-inputs", "tsla-truncated-model", "tsla-non-object-model",
@@ -245,7 +258,8 @@ def _benchmark_on_infinite_repeat(tmp_path):
         "train-on-empty-dataset", "gen-data-truncated-design",
         "float-key-as-boolean-and-string", "zero-lqr-r", "infinite-lqr-r",
         "negative-q-diag-entry", "stage1-horizon-below-dt", "negative-stage1-onset",
-        "stage1-without-runs", "infinite-stage1-magnitude", "infinite-repeat-magnitude"])
+        "stage1-without-runs", "infinite-stage1-magnitude", "infinite-repeat-magnitude",
+        "train-count-below-consequents", "dataset-beyond-stage1-rows"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err

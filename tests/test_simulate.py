@@ -302,6 +302,14 @@ class TestRunClosedLoop:
         for col in ("t", "x", "x_dot", "theta", "theta_dot", "u", "d"):
             assert np.array_equal(getattr(thin, col), getattr(full, col)[::10])
 
+    @pytest.mark.parametrize("horizon", [0.25, 0.253])
+    @pytest.mark.parametrize("decimation", [1, 3, 7, 10])
+    def test_logged_rows_counts_the_log_of_a_run_that_stays_up(self, horizon, decimation):
+        cfg = SimConfig(horizon=horizon, log_decimation=decimation)
+        series = run_closed_loop(cfg, lqr_controller(), None, PARAMS)
+        assert not (series.fell or series.diverged)
+        assert len(series) == simulate.logged_rows(cfg)
+
     def test_time_grid_spacing(self):
         series = run_closed_loop(SimConfig(horizon=1.0, log_decimation=5), None, None, PARAMS)
         spacing = np.diff(series.t)
