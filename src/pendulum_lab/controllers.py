@@ -179,9 +179,12 @@ class LqrController:
 
     The product is ``np.dot(K, z)`` with K the (1, 4) gain row, a BLAS gemv
     in `command` and in the closed loop alike, so its last bits belong to
-    the BLAS kernel that runs.  OpenBLAS's SkylakeX kernel gives
-    bits that a Python left fold of the four products does not reproduce;
-    its Nehalem, Sandybridge and Haswell kernels give the fold's bits.
+    the BLAS kernel that runs.  OpenBLAS's SkylakeX kernel gives the bits
+    of the FMA chain ``fma(k3, z3, fma(k2, z2, fma(k1, z1, k0 * z0)))``
+    (checked in exact rational arithmetic on the 20 001 distinct states of
+    a default LQR impulse log and 10 000 random ones), which a Python left
+    fold of the four products does not reproduce; its Nehalem, Sandybridge
+    and Haswell kernels give the fold's bits.
     Every artifact downstream of stage 1 (dataset, model, table) carries the
     bits of the kernel it was made with.
     """

@@ -25,6 +25,13 @@ kind (`_loop`), as `anfis.AnfisModel.law` is compiled: the four RK4 stages,
 the bound test and the logging are inline, every parameter a literal.  So is
 the law of a stateless controller (LQR, TS-LA); any other (PI, PID) runs
 through its own `command`.
+
+A loop whose law is inlined, or open loop, fast-forwards a rest.  Once a
+step leaves the state bitwise as it was (say, upright before an impulse's
+onset), each later step repeats it, command included, until the force grid
+changes bits; the loop logs those steps' row without stepping them and
+resumes where the force changes.  A law through `command` may keep state
+that the rest would not advance, so those loops step every step.
 """
 
 from __future__ import annotations
@@ -67,9 +74,11 @@ class Controller(Protocol):
     controller.  A controller may also offer ``law_source()``, statements
     with `command`'s bits that the loop inlines in place of the call (see
     `_loop`); they write no state back, so only a law without state may
-    offer one.  The shipped controllers also offer ``step(measured, dt)``,
-    which takes a `PlantState` and forwards to `command`; it is not part of
-    this contract.
+    offer one.  That is what lets the loop skip a rest: a law without
+    state gives the same command for the same state, so a step that leaves
+    the state as it was repeats until the force changes.  The shipped
+    controllers also offer ``step(measured, dt)``, which takes a
+    `PlantState` and forwards to `command`; it is not part of this contract.
     """
 
     def command(self, z: tuple[float, float, float, float], dt: float) -> float: ...
@@ -129,15 +138,34 @@ class TimeSeries:
 
     def to_csv(self, path) -> None:
         """One header row, then one row per step: floats by ``repr``, comma
-        separated, CRLF-terminated (the bytes `artifacts.write_csv` would write)."""
-        columns = (self.t, self.x, self.x_dot, self.theta, self.theta_dot, self.u, self.d)
-        table = np.column_stack(columns).astype(float, copy=False)
+        separated, CRLF-terminated (the bytes `artifacts.write_csv` would write).
+
+        Written `_CSV_CHUNK` rows at a time, each column's text by `_reprs`: one
+        ``repr`` per run of bitwise-equal values, as a log at rest repeats its row."""
+        columns = [np.asarray(c, dtype=float) for c in
+                   (self.t, self.x, self.x_dot, self.theta, self.theta_dot, self.u, self.d)]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\r\n")
-            # one row of Python floats at a time: a list of every row would
-            # hold some 10 MB of float objects for a 40 s log at 1 ms
-            fh.writelines(",".join(map(repr, row)) + "\r\n"
-                          for row in map(np.ndarray.tolist, table))
+            for lo in range(0, self.t.size, _CSV_CHUNK):
+                texts = [_reprs(column[lo:lo + _CSV_CHUNK]) for column in columns]
+                fh.write("\r\n".join(map(",".join, zip(*texts, strict=True))) + "\r\n")
+
+
+# rows per chunk of `TimeSeries.to_csv`: a 40 s log at 1 ms written whole would hold
+# some 280 000 strings at once, while 1024 rows peak near 1 MB and write as fast as
+# larger chunks
+_CSV_CHUNK = 1024
+
+
+def _reprs(column: np.ndarray) -> list[str]:
+    """``repr`` of each float of a non-empty ``column``, called once per run of
+    values with the same bits (so -0.0 and 0.0 are separate runs)."""
+    bits = column.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = list(map(repr, column[starts].tolist()))
+    if len(texts) == column.size:
+        return texts
+    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=column.size)).tolist()
 
 
 def _rk4_constants(params: PhysicalParams, dt: float) -> dict:
@@ -207,41 +235,60 @@ def rk4_step(
 
 
 _LOOP = """\
-def loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, rows):
-    outcome = None
-    for i in range(start, stop):
-        phi = theta - {pi}
-        {law}
-        {decimate}rows += (x, x_dot, theta, theta_dot, u)
-        if i == {last}:
-            break
-        force = {gain} * u + forces[i]
-        {rk4}
-        # one test for both ends: NaN fails every comparison, so it leaves the box too
-        if not ({lo} <= x <= {hi} and {lo} <= x_dot <= {hi}
-                and {fell_lo} <= theta <= {fell_hi} and {lo} <= theta_dot <= {hi}):
-            i += 1
-            if ({lo} <= x <= {hi} and {lo} <= x_dot <= {hi}
-                    and {lo} <= theta <= {hi} and {lo} <= theta_dot <= {hi}):
-                phi = theta - {pi}
-                {fallen_law}
-                rows += (x, x_dot, theta, theta_dot, u)
-                outcome = "fell"
-            else:
-                outcome = "diverged"
-            break
-    else:
-        i = stop
-    return outcome, i, (x, x_dot, theta, theta_dot)
+def loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, changes, rows):
+    while True:
+        for i in range(start, stop):
+            phi = theta - {pi}
+            {law}
+            {decimate}rows += (x, x_dot, theta, theta_dot, u)
+            if i == {last}:
+                return None, i, (x, x_dot, theta, theta_dot)
+            force = {gain} * u + forces[i]
+            {keep}
+            {rk4}
+            # one test for both ends: NaN fails every comparison, so it leaves the box too
+            if not ({lo} <= x <= {hi} and {lo} <= x_dot <= {hi}
+                    and {fell_lo} <= theta <= {fell_hi} and {lo} <= theta_dot <= {hi}):
+                i += 1
+                if ({lo} <= x <= {hi} and {lo} <= x_dot <= {hi}
+                        and {lo} <= theta <= {hi} and {lo} <= theta_dot <= {hi}):
+                    phi = theta - {pi}
+                    {fallen_law}
+                    rows += (x, x_dot, theta, theta_dot, u)
+                    return "fell", i, (x, x_dot, theta, theta_dot)
+                return "diverged", i, (x, x_dot, theta, theta_dot)
+            {rest}
+        else:
+            return None, stop, (x, x_dot, theta, theta_dot)
 """
+
+# a law without state (or open loop) at a bitwise fixed point: == first, as it is cheap
+# and rarely true, then repr, which tells -0.0 from 0.0
+_KEEP = "x0, xd0, th0, thd0 = x, x_dot, theta, theta_dot"
+_REST = """\
+if x == x0 and x_dot == xd0 and theta == th0 and theta_dot == thd0 and (
+        repr((x, x_dot, theta, theta_dot)) == repr((x0, xd0, th0, thd0))):
+    start = rest(i, stop, changes, {decimation}, rows, (x, x_dot, theta, theta_dot, u))
+    break"""
+
+
+def _rest(i: int, stop: int, changes: np.ndarray, decimation: int, rows: list,
+          row: tuple) -> int:
+    """Log a stateless loop's rest, which starts after step ``i``: ``row`` for every
+    logged step before the next of ``changes`` or ``stop``, whichever comes first.
+    Returns that step, where the loop resumes."""
+    k = int(changes.searchsorted(i, side="right"))
+    end = min(int(changes[k]), stop) if k < changes.size else stop
+    rows += row * ((end - 1) // decimation - i // decimation)
+    return end
 
 
 def _loop(config: SimConfig, controller: Optional[Controller], params: PhysicalParams,
           last: int):
     """The closed loop of ``controller``'s kind, compiled from `_LOOP`.
 
-    ``loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, rows)`` runs
-    steps ``start .. stop - 1`` from that state under ``forces[i]`` with the
+    ``loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, changes, rows)``
+    runs steps ``start .. stop - 1`` from that state under ``forces[i]`` with the
     law of ``ctrl`` (the controller or a `copy.copy` of it), extending ``rows``
     by the (x, x', theta, theta', u) of each step with ``i % log_decimation ==
     0`` and of a fallen state.  It returns ``(outcome, i, state)``: None if the
@@ -250,22 +297,32 @@ def _loop(config: SimConfig, controller: Optional[Controller], params: PhysicalP
     phi and theta_dot, and the globals they read.  Other controllers' law
     calls `command`, which keeps their state on ``ctrl``; open loop's is
     ``u = 0.0``.
+
+    A law that is inlined or open loop keeps no state, so a step that leaves
+    the state bitwise as it was repeats, with the same command, until the
+    force changes: the loop logs that rest at once (`_rest`) and resumes at
+    the next of ``changes``, the steps where the bits of ``forces`` differ
+    from the step before.  A loop through `command` steps every step.
     """
     dt = config.dt
+    keep, rest = _KEEP, _REST.format(decimation=config.log_decimation)
     if controller is None:
         law, names = "u = 0.0", {}
     elif hasattr(controller, "law_source"):
         law, names = controller.law_source()
     else:
         law, names = f"u = ctrl.command((x, x_dot, phi, theta_dot), {dt!r})", {}
+        keep = rest = ""
+    indent = "\n" + " " * 12
     source = _LOOP.format(
-        law=law.replace("\n", "\n" + " " * 8), fallen_law=law.replace("\n", "\n" + " " * 16),
+        law=law.replace("\n", indent), fallen_law=law.replace("\n", indent + " " * 8),
         decimate=f"if i % {config.log_decimation} == 0: " if config.log_decimation > 1 else "",
-        rk4="\n        ".join(_rk4_lines({k: repr(v) for k, v in _rk4_constants(params, dt).items()})),
+        rk4=indent.join(_rk4_lines({k: repr(v) for k, v in _rk4_constants(params, dt).items()})),
+        keep=keep, rest=rest.replace("\n", indent),
         pi=repr(UPRIGHT_THETA), last=last, gain=repr(config.actuator_gain),
         lo=repr(-DIVERGENCE_LIMIT), hi=repr(DIVERGENCE_LIMIT),
         fell_lo=repr(UPRIGHT_THETA - FALL_ANGLE), fell_hi=repr(UPRIGHT_THETA + FALL_ANGLE))
-    return _compiled(source, "loop", names)
+    return _compiled(source, "loop", {"rest": _rest, **names})
 
 
 def _table(rows: list) -> np.ndarray:
@@ -314,7 +371,9 @@ def run_closed_loops(
     Each branch resumes at that step with its own `copy.copy` of the
     controller, taken before that step's command (see `Controller`).  A run
     that falls, diverges or ends before the fork gives every disturbance the
-    same states and commands; the d column is each disturbance's own.  The
+    same states and commands; the d column is each disturbance's own.  A
+    rest (see `_loop`) ends at the next step where the stretch's or the
+    branch's own force grid changes bits, or at the stretch's end.  The
     shared rows are kept once; each series is built just before it is
     yielded, so a caller that drops each series before asking for the next
     holds one at a time.
@@ -330,13 +389,14 @@ def run_closed_loops(
                        for f in disturbances], dtype=float)
     bits = forces.view(np.int64)
     differ = np.flatnonzero((bits != bits[0]).any(axis=0))
+    changes = [np.flatnonzero(row[1:] != row[:-1]) + 1 for row in bits]
     fork = int(differ[0]) if differ.size else n_steps + 1
     decimation = config.log_decimation
     loop = _loop(config, controller, params, n_steps)
 
     rows: list = []
     outcome, end, state = loop(controller, initial.x, initial.x_dot, initial.theta,
-                               initial.theta_dot, 0, fork, forces[0].tolist(), rows)
+                               initial.theta_dot, 0, fork, forces[0].tolist(), changes[0], rows)
     if outcome is not None or fork > n_steps:
         for row in forces:
             yield _series(_table(rows), times, row, decimation, outcome, end)
@@ -344,10 +404,10 @@ def run_closed_loops(
 
     shared = _table(rows)
     del rows
-    for row in forces:
+    for row, row_changes in zip(forces, changes):
         rows = []
         outcome, end, _ = loop(copy.copy(controller), *state, fork, n_steps + 1, row.tolist(),
-                               rows)
+                               row_changes, rows)
         data = np.concatenate((shared, _table(rows)))
         del rows
         yield _series(data, times, row, decimation, outcome, end)

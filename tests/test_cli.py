@@ -58,6 +58,22 @@ def test_short_benchmark_golden(tmp_path, capsys):
     assert sha256_of(out, GOLDEN_SHA256) == GOLDEN_SHA256
 
 
+# `simulate` logs whose bits no BLAS kernel sets: PID under the short config, whose
+# rows before the onset repeat, and open loop under the default one, which rests for
+# 20 s, is knocked and falls
+@pytest.mark.parametrize("controller, doc, digest", [
+    ("pid", SHORT_BENCHMARK, "61ca7cc1043a67bb4a3df5db38bb89032b501e6c9e11af9922355385011bdca0"),
+    ("none", {}, "3e1ce6646564e12edb3de2674675803b353d716fea361909ed3c825e1dff3f80"),
+], ids=["pid-short", "none-default"])
+def test_simulate_impulse_golden(tmp_path, capsys, controller, doc, digest):
+    config = write_config(tmp_path / "config.json", doc)
+    code = cli.main(["simulate", "--controller", controller, "--scenario", "impulse",
+                     "--config", str(config), "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    name = f"timeseries_{controller}_impulse.csv"
+    assert sha256_of(tmp_path, [name]) == {name: digest}
+
+
 def test_default_derive_golden(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["derive", "--out", str(out)]) == cli.EXIT_OK

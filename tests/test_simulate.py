@@ -610,6 +610,107 @@ class TestGeneratedLoop:
                 assert getattr(controller, name) == getattr(plain, name)
 
 
+class CountingLaw:
+    """A stateless law whose inlined statements count their evaluations in a list
+    that the loop reads as a global.  At upright its command is 0.0 when theta' is
+    -0.0 and -0.0 when it is 0.0, so a rest must tell the two apart."""
+
+    def __init__(self, evaluations):
+        self.evaluations = evaluations
+
+    def command(self, z, dt):
+        self.evaluations.append(None)
+        return -5.0 * z[3] - 40.0 * z[2]
+
+    def law_source(self):
+        return ("evaluations.append(None)\nu = -5.0 * theta_dot - 40.0 * phi",
+                {"evaluations": self.evaluations})
+
+
+def resting_tsla():
+    """The 16-rule model with zero consequent biases: u = 0 at upright, so it rests there."""
+    consequents = TSLA_MODEL.consequents.copy()
+    consequents[:, -1] = 0.0
+    return AnfisController(replace(TSLA_MODEL, consequents=consequents))
+
+
+RESTING_KINDS = {"LQR": lqr_controller, "TS-LA": resting_tsla, "none": lambda: None,
+                 "counting": lambda: CountingLaw([])}
+
+
+def constant(force):
+    return lambda: (lambda t: force)
+
+
+rest_disturbances = st.one_of(
+    st.builds(impulse, impulse_specs),
+    # an onset past the 0.25 s horizon: the rest lasts to the last grid step
+    st.builds(impulse, st.builds(ImpulseSpec, magnitude=st.just(10.0), onset=st.just(0.3))),
+    st.sampled_from([constant(-0.0), constant(0.0)]),
+)
+
+
+class TestRest:
+    """A stateless loop at a bitwise fixed point logs the rest without stepping it;
+    each log must still be bitwise the loop written plainly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(RESTING_KINDS)),
+           disturbances=st.lists(rest_disturbances, min_size=1, max_size=3),
+           start=st.sampled_from([PlantState(), PlantState(t=0.37), PlantState(x=-0.0),
+                                  PlantState(theta_dot=-0.0, t=1.5)]),
+           decimation=st.sampled_from([1, 7]))
+    @example(kind="LQR", disturbances=[impulse(ImpulseSpec(10.0, 0.1, 0.05)),
+                                       impulse(ImpulseSpec(-0.0, 0.1, 0.05)), impulse(None)],
+             start=PlantState(), decimation=7)  # forks at rest, one branch rests to the end
+    @example(kind="TS-LA", disturbances=[constant(-0.0), constant(0.0)],
+             start=PlantState(t=0.37), decimation=1)  # signed zeros fork at step 0
+    @example(kind="none", disturbances=[impulse(ImpulseSpec(10.0, 0.3, 0.05))],
+             start=PlantState(), decimation=7)  # rests to the last step
+    @example(kind="counting", disturbances=[impulse(None)], start=PlantState(theta_dot=-0.0),
+             decimation=1)  # step 0 ends at 0.0, == to -0.0 but not at rest
+    @example(kind="LQR", disturbances=[impulse(ImpulseSpec(10.0, 0.02, 0.01)),
+                                       impulse(ImpulseSpec(10.0, 0.1, 0.05))],
+             start=PlantState(), decimation=1)  # the second branch rests until its own onset
+    @example(kind="none", disturbances=[impulse(ImpulseSpec(10.0, 0.2, 0.01)),
+                                        impulse(ImpulseSpec(10.0, 0.1, 0.01))],
+             start=PlantState(), decimation=7)  # the shared rest ends at the fork, not at 0.2 s
+    def test_rest_matches_the_plain_loop(self, kind, disturbances, start, decimation):
+        cfg = SimConfig(horizon=0.25, log_decimation=decimation, initial_state=start)
+        family = run_closed_loops(cfg, RESTING_KINDS[kind](), [d() for d in disturbances],
+                                  PARAMS)
+        for series, disturbance in zip(family, disturbances, strict=True):
+            assert log_bytes(series) == reference_run(cfg, RESTING_KINDS[kind](), disturbance(),
+                                                      PARAMS)
+
+    @pytest.mark.parametrize("decimation", [1, 7])
+    def test_open_loop_rests_then_is_knocked_and_falls(self, decimation):
+        cfg = SimConfig(horizon=1.5, log_decimation=decimation)
+        spec = ImpulseSpec(10.0, onset=0.5, width=0.05)
+        series = run_closed_loop(cfg, None, make_disturbance(spec), PARAMS)
+        assert series.fell and 0.5 < series.t[-1] < 1.5
+        assert np.all(series.theta[series.t < 0.5] == UPRIGHT_THETA)
+        assert log_bytes(series) == reference_run(cfg, None, make_disturbance(spec), PARAMS)
+
+    def test_a_run_at_rest_evaluates_the_law_once(self):
+        evaluations = []
+        series = run_closed_loop(SimConfig(horizon=40.0), CountingLaw(evaluations), None, PARAMS)
+        assert len(series) == 40001
+        assert len(evaluations) == 1
+        assert log_bytes(series) == reference_run(SimConfig(horizon=40.0), CountingLaw([]), None,
+                                                  PARAMS)
+
+    def test_a_family_rests_once_before_it_forks(self):
+        cfg = SimConfig(horizon=20.1)
+        evaluations = []
+        specs = [ImpulseSpec(m, onset=20.0, width=0.05) for m in (10.0, 20.0, 30.0)]
+        family = list(run_closed_loops(cfg, CountingLaw(evaluations),
+                                       map(make_disturbance, specs), PARAMS))
+        assert [len(series) for series in family] == [20101] * 3
+        # step 0 of the shared rest, then every step of each branch from the onset on
+        assert len(evaluations) == 1 + 3 * 101
+
+
 class TestTimeSeriesCsv:
     def test_round_trip_exact(self, tmp_path):
         cfg = SimConfig(horizon=1.0, log_decimation=10)
@@ -628,17 +729,22 @@ class TestTimeSeriesCsv:
         assert path.read_text().splitlines()[0] == "t,x,x_dot,theta,theta_dot,u,d"
 
     def test_bytes_match_csv_writer(self, tmp_path):
-        # reference: the csv.writer form, one repr per float
-        values = [-0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, 0.1, -1.5, 1.0, 3]
-        cols = [np.roll(np.array(values, dtype=float), k) for k in range(7)]
-        cols[0] = np.arange(len(values))  # an integer column is written as floats too
-        series = TimeSeries(*cols)
-        path = tmp_path / "run.csv"
-        series.to_csv(path)
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "x_dot", "theta", "theta_dot", "u", "d"])
-            for row in zip(*cols):
-                writer.writerow([repr(float(v)) for v in row])
-        assert path.read_bytes() == ref.read_bytes()
+        # reference: the csv.writer form, one repr per float.  Each column repeats the
+        # values in runs of its own length, some across a chunk's end; -0.0 runs next
+        # to 0.0, and nan, inf and -inf run too
+        values = [-0.0, 0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, 0.1, -1.5, 1.0, 3]
+        chunk = simulate._CSV_CHUNK
+        for n in (0, 1, 10, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            # an integer column is written as floats too; linspace has no equal neighbours
+            cols = [np.arange(n), np.linspace(-1.0, 1.0, n)] + [
+                np.resize(np.repeat(np.array(values, dtype=float), run), n)
+                for run in (1, 7, 100, 1000, 5000)]
+            path = tmp_path / f"run{n}.csv"
+            TimeSeries(*cols).to_csv(path)
+            ref = tmp_path / f"ref{n}.csv"
+            with open(ref, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["t", "x", "x_dot", "theta", "theta_dot", "u", "d"])
+                for row in zip(*cols):
+                    writer.writerow([repr(float(v)) for v in row])
+            assert path.read_bytes() == ref.read_bytes(), n
