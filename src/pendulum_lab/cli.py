@@ -43,7 +43,7 @@ from .pipeline import (benchmark_from_config, build_dataset, check_metrics_span,
                        design_from_config, stage1_runs, train_from_config)
 from .plant import controllability, linearize, poles, root_locus_sweep, transfer_functions, \
     write_locus_csv, write_poles_csv
-from .scenarios import METRICS_SPAN, compute_metrics, make_disturbance
+from .scenarios import METRICS_SPAN, compute_metrics
 from .simulate import run_closed_loop
 
 EXIT_OK = 0
@@ -261,7 +261,7 @@ def cmd_simulate(args) -> int:
     controller = _controller_for(args.controller, config, out)
 
     sim_cfg, spec, onset = config.scenarios.run(args.scenario, config.sim)
-    series = run_closed_loop(sim_cfg, controller, make_disturbance(spec), config.physical)
+    series = run_closed_loop(sim_cfg, controller, spec, config.physical)
     name = f"timeseries_{args.controller}_{args.scenario}.csv"
     series.to_csv(out / name)
     print(f"{len(series)} rows logged to {out / name}")

@@ -22,6 +22,7 @@ import numpy as np
 from .anfis import AnfisModel, _law_source
 from .artifacts import read_json, write_json
 from .plant import UPRIGHT_THETA, LinearStateSpace, PlantState, ctrb
+from .simulate import _compiled
 
 __all__ = [
     "CareError",
@@ -196,8 +197,8 @@ class LqrController:
     def command(self, z: tuple[float, float, float, float], dt: float) -> float:
         return -np.dot(self._K, z).item()
 
-    def law_source(self) -> tuple[str, dict]:
-        return "u = -dot(K, (x, x_dot, phi, theta_dot)).item()", {"dot": np.dot, "K": self._K}
+    def law_source(self) -> tuple[str, dict, tuple]:
+        return "u = -dot(K, (x, x_dot, phi, theta_dot)).item()", {"dot": np.dot, "K": self._K}, ()
 
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)
@@ -221,6 +222,15 @@ class PidGains:
             raise ValueError(f"filter_n must be > 0, got {self.filter_n!r}")
 
 
+# PID's update, written once: `PidController.command` compiles it, the closed loop inlines it
+_PID_LAW = """\
+error = -phi
+integral = integral + 0.5 * (error + prev_error) * dt
+derivative = (derivative + {kd!r} * {filter_n!r} * (error - prev_error)) / (1.0 + {filter_n!r} * dt)
+prev_error = error
+u = {kp!r} * error + {ki!r} * integral + derivative"""
+
+
 class PidController:
     """SISO PI/PID regulating the pendulum angle only.
 
@@ -231,25 +241,27 @@ class PidController:
     filtered differentiator kd N s / (s + N), discretized with backward
     Euler:  d_k = (d_{k-1} + kd N (e_k - e_{k-1})) / (1 + N dt).
     ``integral``, ``prev_error`` and ``derivative`` hold that state, zero
-    at construction; the closed loop runs the law through `command`.
+    at construction; `law_source` gives the update over locals of theirs.
     """
 
     def __init__(self, gains: PidGains):
         self.gains = gains
-        self._kp, self._ki, self._n = gains.kp, gains.ki, gains.filter_n
-        self._kd_n = gains.kd * gains.filter_n
         self.integral = self.prev_error = self.derivative = 0.0
+        law, names, _ = self.law_source()
+        self._law = _compiled("def law(phi, integral, prev_error, derivative, dt):\n    "
+                              + law.replace("\n", "\n    ")
+                              + "\n    return u, integral, prev_error, derivative", "law", names)
 
     def command(self, z: tuple[float, float, float, float], dt: float) -> float:
         if not (dt > 0.0):
             raise ValueError(f"dt must be positive, got {dt!r}")
-        error = -z[2]
-        prev = self.prev_error
-        self.integral = integral = self.integral + 0.5 * (error + prev) * dt
-        self.derivative = derivative = (
-            (self.derivative + self._kd_n * (error - prev)) / (1.0 + self._n * dt))
-        self.prev_error = error
-        return self._kp * error + self._ki * integral + derivative
+        u, self.integral, self.prev_error, self.derivative = self._law(
+            z[2], self.integral, self.prev_error, self.derivative, dt)
+        return u
+
+    def law_source(self) -> tuple[str, dict, tuple]:
+        gains = {name: float(value) for name, value in vars(self.gains).items()}
+        return _PID_LAW.format(**gains), {}, ("integral", "prev_error", "derivative")
 
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)
@@ -273,8 +285,8 @@ class AnfisController:
     def command(self, z: tuple[float, float, float, float], dt: float) -> float:
         return self.model.law(*z)
 
-    def law_source(self) -> tuple[str, dict]:
-        return _law_source(self.model, ("x", "x_dot", "phi", "theta_dot"), "u"), {}
+    def law_source(self) -> tuple[str, dict, tuple]:
+        return _law_source(self.model, ("x", "x_dot", "phi", "theta_dot"), "u"), {}, ()
 
     def step(self, measured: PlantState, dt: float) -> float:
         return self.command(_deviation(measured), dt)

@@ -14,7 +14,7 @@ from .anfis import AnfisModel, Dataset, TrainingHistory, generate_dataset, train
 from .config import ConfigError, RunConfig
 from .controllers import AnfisController, LqrController, LqrDesign, PidController, design_lqr
 from .plant import UPRIGHT_THETA, PlantState, linearize
-from .scenarios import METRICS_SPAN, BenchmarkTable, ImpulseSpec, make_disturbance, run_benchmark
+from .scenarios import METRICS_SPAN, BenchmarkTable, ImpulseSpec, run_benchmark
 from .simulate import TimeSeries, run_closed_loop, step_times
 
 __all__ = ["design_from_config", "stage1_runs", "build_dataset", "train_from_config",
@@ -39,8 +39,7 @@ def stage1_runs(config: RunConfig, design: LqrDesign) -> list[TimeSeries]:
     for magnitude in stage1.impulse_magnitudes:
         spec = ImpulseSpec(magnitude=magnitude, onset=stage1.impulse_onset,
                            width=config.scenarios.impulse.width)
-        runs.append(run_closed_loop(base, LqrController(design), make_disturbance(spec),
-                                    config.physical))
+        runs.append(run_closed_loop(base, LqrController(design), spec, config.physical))
     return runs
 
 

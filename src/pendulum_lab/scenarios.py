@@ -77,6 +77,11 @@ class ImpulseSpec:
         if not math.isfinite(self.magnitude):
             raise ValueError(f"magnitude must be finite, got {self.magnitude!r}")
 
+    def forces(self, times: np.ndarray) -> np.ndarray:
+        """The force at each of ``times``: `make_disturbance`'s, bit for bit."""
+        end = self.onset + self.width
+        return np.where((self.onset <= times) & (times < end), self.magnitude, 0.0)
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -95,6 +100,18 @@ class NoiseSpec:
             raise ValueError(f"power must be >= 0, got {self.power!r}")
         if not (math.isfinite(self.sample_time) and self.sample_time > 0.0):
             raise ValueError(f"sample_time must be > 0, got {self.sample_time!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+    def forces(self, times: np.ndarray) -> np.ndarray:
+        """The force at each of ``times``: `make_disturbance`'s, bit for bit."""
+        k = (times / self.sample_time).astype(np.int64)
+        if self.power == 0.0:
+            return np.zeros(k.size)
+        if k.min() < 0:
+            raise ValueError(f"negative time {float(times[k.argmin()])!r}")
+        draws = np.random.default_rng(self.seed).standard_normal(int(k.max()) + 1)
+        return (draws * math.sqrt(self.power))[k]
 
 
 class _NoiseStream:
@@ -120,7 +137,7 @@ class _NoiseStream:
 
 
 def make_disturbance(spec) -> Callable[[float], float]:
-    """Fresh callable force source for one run (noise gets its own stream)."""
+    """A fresh force source f(t) for one run: the reference of the spec's `forces`."""
     if isinstance(spec, ImpulseSpec):
         magnitude, onset, end = spec.magnitude, spec.onset, spec.onset + spec.width
         return lambda t: magnitude if onset <= t < end else 0.0
@@ -407,9 +424,8 @@ def run_benchmark(params: PhysicalParams, controller_factories: dict[str, Callab
     cells are one `run_closed_loops` family: they share a single run up to
     the onset, where their force grids first differ, and each branch then
     goes on with its own `copy.copy` of the controller, which gives the same
-    log as a run of its own.  The noise cell gets a new controller and
-    stream.  A cell whose pendulum falls, or whose run diverges, is reported
-    in-table rather than raised.
+    log as a run of its own.  The noise cell gets a new controller.  A cell
+    whose pendulum falls, or whose run diverges, is reported in-table.
     """
     impulses = scenarios.impulses()
     impulse_sim, _, impulse_onset = scenarios.run("impulse", sim_config)
@@ -427,13 +443,12 @@ def run_benchmark(params: PhysicalParams, controller_factories: dict[str, Callab
 
     cells = []
     for name, factory in controller_factories.items():
-        family = run_closed_loops(impulse_sim, factory(),
-                                  [make_disturbance(spec) for spec in impulses], params)
+        family = run_closed_loops(impulse_sim, factory(), impulses, params)
         # strict: the family runs to its end here, so that nothing of it is
         # held through the noise cell
         for spec, series in zip(impulses, family, strict=True):
             cells.append(cell(name, "impulse", spec.magnitude, series, impulse_onset))
             del series  # the next branch is built while this one would be held
-        series = run_closed_loop(noise_sim, factory(), make_disturbance(noise), params)
+        series = run_closed_loop(noise_sim, factory(), noise, params)
         cells.append(cell(name, "noise", None, series, noise_onset))
     return BenchmarkTable(cells=cells)

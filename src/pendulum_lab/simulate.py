@@ -7,13 +7,13 @@ constant over each step (zero-order hold); this keeps runs bit-reproducible,
 which the golden tests and the benchmark rely on.
 
 Every run steps on the grid ``t0 + i*dt`` (i = 0 .. n_steps).  A disturbance
-is a force as a function of t, read once per grid time before the run, so
-the loop itself reads forces by step index.  A run ends early, keeping its
-partial log, at the first state past either of two bounds: ``fell=True``
-once |theta - pi| > pi/2 (the first state past the horizontal is logged,
-with its command, as the last row), and ``diverged=True`` once any
-component leaves [-1e6, 1e6] or turns non-finite.  A state past both has
-diverged.
+is a force as a function of t, read onto that grid before the run (a spec
+builds its grid at once), so the loop itself reads forces by step index.
+A run ends early, keeping its partial log, at the first state past either
+of two bounds: ``fell=True`` once |theta - pi| > pi/2 (the first state past
+the horizontal is logged, with its command, as the last row), and
+``diverged=True`` once any component leaves [-1e6, 1e6] or turns
+non-finite.  A state past both has diverged.
 
 `run_closed_loops` runs one controller under several disturbances and
 simulates the stretch where their force grids agree (say, before an
@@ -23,15 +23,15 @@ log is bitwise the one `run_closed_loop` gives alone.
 Each `run_closed_loops` call compiles one loop function for its controller's
 kind (`_loop`), as `anfis.AnfisModel.law` is compiled: the four RK4 stages,
 the bound test and the logging are inline, every parameter a literal.  So is
-the law of a stateless controller (LQR, TS-LA); any other (PI, PID) runs
-through its own `command`.
+the law of each shipped controller, PI's and PID's state held in locals;
+a custom controller runs through its own `command`.
 
 A loop whose law is inlined, or open loop, fast-forwards a rest.  Once a
-step leaves the state bitwise as it was (say, upright before an impulse's
-onset), each later step repeats it, command included, until the force grid
-changes bits; the loop logs those steps' row without stepping them and
-resumes where the force changes.  A law through `command` may keep state
-that the rest would not advance, so those loops step every step.
+step leaves the plant and the law's state bitwise as they were (say,
+upright before an impulse's onset), each later step repeats it until the
+force grid changes bits; the loop logs those steps' row without stepping
+them and resumes where the force changes.  A custom `command` may keep
+state the loop cannot see, so its loop steps every step.
 """
 
 from __future__ import annotations
@@ -71,13 +71,12 @@ class Controller(Protocol):
     `run_closed_loops` forks a run by shallow copies, and each copy must
     give exactly the commands the original would.  A run starts from the
     state its controller is in, so a fresh run takes a freshly built
-    controller.  A controller may also offer ``law_source()``, statements
-    with `command`'s bits that the loop inlines in place of the call (see
-    `_loop`); they write no state back, so only a law without state may
-    offer one.  That is what lets the loop skip a rest: a law without
-    state gives the same command for the same state, so a step that leaves
-    the state as it was repeats until the force changes.  The shipped
-    controllers also offer ``step(measured, dt)``, which takes a
+    controller.  A controller may also offer ``law_source()``: statements
+    with `command`'s bits that the loop inlines in place of the call, and
+    the attributes that hold the law's state, which the loop keeps in
+    locals (see `_loop`).  Then a step that leaves the plant and that state
+    as they were repeats until the force changes, so the loop skips a rest.
+    The shipped controllers also offer ``step(measured, dt)``, which takes a
     `PlantState` and forwards to `command`; it is not part of this contract.
     """
 
@@ -236,15 +235,16 @@ def rk4_step(
 
 _LOOP = """\
 def loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, changes, rows):
+    dt = {dt}{load}
     while True:
         for i in range(start, stop):
             phi = theta - {pi}
+            {keep}
             {law}
             {decimate}rows += (x, x_dot, theta, theta_dot, u)
             if i == {last}:
-                return None, i, (x, x_dot, theta, theta_dot)
+                {store}return None, i, (x, x_dot, theta, theta_dot)
             force = {gain} * u + forces[i]
-            {keep}
             {rk4}
             # one test for both ends: NaN fails every comparison, so it leaves the box too
             if not ({lo} <= x <= {hi} and {lo} <= x_dot <= {hi}
@@ -255,26 +255,24 @@ def loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, changes, rows):
                     phi = theta - {pi}
                     {fallen_law}
                     rows += (x, x_dot, theta, theta_dot, u)
-                    return "fell", i, (x, x_dot, theta, theta_dot)
-                return "diverged", i, (x, x_dot, theta, theta_dot)
+                    {store}return "fell", i, (x, x_dot, theta, theta_dot)
+                {store}return "diverged", i, (x, x_dot, theta, theta_dot)
             {rest}
         else:
-            return None, stop, (x, x_dot, theta, theta_dot)
+            {store}return None, stop, (x, x_dot, theta, theta_dot)
 """
 
-# a law without state (or open loop) at a bitwise fixed point: == first, as it is cheap
-# and rarely true, then repr, which tells -0.0 from 0.0
-_KEEP = "x0, xd0, th0, thd0 = x, x_dot, theta, theta_dot"
+# the plant and the law's state at a bitwise fixed point: == first, as it is cheap and
+# rarely true, then repr, which tells -0.0 from 0.0
 _REST = """\
-if x == x0 and x_dot == xd0 and theta == th0 and theta_dot == thd0 and (
-        repr((x, x_dot, theta, theta_dot)) == repr((x0, xd0, th0, thd0))):
+if {same} and repr(({held},)) == repr(({kept},)):
     start = rest(i, stop, changes, {decimation}, rows, (x, x_dot, theta, theta_dot, u))
     break"""
 
 
 def _rest(i: int, stop: int, changes: np.ndarray, decimation: int, rows: list,
           row: tuple) -> int:
-    """Log a stateless loop's rest, which starts after step ``i``: ``row`` for every
+    """Log a loop's rest, which starts after step ``i``: ``row`` for every
     logged step before the next of ``changes`` or ``stop``, whichever comes first.
     Returns that step, where the loop resumes."""
     k = int(changes.searchsorted(i, side="right"))
@@ -293,32 +291,38 @@ def _loop(config: SimConfig, controller: Optional[Controller], params: PhysicalP
     by the (x, x', theta, theta', u) of each step with ``i % log_decimation ==
     0`` and of a fallen state.  It returns ``(outcome, i, state)``: None if the
     run reached ``stop`` (or ``last``, the grid's end), else "fell" or
-    "diverged".  ``law_source()`` gives statements that set u from x, x_dot,
-    phi and theta_dot, and the globals they read.  Other controllers' law
-    calls `command`, which keeps their state on ``ctrl``; open loop's is
-    ``u = 0.0``.
+    "diverged".  ``law_source()`` gives the statements that set u from x,
+    x_dot, phi, theta_dot and dt, the globals they read, and the attributes
+    of ``ctrl`` that hold its state, kept in locals of those names and stored
+    back on return.  Other laws call `command`; open loop's is ``u = 0.0``.
 
-    A law that is inlined or open loop keeps no state, so a step that leaves
-    the state bitwise as it was repeats, with the same command, until the
-    force changes: the loop logs that rest at once (`_rest`) and resumes at
-    the next of ``changes``, the steps where the bits of ``forces`` differ
-    from the step before.  A loop through `command` steps every step.
+    An inlined or open loop holds all its state in locals, so a step that
+    leaves them bitwise as they were repeats until the force changes: the
+    loop logs that rest at once (`_rest`) and resumes at the next of
+    ``changes``, the steps where the bits of ``forces`` differ from the step
+    before.  A loop through `command` steps every step.
     """
     dt = config.dt
-    keep, rest = _KEEP, _REST.format(decimation=config.log_decimation)
+    state, inlined = (), controller is None or hasattr(controller, "law_source")
     if controller is None:
         law, names = "u = 0.0", {}
-    elif hasattr(controller, "law_source"):
-        law, names = controller.law_source()
+    elif inlined:
+        law, names, state = controller.law_source()
     else:
-        law, names = f"u = ctrl.command((x, x_dot, phi, theta_dot), {dt!r})", {}
-        keep = rest = ""
+        law, names = "u = ctrl.command((x, x_dot, phi, theta_dot), dt)", {}
+    held = ("x", "x_dot", "theta", "theta_dot", *state)
+    kept = [name + "0" for name in held]
+    rest = _REST.format(same=" and ".join(map("{} == {}".format, held, kept)), held=", ".join(held),
+                        kept=", ".join(kept), decimation=config.log_decimation)
     indent = "\n" + " " * 12
     source = _LOOP.format(
         law=law.replace("\n", indent), fallen_law=law.replace("\n", indent + " " * 8),
         decimate=f"if i % {config.log_decimation} == 0: " if config.log_decimation > 1 else "",
         rk4=indent.join(_rk4_lines({k: repr(v) for k, v in _rk4_constants(params, dt).items()})),
-        keep=keep, rest=rest.replace("\n", indent),
+        dt=repr(dt), load="".join(f"; {name} = ctrl.{name}" for name in state),
+        store="".join(f"ctrl.{name} = {name}; " for name in state),
+        keep=f"{', '.join(kept)} = {', '.join(held)}" if inlined else "",
+        rest=rest.replace("\n", indent) if inlined else "",
         pi=repr(UPRIGHT_THETA), last=last, gain=repr(config.actuator_gain),
         lo=repr(-DIVERGENCE_LIMIT), hi=repr(DIVERGENCE_LIMIT),
         fell_lo=repr(UPRIGHT_THETA - FALL_ANGLE), fell_hi=repr(UPRIGHT_THETA + FALL_ANGLE))
@@ -363,11 +367,11 @@ def run_closed_loops(
 
     Yields one `TimeSeries` per disturbance, in order, each bitwise the log
     `run_closed_loop` gives for that disturbance and a controller in the
-    state ``controller`` is in now.  Each disturbance is read once, at every
-    time ``t0 + i*dt`` of the step grid (i = 0 .. n_steps), into a force grid;
-    None reads as zeros.  Forces depend only on t, so this reads them ahead
-    of the run.  A single trajectory runs up to the first step where the
-    grids' float64 bits differ (so 0.0 and -0.0 differ); there the run forks.
+    state ``controller`` is in now.  Each disturbance is read at every time
+    ``t0 + i*dt`` of the step grid (i = 0 .. n_steps) into a force grid: a
+    spec by its ``forces(times)``, a callable once per time, None as zeros.
+    Forces depend only on t, so this reads them ahead of the run.  One run
+    goes up to the first step where the grids' bits differ; there it forks.
     Each branch resumes at that step with its own `copy.copy` of the
     controller, taken before that step's command (see `Controller`).  A run
     that falls, diverges or ends before the fork gives every disturbance the
@@ -384,8 +388,8 @@ def run_closed_loops(
     times = step_times(config)
     n_steps = len(times) - 1
     initial = config.initial_state
-    grid = times.tolist()
-    forces = np.array([[0.0] * len(grid) if f is None else list(map(f, grid))
+    forces = np.array([np.zeros(times.size) if f is None else f.forces(times)
+                       if hasattr(f, "forces") else list(map(f, times.tolist()))
                        for f in disturbances], dtype=float)
     bits = forces.view(np.int64)
     differ = np.flatnonzero((bits != bits[0]).any(axis=0))
@@ -427,6 +431,6 @@ def run_closed_loop(
     plant advances by dt.  ``controller=None`` runs open loop and
     ``disturbance=None`` means no disturbance.  The log is decimated per the
     config; identical inputs give bit-identical logs.  This is
-    `run_closed_loops` with one disturbance.
+    `run_closed_loops` with one disturbance, a spec or a force source.
     """
     return next(run_closed_loops(config, controller, [disturbance], params))

@@ -214,6 +214,18 @@ def _benchmark_rejected_with(doc):
     return run
 
 
+def _simulate_rejected_with(doc):
+    """`simulate --controller pid --scenario noise` under ``doc``, which the config load
+    rejects before the run, so --out stays empty."""
+    def run(tmp_path):
+        config = write_config(tmp_path / "config.json", doc)
+        code = cli.main(["simulate", "--controller", "pid", "--scenario", "noise",
+                         "--config", str(config), "--out", str(tmp_path / "out")])
+        assert list((tmp_path / "out").glob("*")) == []
+        return code
+    return run
+
+
 # each stderr fragment must appear; no fragments means stderr stays empty
 @pytest.mark.parametrize("run, code, stderr", [
     (_design_lqr_default, cli.EXIT_OK, ()),
@@ -267,6 +279,10 @@ def _benchmark_rejected_with(doc):
     (_gen_data_with({"anfis": {"train_count": 200000}}), cli.EXIT_USAGE,
      ("config error", "anfis.train_count + anfis.test_count is 200091, but stage 1 logs "
       "108009 rows: 9 runs of 12001")),
+    (_benchmark_rejected_with({"scenarios": {"noise": {"seed": -1}}}), cli.EXIT_USAGE,
+     ("config error", "seed must be a non-negative integer, got -1")),
+    (_simulate_rejected_with({"scenarios": {"noise": {"seed": -1}}}), cli.EXIT_USAGE,
+     ("config error", "seed must be a non-negative integer, got -1")),
 ], ids=["ok", "unknown-config-key", "negative-train-count", "zero-test-count", "zero-epochs",
         "negative-learning-rate", "benchmark-without-artifacts", "train-too-few-rows",
         "tsla-three-inputs", "tsla-truncated-model", "tsla-non-object-model",
@@ -275,7 +291,8 @@ def _benchmark_rejected_with(doc):
         "float-key-as-boolean-and-string", "zero-lqr-r", "infinite-lqr-r",
         "negative-q-diag-entry", "stage1-horizon-below-dt", "negative-stage1-onset",
         "stage1-without-runs", "infinite-stage1-magnitude", "infinite-repeat-magnitude",
-        "train-count-below-consequents", "dataset-beyond-stage1-rows"])
+        "train-count-below-consequents", "dataset-beyond-stage1-rows",
+        "benchmark-negative-noise-seed", "simulate-negative-noise-seed"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err

@@ -30,6 +30,8 @@ STEP_PROBE = "perfbench times one controller step through it"
 NOT_AFFINE = "training steps the premises only on a target that is not affine"
 INLINED = ("the closed loop inlines its `law_source`; `step` calls it, and the loop's "
            "equivalence test holds the loop to it")
+DRAW_PROBE = ("the commands read each spec's `forces` grid; perfbench draws forces one t at "
+              "a time through it, and the grid tests hold `forces` to it bit for bit")
 ALLOWLIST = {
     "anfis.anfis_infer": "the reference of the compiled TS-LA law; perfbench calls it",
     "anfis.AnfisModel.law": "the compiled single-sample law; `anfis_infer` and "
@@ -42,7 +44,11 @@ ALLOWLIST = {
     "controllers.AnfisController.step": STEP_PROBE,
     "controllers.LqrController.command": INLINED,
     "controllers.AnfisController.command": INLINED,
+    "controllers.PidController.command": INLINED,
     "plant.PlantState.deviation": "perfbench builds its probe inputs with it",
+    "scenarios.make_disturbance": DRAW_PROBE,
+    "scenarios._NoiseStream.__init__": DRAW_PROBE,
+    "scenarios._NoiseStream.__call__": DRAW_PROBE,
     "plant.derivative_fn": "the bitwise reference of the RK4 lines; perfbench probes it",
     "plant.derivative_fn.<locals>.accel": "the bitwise reference of the RK4 lines",
     "simulate.rk4_step": "perfbench times one RK4 step through it",

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pendulum_lab.controllers import LqrController, design_lqr
-from pendulum_lab.plant import PhysicalParams, UPRIGHT_THETA, linearize
+from pendulum_lab.plant import PhysicalParams, PlantState, UPRIGHT_THETA, linearize
 from pendulum_lab.scenarios import (BENCHMARK_HEADER, BenchmarkCell, BenchmarkTable, ImpulseSpec,
                                     MetricBands, NoiseSpec, ScenarioConfig, TransientMetrics,
                                     compute_metrics, make_disturbance, run_benchmark)
-from pendulum_lab.simulate import SimConfig, TimeSeries, run_closed_loop
+from pendulum_lab.simulate import SimConfig, TimeSeries, run_closed_loop, step_times
 
 PARAMS = PhysicalParams()
 
@@ -103,6 +103,79 @@ class TestNoiseSignal:
             NoiseSpec(power=-1.0)
         with pytest.raises(ValueError):
             NoiseSpec(sample_time=0.0)
+        for seed in (-1, 1.5, None):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                NoiseSpec(seed=seed)
+
+
+def drawn(spec, times):
+    """`make_disturbance`'s force at each of ``times``, one call per time, as bytes."""
+    source = make_disturbance(spec)
+    return np.array([source(t) for t in times.tolist()], dtype=float).tobytes()
+
+
+def outcome(read, spec, times):
+    """The bytes ``read(spec, times)`` gives, or the message of the ValueError it raises."""
+    try:
+        return read(spec, times)
+    except ValueError as exc:
+        return str(exc)
+
+
+def grid_bytes(spec, times):
+    return spec.forces(times).tobytes()
+
+
+def grid(t0, dt, horizon=0.6):
+    """The step grid of a run from ``t0``, as the closed loop reads forces on it."""
+    return step_times(SimConfig(dt=dt, horizon=horizon, initial_state=PlantState(t=t0)))
+
+
+grid_starts = st.sampled_from([0.0, 0.37, 1.5, -0.004])
+grid_steps = st.sampled_from([1e-4, 1e-3, 2.5e-3, 1e-2])
+
+
+class TestForceGrid:
+    """Each spec's `forces` grid is, bit for bit, `make_disturbance` read at each time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(magnitude=st.sampled_from([-30.0, -0.0, 0.0, 10.0, 7]) | st.floats(-1e3, 1e3),
+           onset=st.sampled_from([0.0, 0.3, 0.37, 0.3705]) | st.floats(0.0, 2.0),
+           width=st.sampled_from([1e-3, 0.05, 0.0013]) | st.floats(1e-4, 0.5),
+           t0=grid_starts, dt=grid_steps)
+    @example(magnitude=10.0, onset=0.3, width=0.05, t0=0.0, dt=1e-3)  # onset on a grid time
+    @example(magnitude=-0.0, onset=0.3705, width=0.0013, t0=0.37, dt=1e-3)  # both ends between
+    @example(magnitude=5.0, onset=1.51, width=1e-4, t0=1.5, dt=1e-2)  # narrower than a step
+    def test_impulse_grid_is_the_callable(self, magnitude, onset, width, t0, dt):
+        spec = ImpulseSpec(magnitude, onset, width)
+        times = grid(t0, dt)
+        assert grid_bytes(spec, times) == drawn(spec, times)
+
+    @settings(max_examples=100, deadline=None)
+    @given(power=st.sampled_from([0.0, 0.2, 0.5]) | st.floats(0.0, 10.0),
+           sample_time=st.sampled_from([1e-3, 0.01, 0.013, 0.0071]),
+           seed=st.integers(0, 2**63), t0=grid_starts, dt=grid_steps)
+    @example(power=0.0, sample_time=0.01, seed=42, t0=0.0, dt=1e-3)  # zeros, not -0.0
+    @example(power=0.2, sample_time=0.013, seed=42, t0=0.37, dt=1e-3)
+    @example(power=0.5, sample_time=1e-3, seed=7, t0=0.0, dt=1e-4)  # many draws per grid
+    def test_noise_grid_is_the_stream(self, power, sample_time, seed, t0, dt):
+        spec = NoiseSpec(power, sample_time, seed)
+        times = grid(t0, dt)
+        # from t0 = -0.004, a sample time under 4 ms draws at a negative index: both raise
+        assert outcome(grid_bytes, spec, times) == outcome(drawn, spec, times)
+
+    def test_default_noise_run_is_the_stream(self):
+        spec = NoiseSpec()
+        times = grid(0.0, 1e-3, horizon=30.0)
+        assert grid_bytes(spec, times) == drawn(spec, times)
+
+    def test_negative_time_is_rejected(self):
+        spec = NoiseSpec(power=0.5, sample_time=0.01, seed=3)
+        times = np.array([-0.05, -0.02, 0.0])
+        with pytest.raises(ValueError, match="negative time -0.05"):
+            spec.forces(times)
+        with pytest.raises(ValueError, match="negative time -0.05"):
+            drawn(spec, times)
 
 
 class TestComputeMetrics:

@@ -327,6 +327,33 @@ def tsla_model():
                       input_ranges=ranges)
 
 
+class PlainPid:
+    """PID's update written out by hand, apart from `PidController`'s law source: the
+    independent reference that `reference_run` holds PI's and PID's loops to."""
+
+    def __init__(self, gains):
+        self._kp, self._ki, self._n = gains.kp, gains.ki, gains.filter_n
+        self._kd_n = gains.kd * gains.filter_n
+        self.integral = self.prev_error = self.derivative = 0.0
+
+    def command(self, z, dt):
+        error = -z[2]
+        prev = self.prev_error
+        self.integral = integral = self.integral + 0.5 * (error + prev) * dt
+        self.derivative = derivative = (
+            (self.derivative + self._kd_n * (error - prev)) / (1.0 + self._n * dt))
+        self.prev_error = error
+        return self._kp * error + self._ki * integral + derivative
+
+
+PLAIN = {"PI": lambda: PlainPid(default_config().pi), "PID": lambda: PlainPid(default_config().pid)}
+
+
+def plain(kinds, kind):
+    """A new controller of ``kind`` for `reference_run`: PI and PID by `PlainPid`."""
+    return PLAIN.get(kind, kinds[kind])()
+
+
 TSLA_MODEL = tsla_model()
 FAMILY_CONTROLLERS = {
     "LQR": lqr_controller,
@@ -510,6 +537,17 @@ class TestRunClosedLoops:
         assert abs(family[1].theta[-1] - UPRIGHT_THETA) > math.pi / 2
         assert len(family[0]) == len(family[2]) == 8000 // decimation + 1
 
+    @pytest.mark.parametrize("name", ["LQR", "PID"])
+    def test_specs_run_as_their_callables(self, name):
+        cfg = SimConfig(horizon=0.3, initial_state=PlantState(theta=UPRIGHT_THETA + 0.02, t=0.37))
+        specs = [ImpulseSpec(10.0, onset=0.5, width=0.05), ImpulseSpec(-0.0, onset=0.5),
+                 NoiseSpec(power=0.5, sample_time=0.013, seed=3), None]
+        family = run_closed_loops(cfg, FAMILY_CONTROLLERS[name](), specs, PARAMS)
+        sources = [None if spec is None else make_disturbance(spec) for spec in specs]
+        drawn = run_closed_loops(cfg, FAMILY_CONTROLLERS[name](), sources, PARAMS)
+        for series, reference in zip(family, drawn, strict=True):
+            assert log_bytes(series) == log_bytes(reference)
+
     def test_no_disturbances_yield_nothing(self):
         assert list(run_closed_loops(SimConfig(horizon=0.1), None, [], PARAMS)) == []
 
@@ -526,6 +564,8 @@ class LeakyController:
 
 
 LOOP_KINDS = {**FAMILY_CONTROLLERS, "custom": LeakyController, "none": lambda: None}
+# the loop writes dt into its code, so the loop tests draw it as `TestRk4Stepper` does
+LOOP_STEPS = st.sampled_from([1e-4, 1e-3, 2.5e-3, 1e-2])
 PID_STATE = ("integral", "prev_error", "derivative")
 
 
@@ -567,20 +607,25 @@ class TestGeneratedLoop:
            theta_dev=st.floats(min_value=-0.3, max_value=0.3),
            magnitude=st.sampled_from([0.0, 10.0, -40.0, 3e3]),
            decimation=st.sampled_from([1, 3]), gain=st.sampled_from([1.0, 2.5]),
-           limit=st.sampled_from([DIVERGENCE_LIMIT, 5.0]))
+           limit=st.sampled_from([DIVERGENCE_LIMIT, 5.0]), dt=LOOP_STEPS)
     @example(kind="PID", theta_dev=0.05, magnitude=3e3, decimation=3, gain=2.5,
-             limit=DIVERGENCE_LIMIT)  # falls
+             limit=DIVERGENCE_LIMIT, dt=1e-3)  # falls
     @example(kind="LQR", theta_dev=0.0, magnitude=3e3, decimation=1, gain=1.0,
-             limit=5.0)  # diverges
+             limit=5.0, dt=1e-3)  # diverges
     @example(kind="TS-LA", theta_dev=-0.1, magnitude=-40.0, decimation=3, gain=2.5,
-             limit=DIVERGENCE_LIMIT)
+             limit=DIVERGENCE_LIMIT, dt=1e-3)
     @example(kind="none", theta_dev=0.3, magnitude=0.0, decimation=3, gain=1.0,
-             limit=DIVERGENCE_LIMIT)  # falls open loop
-    def test_matches_the_plain_loop(self, kind, theta_dev, magnitude, decimation, gain, limit):
-        cfg = SimConfig(horizon=0.4, log_decimation=decimation, actuator_gain=gain,
+             limit=DIVERGENCE_LIMIT, dt=1e-3)  # falls open loop
+    @example(kind="PID", theta_dev=0.05, magnitude=10.0, decimation=1, gain=1.0,
+             limit=DIVERGENCE_LIMIT, dt=2.5e-3)  # dt enters PID's update
+    @example(kind="PI", theta_dev=-0.02, magnitude=-40.0, decimation=3, gain=1.0,
+             limit=DIVERGENCE_LIMIT, dt=1e-4)
+    def test_matches_the_plain_loop(self, kind, theta_dev, magnitude, decimation, gain, limit,
+                                    dt):
+        cfg = SimConfig(dt=dt, horizon=0.4, log_decimation=decimation, actuator_gain=gain,
                         initial_state=PlantState(x=0.1, theta=UPRIGHT_THETA + theta_dev, t=0.25))
         spec = ImpulseSpec(magnitude, onset=0.3, width=0.02)
-        loop_controller, plain_controller = LOOP_KINDS[kind](), LOOP_KINDS[kind]()
+        loop_controller, plain_controller = LOOP_KINDS[kind](), plain(LOOP_KINDS, kind)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulate, "DIVERGENCE_LIMIT", limit)
             series = run_closed_loop(cfg, loop_controller, make_disturbance(spec), PARAMS)
@@ -600,14 +645,26 @@ class TestGeneratedLoop:
         family = list(run_closed_loops(cfg, controller, map(make_disturbance, specs), PARAMS))
         assert family[1].fell and len(family[1]) < len(family[0])
         for series, spec in zip(family, specs):
-            want = reference_run(cfg, LOOP_KINDS[kind](), make_disturbance(spec), PARAMS)
+            want = reference_run(cfg, plain(LOOP_KINDS, kind), make_disturbance(spec), PARAMS)
             assert log_bytes(series) == want
         # the controller passed in holds the state of the shared stretch: 200 commands
-        plain = LOOP_KINDS[kind]()
-        reference_run(cfg, plain, make_disturbance(specs[0]), PARAMS, steps=200)
+        reference = plain(LOOP_KINDS, kind)
+        reference_run(cfg, reference, make_disturbance(specs[0]), PARAMS, steps=200)
         for name in PID_STATE + ("memory",):
-            if hasattr(plain, name):
-                assert getattr(controller, name) == getattr(plain, name)
+            if hasattr(reference, name):
+                assert getattr(controller, name) == getattr(reference, name)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["PI", "PID"]), theta_dev=st.floats(-0.3, 0.3), dt=LOOP_STEPS)
+    def test_pid_command_is_the_plain_law(self, kind, theta_dev, dt):
+        cfg = SimConfig(dt=dt, horizon=0.2,
+                        initial_state=PlantState(theta=UPRIGHT_THETA + theta_dev))
+        spec = ImpulseSpec(10.0, onset=0.05, width=0.02)
+        commanded, reference = LOOP_KINDS[kind](), plain(LOOP_KINDS, kind)
+        assert (reference_run(cfg, commanded, make_disturbance(spec), PARAMS)
+                == reference_run(cfg, reference, make_disturbance(spec), PARAMS))
+        assert ([repr(getattr(commanded, name)) for name in PID_STATE]
+                == [repr(getattr(reference, name)) for name in PID_STATE])
 
 
 class CountingLaw:
@@ -624,7 +681,20 @@ class CountingLaw:
 
     def law_source(self):
         return ("evaluations.append(None)\nu = -5.0 * theta_dot - 40.0 * phi",
-                {"evaluations": self.evaluations})
+                {"evaluations": self.evaluations}, ())
+
+
+class CountingPid(PidController):
+    """PI or PID whose inlined law also counts its evaluations, as `CountingLaw`'s does."""
+
+    def __init__(self, gains, evaluations):
+        self.evaluations = evaluations
+        super().__init__(gains)
+
+    def law_source(self):
+        law, names, state = super().law_source()
+        return ("evaluations.append(None)\n" + law, {**names, "evaluations": self.evaluations},
+                state)
 
 
 def resting_tsla():
@@ -635,7 +705,11 @@ def resting_tsla():
 
 
 RESTING_KINDS = {"LQR": lqr_controller, "TS-LA": resting_tsla, "none": lambda: None,
-                 "counting": lambda: CountingLaw([])}
+                 "counting": lambda: CountingLaw([]), "PI": FAMILY_CONTROLLERS["PI"],
+                 "PID": FAMILY_CONTROLLERS["PID"]}
+COUNTING = {"counting": CountingLaw,
+            "PI": lambda evaluations: CountingPid(default_config().pi, evaluations),
+            "PID": lambda evaluations: CountingPid(default_config().pid, evaluations)}
 
 
 def constant(force):
@@ -659,29 +733,37 @@ class TestRest:
            disturbances=st.lists(rest_disturbances, min_size=1, max_size=3),
            start=st.sampled_from([PlantState(), PlantState(t=0.37), PlantState(x=-0.0),
                                   PlantState(theta_dot=-0.0, t=1.5)]),
-           decimation=st.sampled_from([1, 7]))
+           decimation=st.sampled_from([1, 7]), dt=LOOP_STEPS)
+    # forks at rest, one branch rests to the end
     @example(kind="LQR", disturbances=[impulse(ImpulseSpec(10.0, 0.1, 0.05)),
                                        impulse(ImpulseSpec(-0.0, 0.1, 0.05)), impulse(None)],
-             start=PlantState(), decimation=7)  # forks at rest, one branch rests to the end
+             start=PlantState(), decimation=7, dt=1e-3)
     @example(kind="TS-LA", disturbances=[constant(-0.0), constant(0.0)],
-             start=PlantState(t=0.37), decimation=1)  # signed zeros fork at step 0
+             start=PlantState(t=0.37), decimation=1, dt=1e-3)  # signed zeros fork at step 0
     @example(kind="none", disturbances=[impulse(ImpulseSpec(10.0, 0.3, 0.05))],
-             start=PlantState(), decimation=7)  # rests to the last step
+             start=PlantState(), decimation=7, dt=1e-3)  # rests to the last step
     @example(kind="counting", disturbances=[impulse(None)], start=PlantState(theta_dot=-0.0),
-             decimation=1)  # step 0 ends at 0.0, == to -0.0 but not at rest
+             decimation=1, dt=1e-3)  # step 0 ends at 0.0, == to -0.0 but not at rest
+    # the second branch rests until its own onset
     @example(kind="LQR", disturbances=[impulse(ImpulseSpec(10.0, 0.02, 0.01)),
                                        impulse(ImpulseSpec(10.0, 0.1, 0.05))],
-             start=PlantState(), decimation=1)  # the second branch rests until its own onset
+             start=PlantState(), decimation=1, dt=1e-3)
+    # the shared rest ends at the fork, not at 0.2 s
     @example(kind="none", disturbances=[impulse(ImpulseSpec(10.0, 0.2, 0.01)),
                                         impulse(ImpulseSpec(10.0, 0.1, 0.01))],
-             start=PlantState(), decimation=7)  # the shared rest ends at the fork, not at 0.2 s
-    def test_rest_matches_the_plain_loop(self, kind, disturbances, start, decimation):
-        cfg = SimConfig(horizon=0.25, log_decimation=decimation, initial_state=start)
+             start=PlantState(), decimation=7, dt=1e-3)
+    @example(kind="PID", disturbances=[impulse(ImpulseSpec(10.0, 0.1, 0.05)),
+                                       impulse(ImpulseSpec(20.0, 0.1, 0.05))],
+             start=PlantState(), decimation=7, dt=2.5e-3)  # rests from step 1 to the fork
+    @example(kind="PI", disturbances=[constant(-0.0), constant(0.0)],
+             start=PlantState(theta_dot=-0.0, t=1.5), decimation=1, dt=1e-2)
+    def test_rest_matches_the_plain_loop(self, kind, disturbances, start, decimation, dt):
+        cfg = SimConfig(dt=dt, horizon=0.25, log_decimation=decimation, initial_state=start)
         family = run_closed_loops(cfg, RESTING_KINDS[kind](), [d() for d in disturbances],
                                   PARAMS)
         for series, disturbance in zip(family, disturbances, strict=True):
-            assert log_bytes(series) == reference_run(cfg, RESTING_KINDS[kind](), disturbance(),
-                                                      PARAMS)
+            assert log_bytes(series) == reference_run(cfg, plain(RESTING_KINDS, kind),
+                                                      disturbance(), PARAMS)
 
     @pytest.mark.parametrize("decimation", [1, 7])
     def test_open_loop_rests_then_is_knocked_and_falls(self, decimation):
@@ -702,13 +784,24 @@ class TestRest:
 
     def test_a_family_rests_once_before_it_forks(self):
         cfg = SimConfig(horizon=20.1)
-        evaluations = []
         specs = [ImpulseSpec(m, onset=20.0, width=0.05) for m in (10.0, 20.0, 30.0)]
-        family = list(run_closed_loops(cfg, CountingLaw(evaluations),
-                                       map(make_disturbance, specs), PARAMS))
-        assert [len(series) for series in family] == [20101] * 3
-        # step 0 of the shared rest, then every step of each branch from the onset on
-        assert len(evaluations) == 1 + 3 * 101
+        # the law runs at step 0 of the shared rest, and PI's and PID's also at step 1, since
+        # step 0 turns prev_error from 0.0 to the upright error -phi = -0.0; then it runs at
+        # every step of each branch from the onset on
+        for kind, before_onset in (("counting", 1), ("PI", 2), ("PID", 2)):
+            evaluations = []
+            controller = COUNTING[kind](evaluations)
+            family = list(run_closed_loops(cfg, controller, map(make_disturbance, specs), PARAMS))
+            assert [len(series) for series in family] == [20101] * 3
+            assert len(evaluations) == before_onset + 3 * 101
+            for series, spec in zip(family, specs):
+                assert log_bytes(series) == reference_run(cfg, plain(RESTING_KINDS, kind),
+                                                          make_disturbance(spec), PARAMS)
+            # the controller passed in holds the state at the fork, after 20 000 commands
+            reference = plain(RESTING_KINDS, kind)
+            reference_run(cfg, reference, None, PARAMS, steps=20000)
+            assert ([repr(getattr(controller, name, None)) for name in PID_STATE]
+                    == [repr(getattr(reference, name, None)) for name in PID_STATE])
 
 
 class TestTimeSeriesCsv:
