@@ -97,9 +97,10 @@ def _build_parser() -> _Parser:
 
 def _load(args) -> RunConfig:
     config = load_config(args.config) if args.config else default_config()
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
-    return config
+    try:
+        return config if args.seed is None else config.with_seed(args.seed)
+    except ValueError as exc:  # a seed that a section rejects, as a config load would
+        raise ConfigError(f"--seed: {exc}") from exc
 
 
 def _manifest(out: Path, command: str, config: RunConfig, args, outputs: list[str]) -> None:

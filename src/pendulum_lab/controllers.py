@@ -22,7 +22,7 @@ import numpy as np
 from .anfis import AnfisModel, _law_source
 from .artifacts import read_json, write_json
 from .plant import UPRIGHT_THETA, LinearStateSpace, PlantState, ctrb
-from .simulate import _compiled
+from .simulate import _law_command
 
 __all__ = [
     "CareError",
@@ -171,15 +171,28 @@ def design_lqr(ss: LinearStateSpace, Q, R: float) -> LqrDesign:
     return design
 
 
-def _deviation(state: PlantState) -> tuple[float, float, float, float]:
-    return (state.x, state.x_dot, state.theta - UPRIGHT_THETA, state.theta_dot)
+def _command(self, z: tuple[float, float, float, float], dt: float) -> float:
+    """Every controller's `command`: its ``law_source()``, compiled on the first call."""
+    if not (dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    try:
+        law = self._law
+    except AttributeError:
+        law = self._law = _law_command(self.law_source())
+    return law(self, z, dt)
+
+
+def _step(self, measured: PlantState, dt: float) -> float:
+    """`command` on the deviation of ``measured`` from upright."""
+    return self.command((measured.x, measured.x_dot, measured.theta - UPRIGHT_THETA,
+                         measured.theta_dot), dt)
 
 
 class LqrController:
     """Stateless full-state feedback u = -K z around an `LqrDesign`.
 
-    The product is ``np.dot(K, z)`` with K the (1, 4) gain row, a BLAS gemv
-    in `command` and in the closed loop alike, so its last bits belong to
+    The product is numpy's ``dot`` of K, the (1, 4) gain row, with z: a BLAS
+    gemv in `command` and in the closed loop alike, so its last bits belong to
     the BLAS kernel that runs.  OpenBLAS's SkylakeX kernel gives the bits
     of the FMA chain ``fma(k3, z3, fma(k2, z2, fma(k1, z1, k0 * z0)))``
     (checked in exact rational arithmetic on the 20 001 distinct states of
@@ -192,16 +205,13 @@ class LqrController:
 
     def __init__(self, design: LqrDesign):
         self.design = design
-        self._K = design.K
-
-    def command(self, z: tuple[float, float, float, float], dt: float) -> float:
-        return -np.dot(self._K, z).item()
 
     def law_source(self) -> tuple[str, dict, tuple]:
-        return "u = -dot(K, (x, x_dot, phi, theta_dot)).item()", {"dot": np.dot, "K": self._K}, ()
+        return ("u = -dot(K, (x, x_dot, phi, theta_dot)).item()",
+                {"dot": np.dot, "K": self.design.K}, ())
 
-    def step(self, measured: PlantState, dt: float) -> float:
-        return self.command(_deviation(measured), dt)
+    command = _command
+    step = _step
 
 
 @dataclass(frozen=True)
@@ -222,7 +232,7 @@ class PidGains:
             raise ValueError(f"filter_n must be > 0, got {self.filter_n!r}")
 
 
-# PID's update, written once: `PidController.command` compiles it, the closed loop inlines it
+# PID's update, written once: `command` compiles it, the closed loop inlines it
 _PID_LAW = """\
 error = -phi
 integral = integral + 0.5 * (error + prev_error) * dt
@@ -247,24 +257,13 @@ class PidController:
     def __init__(self, gains: PidGains):
         self.gains = gains
         self.integral = self.prev_error = self.derivative = 0.0
-        law, names, _ = self.law_source()
-        self._law = _compiled("def law(phi, integral, prev_error, derivative, dt):\n    "
-                              + law.replace("\n", "\n    ")
-                              + "\n    return u, integral, prev_error, derivative", "law", names)
-
-    def command(self, z: tuple[float, float, float, float], dt: float) -> float:
-        if not (dt > 0.0):
-            raise ValueError(f"dt must be positive, got {dt!r}")
-        u, self.integral, self.prev_error, self.derivative = self._law(
-            z[2], self.integral, self.prev_error, self.derivative, dt)
-        return u
 
     def law_source(self) -> tuple[str, dict, tuple]:
         gains = {name: float(value) for name, value in vars(self.gains).items()}
         return _PID_LAW.format(**gains), {}, ("integral", "prev_error", "derivative")
 
-    def step(self, measured: PlantState, dt: float) -> float:
-        return self.command(_deviation(measured), dt)
+    command = _command
+    step = _step
 
 
 class AnfisController:
@@ -272,8 +271,8 @@ class AnfisController:
     (x, x', theta - pi, theta') straight to the voltage command.
 
     The model must take those 4 inputs, checked here rather than at the
-    first step.  `command` calls the model's compiled `law`; the closed loop
-    inlines the law's statements.
+    first step.  `law_source` gives the model's law over the deviation state,
+    which `command` compiles and the closed loop inlines.
     """
 
     def __init__(self, model: AnfisModel):
@@ -282,11 +281,8 @@ class AnfisController:
                              f"got {model.n_inputs}")
         self.model = model
 
-    def command(self, z: tuple[float, float, float, float], dt: float) -> float:
-        return self.model.law(*z)
-
     def law_source(self) -> tuple[str, dict, tuple]:
         return _law_source(self.model, ("x", "x_dot", "phi", "theta_dot"), "u"), {}, ()
 
-    def step(self, measured: PlantState, dt: float) -> float:
-        return self.command(_deviation(measured), dt)
+    command = _command
+    step = _step

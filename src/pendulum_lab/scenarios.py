@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -177,14 +177,7 @@ class TransientMetrics:
     sse_x: float
 
     def as_row(self) -> tuple[float, ...]:
-        return (
-            self.settling_time,
-            self.rise_time,
-            self.peak_theta_dev,
-            self.peak_xdot,
-            self.sse_theta,
-            self.sse_x,
-        )
+        return astuple(self)
 
 
 _ALL_UNBOUNDED = TransientMetrics(*(UNBOUNDED,) * 6)

@@ -21,17 +21,17 @@ impulse's onset) once, forking at the first step where they differ; each
 log is bitwise the one `run_closed_loop` gives alone.
 
 Each `run_closed_loops` call compiles one loop function for its controller's
-kind (`_loop`), as `anfis.AnfisModel.law` is compiled: the four RK4 stages,
-the bound test and the logging are inline, every parameter a literal.  So is
-the law of each shipped controller, PI's and PID's state held in locals;
-a custom controller runs through its own `command`.
+kind (`_loop`): RK4, the bound test, the logging and the ``law_source()`` its
+`command` is compiled from (`_law_command`) are inline, every parameter a
+literal and the law's state in locals.  Open loop's law is ``u = 0.0``; a
+custom controller with no ``law_source()`` runs its own `command`.
 
-A loop whose law is inlined, or open loop, fast-forwards a rest.  Once a
-step leaves the plant and the law's state bitwise as they were (say,
-upright before an impulse's onset), each later step repeats it until the
-force grid changes bits; the loop logs those steps' row without stepping
-them and resumes where the force changes.  A custom `command` may keep
-state the loop cannot see, so its loop steps every step.
+A loop whose law is inlined fast-forwards a rest.  Once a step leaves the
+plant and the law's state bitwise as they were (say, upright before an
+impulse's onset), each later step repeats it until the force grid changes
+bits; the loop logs those steps' row without stepping them and resumes
+where the force changes.  A custom `command` may keep state the loop cannot
+see, so its loop steps every step.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
@@ -71,13 +72,12 @@ class Controller(Protocol):
     `run_closed_loops` forks a run by shallow copies, and each copy must
     give exactly the commands the original would.  A run starts from the
     state its controller is in, so a fresh run takes a freshly built
-    controller.  A controller may also offer ``law_source()``: statements
-    with `command`'s bits that the loop inlines in place of the call, and
-    the attributes that hold the law's state, which the loop keeps in
-    locals (see `_loop`).  Then a step that leaves the plant and that state
-    as they were repeats until the force changes, so the loop skips a rest.
-    The shipped controllers also offer ``step(measured, dt)``, which takes a
-    `PlantState` and forwards to `command`; it is not part of this contract.
+    controller.  A controller may also offer ``law_source()``: its law's
+    statements, the globals they read and the attributes that hold its
+    state, which the loop inlines and keeps in locals (see `_loop`), so it
+    skips a rest.  The shipped controllers compile `command` from it
+    (`_law_command`); their ``step(measured, dt)`` takes a `PlantState` and
+    forwards to `command`, and is not part of this contract.
     """
 
     def command(self, z: tuple[float, float, float, float], dt: float) -> float: ...
@@ -213,6 +213,20 @@ def _compiled(source, name: str, constants: dict):
     return defined[name]
 
 
+def _state_io(state: Sequence[str]) -> tuple[str, str]:
+    """The statements that load ``ctrl``'s attributes ``state`` into locals and store them back."""
+    return "".join(f"; {n} = ctrl.{n}" for n in state), "".join(f"ctrl.{n} = {n}; " for n in state)
+
+
+def _law_command(law_source: tuple[str, dict, Sequence[str]]) -> Callable:
+    """``command(ctrl, z, dt) -> u`` compiled from a ``law_source()`` triple, the
+    law's state loaded and stored by the statements `_loop` inlines."""
+    law, names, state = law_source
+    load, store = _state_io(state)
+    return _compiled(f"def command(ctrl, z, dt):\n    x, x_dot, phi, theta_dot = z{load}\n    "
+                     + law.replace("\n", "\n    ") + f"\n    {store}return u\n", "command", names)
+
+
 _STEP = compile("\n    ".join([
     "def step(state, force):", "x, x_dot, theta, theta_dot = state", "phi = theta - pi",
     *_rk4_lines({name: name for name in _rk4_constants(PhysicalParams(), 1.0)}),
@@ -262,6 +276,8 @@ def loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, changes, rows):
             {store}return None, stop, (x, x_dot, theta, theta_dot)
 """
 
+_OPEN_LOOP = SimpleNamespace(law_source=lambda: ("u = 0.0", {}, ()))  # no controller
+
 # the plant and the law's state at a bitwise fixed point: == first, as it is cheap and
 # rarely true, then repr, which tells -0.0 from 0.0
 _REST = """\
@@ -281,8 +297,7 @@ def _rest(i: int, stop: int, changes: np.ndarray, decimation: int, rows: list,
     return end
 
 
-def _loop(config: SimConfig, controller: Optional[Controller], params: PhysicalParams,
-          last: int):
+def _loop(config: SimConfig, controller: Controller, params: PhysicalParams, last: int):
     """The closed loop of ``controller``'s kind, compiled from `_LOOP`.
 
     ``loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, changes, rows)``
@@ -296,20 +311,17 @@ def _loop(config: SimConfig, controller: Optional[Controller], params: PhysicalP
     of ``ctrl`` that hold its state, kept in locals of those names and stored
     back on return.  Other laws call `command`; open loop's is ``u = 0.0``.
 
-    An inlined or open loop holds all its state in locals, so a step that
-    leaves them bitwise as they were repeats until the force changes: the
-    loop logs that rest at once (`_rest`) and resumes at the next of
-    ``changes``, the steps where the bits of ``forces`` differ from the step
-    before.  A loop through `command` steps every step.
+    An inlined loop holds all its state in locals, so a step that leaves
+    them bitwise as they were repeats until the force changes: the loop logs
+    that rest at once (`_rest`) and resumes at the next of ``changes``, the
+    steps where the bits of ``forces`` differ from the step before.  A loop
+    through `command` steps every step.
     """
     dt = config.dt
-    state, inlined = (), controller is None or hasattr(controller, "law_source")
-    if controller is None:
-        law, names = "u = 0.0", {}
-    elif inlined:
-        law, names, state = controller.law_source()
-    else:
-        law, names = "u = ctrl.command((x, x_dot, phi, theta_dot), dt)", {}
+    inlined = hasattr(controller, "law_source")
+    law, names, state = (controller.law_source() if inlined else
+                         ("u = ctrl.command((x, x_dot, phi, theta_dot), dt)", {}, ()))
+    load, store = _state_io(state)
     held = ("x", "x_dot", "theta", "theta_dot", *state)
     kept = [name + "0" for name in held]
     rest = _REST.format(same=" and ".join(map("{} == {}".format, held, kept)), held=", ".join(held),
@@ -319,8 +331,7 @@ def _loop(config: SimConfig, controller: Optional[Controller], params: PhysicalP
         law=law.replace("\n", indent), fallen_law=law.replace("\n", indent + " " * 8),
         decimate=f"if i % {config.log_decimation} == 0: " if config.log_decimation > 1 else "",
         rk4=indent.join(_rk4_lines({k: repr(v) for k, v in _rk4_constants(params, dt).items()})),
-        dt=repr(dt), load="".join(f"; {name} = ctrl.{name}" for name in state),
-        store="".join(f"ctrl.{name} = {name}; " for name in state),
+        dt=repr(dt), load=load, store=store,
         keep=f"{', '.join(kept)} = {', '.join(held)}" if inlined else "",
         rest=rest.replace("\n", indent) if inlined else "",
         pi=repr(UPRIGHT_THETA), last=last, gain=repr(config.actuator_gain),
@@ -396,7 +407,7 @@ def run_closed_loops(
     changes = [np.flatnonzero(row[1:] != row[:-1]) + 1 for row in bits]
     fork = int(differ[0]) if differ.size else n_steps + 1
     decimation = config.log_decimation
-    loop = _loop(config, controller, params, n_steps)
+    loop = _loop(config, _OPEN_LOOP if controller is None else controller, params, n_steps)
 
     rows: list = []
     outcome, end, state = loop(controller, initial.x, initial.x_dot, initial.theta,

@@ -493,6 +493,9 @@ class TestTrainHybrid:
             AnfisConfig(epochs=0)
         with pytest.raises(ValueError):
             AnfisConfig(learning_rate=0.0)
+        for seed in (-1, 1.5, None):
+            with pytest.raises(ValueError, match="anfis.seed must be a non-negative integer"):
+                AnfisConfig(seed=seed)
 
 
 @pytest.fixture(scope="module")

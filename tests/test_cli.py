@@ -226,6 +226,16 @@ def _simulate_rejected_with(doc):
     return run
 
 
+def _rejected_seed_flag(*argv):
+    """The command ``argv`` with ``--seed -1``, which the config load rejects before any
+    stage, so --out stays empty."""
+    def run(tmp_path):
+        code = cli.main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert list((tmp_path / "out").glob("*")) == []
+        return code
+    return run
+
+
 # each stderr fragment must appear; no fragments means stderr stays empty
 @pytest.mark.parametrize("run, code, stderr", [
     (_design_lqr_default, cli.EXIT_OK, ()),
@@ -283,6 +293,12 @@ def _simulate_rejected_with(doc):
      ("config error", "seed must be a non-negative integer, got -1")),
     (_simulate_rejected_with({"scenarios": {"noise": {"seed": -1}}}), cli.EXIT_USAGE,
      ("config error", "seed must be a non-negative integer, got -1")),
+    (_benchmark_rejected_with({"anfis": {"seed": -1}}), cli.EXIT_USAGE,
+     ("config error", "anfis.seed must be a non-negative integer, got -1")),
+    (_rejected_seed_flag("simulate", "--controller", "pid", "--scenario", "noise"),
+     cli.EXIT_USAGE, ("config error: --seed: ", "seed must be a non-negative integer, got -1")),
+    (_rejected_seed_flag("benchmark", "--auto"), cli.EXIT_USAGE,
+     ("config error: --seed: ", "seed must be a non-negative integer, got -1")),
 ], ids=["ok", "unknown-config-key", "negative-train-count", "zero-test-count", "zero-epochs",
         "negative-learning-rate", "benchmark-without-artifacts", "train-too-few-rows",
         "tsla-three-inputs", "tsla-truncated-model", "tsla-non-object-model",
@@ -292,7 +308,9 @@ def _simulate_rejected_with(doc):
         "negative-q-diag-entry", "stage1-horizon-below-dt", "negative-stage1-onset",
         "stage1-without-runs", "infinite-stage1-magnitude", "infinite-repeat-magnitude",
         "train-count-below-consequents", "dataset-beyond-stage1-rows",
-        "benchmark-negative-noise-seed", "simulate-negative-noise-seed"])
+        "benchmark-negative-noise-seed", "simulate-negative-noise-seed",
+        "benchmark-negative-anfis-seed", "simulate-negative-seed-flag",
+        "benchmark-negative-seed-flag"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err

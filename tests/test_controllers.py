@@ -1,5 +1,7 @@
 import copy
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -165,10 +167,6 @@ class TestPidStep:
             assert out == pytest.approx(expected, rel=1e-12)
         assert out == pytest.approx(1.0, abs=1e-9)
 
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            PidController(PidGains(kp=1.0)).command(angle_error(0.0), 0.0)
-
     def test_gain_validation(self):
         with pytest.raises(ValueError):
             PidGains(kp=-1.0)
@@ -246,12 +244,39 @@ def recorded_states():
     return [tuple(row) for row in np.column_stack(columns)[::5].tolist()]
 
 
-@pytest.mark.parametrize("make", [
+# a new controller of each kind, given the TS-LA model
+EACH_KIND = pytest.mark.parametrize("make", [
     lambda model: LqrController(design_lqr(SS, Q_BENCH, 1.0)),
     lambda model: PidController(default_config().pi),
     lambda model: PidController(default_config().pid),
     lambda model: AnfisController(model),
 ], ids=["LQR", "PI", "PID", "TS-LA"])
+
+
+@EACH_KIND
+def test_rejects_bad_dt(make, mimic_model):
+    ctrl = make(mimic_model[0])
+    for dt in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            ctrl.command((0.1, 0.0, 0.05, 0.0), dt)
+
+
+@EACH_KIND
+def test_controller_freed_after_command(make, mimic_model):
+    # by reference counting alone: a compiled law that held its controller would form a
+    # cycle, which only a full collection frees
+    ctrl = make(mimic_model[0])
+    ctrl.command((0.1, 0.0, 0.05, 0.0), 1e-3)
+    ref = weakref.ref(ctrl)
+    gc.disable()
+    try:
+        del ctrl
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@EACH_KIND
 def test_step_is_command_on_the_deviation(make, mimic_model):
     states = recorded_states()
     runs = []

@@ -26,25 +26,20 @@ from test_cli import SHORT_BENCHMARK
 
 PACKAGE = Path(pendulum_lab.__file__).resolve().parent
 
-STEP_PROBE = "perfbench times one controller step through it"
 NOT_AFFINE = "training steps the premises only on a target that is not affine"
-INLINED = ("the closed loop inlines its `law_source`; `step` calls it, and the loop's "
-           "equivalence test holds the loop to it")
 DRAW_PROBE = ("the commands read each spec's `forces` grid; perfbench draws forces one t at "
               "a time through it, and the grid tests hold `forces` to it bit for bit")
 ALLOWLIST = {
     "anfis.anfis_infer": "the reference of the compiled TS-LA law; perfbench calls it",
-    "anfis.AnfisModel.law": "the compiled single-sample law; `anfis_infer` and "
-                            "`AnfisController.command` call it",
+    "anfis.AnfisModel.law": "the compiled single-sample law; `anfis_infer` calls it",
     "anfis.premise_gradients": NOT_AFFINE + "; perfbench times it",
     "anfis._premise_step": NOT_AFFINE,
-    "controllers._deviation": "serves the `step` adapters",
-    "controllers.LqrController.step": STEP_PROBE,
-    "controllers.PidController.step": STEP_PROBE,
-    "controllers.AnfisController.step": STEP_PROBE,
-    "controllers.LqrController.command": INLINED,
-    "controllers.AnfisController.command": INLINED,
-    "controllers.PidController.command": INLINED,
+    "controllers._step": "every controller's `step`; perfbench times one controller step "
+                         "through it",
+    "controllers._command": "every controller's `command`; the closed loop inlines the law "
+                            "in its place, and `step` calls it",
+    "simulate._law_command": "compiles `command` from the `law_source` the closed loop "
+                             "inlines",
     "plant.PlantState.deviation": "perfbench builds its probe inputs with it",
     "scenarios.make_disturbance": DRAW_PROBE,
     "scenarios._NoiseStream.__init__": DRAW_PROBE,

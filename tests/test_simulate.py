@@ -346,11 +346,24 @@ class PlainPid:
         return self._kp * error + self._ki * integral + derivative
 
 
-PLAIN = {"PI": lambda: PlainPid(default_config().pi), "PID": lambda: PlainPid(default_config().pid)}
+class PlainLqr:
+    """LQR's law written out by hand, apart from `LqrController`'s law source: the
+    independent reference that `reference_run` holds LQR's loop to."""
+
+    def __init__(self, design):
+        self._K = design.K
+
+    def command(self, z, dt):
+        return -np.dot(self._K, z).item()
+
+
+PLAIN = {"LQR": lambda: PlainLqr(lqr_controller().design),
+         "PI": lambda: PlainPid(default_config().pi), "PID": lambda: PlainPid(default_config().pid)}
 
 
 def plain(kinds, kind):
-    """A new controller of ``kind`` for `reference_run`: PI and PID by `PlainPid`."""
+    """A new controller of ``kind`` for `reference_run`: LQR by `PlainLqr`, PI and PID
+    by `PlainPid`."""
     return PLAIN.get(kind, kinds[kind])()
 
 
@@ -665,6 +678,12 @@ class TestGeneratedLoop:
                 == reference_run(cfg, reference, make_disturbance(spec), PARAMS))
         assert ([repr(getattr(commanded, name)) for name in PID_STATE]
                 == [repr(getattr(reference, name)) for name in PID_STATE])
+
+    @settings(max_examples=30, deadline=None)
+    @given(z=st.tuples(*[st.floats(-10.0, 10.0)] * 4), dt=LOOP_STEPS)
+    def test_lqr_command_is_the_plain_law(self, z, dt):
+        commanded, reference = lqr_controller(), plain(LOOP_KINDS, "LQR")
+        assert commanded.command(z, dt).hex() == reference.command(z, dt).hex()
 
 
 class CountingLaw:
