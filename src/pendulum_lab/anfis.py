@@ -374,9 +374,10 @@ class Stage1Config:
         if not (self.initial_theta_devs or self.impulse_magnitudes):
             raise ValueError("anfis.stage1 needs at least one run: initial_theta_devs and "
                              "impulse_magnitudes are both empty")
-        if not all(map(math.isfinite, self.impulse_magnitudes)):
-            raise ValueError(f"anfis.stage1.impulse_magnitudes must be finite, "
-                             f"got {list(self.impulse_magnitudes)}")
+        for name in ("initial_theta_devs", "impulse_magnitudes"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"anfis.stage1.{name} must be finite, "
+                                 f"got {list(getattr(self, name))}")
         if not (math.isfinite(self.impulse_onset) and self.impulse_onset >= 0.0):
             raise ValueError(f"anfis.stage1.impulse_onset must be >= 0, got {self.impulse_onset!r}")
 
@@ -396,7 +397,7 @@ class AnfisConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"anfis.seed must be a non-negative integer, got {self.seed!r}")
-        if not (self.learning_rate > 0.0):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"anfis.learning_rate must be > 0, got {self.learning_rate!r}")
         for name in ("epochs", "train_count", "test_count"):
             if getattr(self, name) < 1:

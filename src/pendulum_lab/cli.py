@@ -116,12 +116,6 @@ def _manifest(out: Path, command: str, config: RunConfig, args, outputs: list[st
     write_json(out / f"{command}_manifest.json", doc)
 
 
-def _require(path: Path) -> Path:
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    return path
-
-
 class ArtifactError(Exception):
     """An artifact in --out exists but cannot be used."""
 
@@ -129,7 +123,7 @@ class ArtifactError(Exception):
 def _load_artifact(path: Path, load):
     """``load(path)``, with its ValueError or KeyError reported as a bad artifact."""
     try:
-        return load(_require(path))
+        return load(path)
     except (ValueError, KeyError) as exc:
         detail = str(exc)
         raise ArtifactError(detail if str(path) in detail else f"{path}: {detail}") from exc
@@ -342,16 +336,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
-        print(f"missing artifact: {exc} (run the earlier pipeline stages or pass --auto)",
-              file=sys.stderr)
+        print(f"missing artifact: {exc.filename} (run the earlier pipeline stages or pass "
+              "--auto)", file=sys.stderr)
         return EXIT_USAGE
     except ArtifactError as exc:
         print(f"bad artifact: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CareError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, CareError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -208,7 +208,7 @@ def load_config(path) -> RunConfig:
     """
     try:
         doc = read_json(path, "config")
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a file that cannot be read, or does not parse
         raise ConfigError(str(exc)) from exc
     default = default_config()
     field_of = {keys: (field_path, from_json) for field_path, keys, from_json, _ in _LEAVES}

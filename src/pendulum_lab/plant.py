@@ -124,25 +124,18 @@ class PlantState:
 
 @dataclass(frozen=True, eq=False)
 class LinearStateSpace:
-    """Matrices (A, B, C, D) of the plant linearized about upright.
-
-    The state is the deviation vector (x, x', theta - pi, theta'); the output
-    y = Cx selects cart position and pendulum angle.
-    """
+    """Matrices (A, B) of the plant linearized about upright, for the
+    deviation state (x, x', theta - pi, theta')."""
 
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
 
     def __post_init__(self) -> None:
         A = np.asarray(self.A, dtype=float)
         B = np.asarray(self.B, dtype=float).reshape(4, 1)
-        C = np.asarray(self.C, dtype=float).reshape(2, 4)
-        D = np.asarray(self.D, dtype=float).reshape(2, 1)
         if A.shape != (4, 4):
             raise ValueError(f"A must be 4x4, got {A.shape}")
-        for arr, name in ((A, "A"), (B, "B"), (C, "C"), (D, "D")):
+        for arr, name in ((A, "A"), (B, "B")):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite entries in {name}")
             arr.setflags(write=False)
@@ -231,9 +224,7 @@ def linearize(params: PhysicalParams) -> LinearStateSpace:
         ]
     )
     B = np.array([[0.0], [a5], [0.0], [a6]])
-    C = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-    D = np.zeros((2, 1))
-    return LinearStateSpace(A=A, B=B, C=C, D=D)
+    return LinearStateSpace(A=A, B=B)
 
 
 def transfer_functions(params: PhysicalParams) -> tuple[TransferFunction, TransferFunction]:

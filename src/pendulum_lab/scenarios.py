@@ -159,10 +159,12 @@ class MetricBands:
     drift_slope: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.settle_band):
-            raise ValueError("settle_band must be > 0")
+        if not (math.isfinite(self.settle_band) and self.settle_band > 0.0):
+            raise ValueError(f"settle_band must be finite and > 0, got {self.settle_band!r}")
         if not (0.0 < self.tail_fraction < 1.0):
             raise ValueError("tail_fraction must be in (0, 1)")
+        if not (math.isfinite(self.drift_slope) and self.drift_slope >= 0.0):
+            raise ValueError(f"drift_slope must be finite and >= 0, got {self.drift_slope!r}")
 
 
 @dataclass(frozen=True)
@@ -203,29 +205,27 @@ def compute_metrics(
     settling_time: time from onset to the last sample outside the settle
     band (unbounded if the run ends outside it).  rise_time: first crossing
     of `RISE_HIGH` of the post-onset peak deviation to the first crossing of
-    `RISE_LOW`.  Peaks are maximal absolute deviations after onset.
-    Steady-state errors average the final window, carrying the unbounded
-    flag on drift.  A diverged run flags every metric.  A run that
-    fell flags all but the peaks, which it measures over its partial log
-    (over its last, fallen row if it fell before the onset).
+    `RISE_LOW`.  Peaks are maximal absolute deviations after onset, or over
+    the last row of a run that fell before it.  Steady-state errors average
+    the final window, carrying the unbounded flag on drift.  A diverged run
+    flags every metric.  A run that fell flags all but the peaks, which it
+    measures over its partial log.
     """
     bands = bands or MetricBands()
     if series.diverged:
         return _ALL_UNBOUNDED
+    if len(series) < 2 and not series.fell:
+        raise ValueError("series too short for metrics")
     t = series.t
     dev = np.abs(series.theta_deviation())
+    after = t >= min(onset, t[-1])
+    dev_after = dev[after]
+    peak = float(dev_after.max())
+    peak_xdot = float(np.abs(series.x_dot[after]).max())
     if series.fell:
-        after = t >= min(onset, t[-1])
-        return TransientMetrics(UNBOUNDED, UNBOUNDED, float(dev[after].max()),
-                                float(np.abs(series.x_dot[after]).max()), UNBOUNDED, UNBOUNDED)
-    if len(series) < 2:
-        raise ValueError("series too short for metrics")
+        return TransientMetrics(UNBOUNDED, UNBOUNDED, peak, peak_xdot, UNBOUNDED, UNBOUNDED)
     if t[-1] < onset + METRICS_SPAN:
         raise ValueError(f"series must cover onset + {METRICS_SPAN:g} s (ends at {t[-1]:.3f})")
-
-    after = t >= onset
-    t_after = t[after]
-    dev_after = dev[after]
 
     outside = t[dev > bands.settle_band]
     outside = outside[outside >= onset]
@@ -236,13 +236,12 @@ def compute_metrics(
     else:
         settling = float(outside[-1] - onset)
 
-    peak = float(dev_after.max())
     if peak == 0.0:
         rise = 0.0
     else:
         i_peak = int(dev_after.argmax())
         post = dev_after[i_peak:]
-        t_post = t_after[i_peak:]
+        t_post = t[after][i_peak:]
         below_hi = np.nonzero(post <= RISE_HIGH * peak)[0]
         rise = UNBOUNDED
         if below_hi.size:
@@ -255,7 +254,7 @@ def compute_metrics(
         settling_time=settling,
         rise_time=rise,
         peak_theta_dev=peak,
-        peak_xdot=float(np.abs(series.x_dot[after]).max()),
+        peak_xdot=peak_xdot,
         sse_theta=_tail_sse(t, series.theta_deviation(), bands),
         sse_x=_tail_sse(t, series.x, bands),
     )
@@ -277,38 +276,31 @@ class BenchmarkCell:
     outcome: str
 
 
-def _worst(outcomes) -> str:
-    return max(outcomes, key=OUTCOMES.index)
-
-
 @dataclass
 class BenchmarkTable:
+    """The benchmark's cells in run order.  `impulse_means` summarises them:
+    per controller, the mean of each metric over its impulse cells, which
+    `to_csv` appends to the cells' rows and `to_text` lays out beside the
+    noise cells."""
+
     cells: list[BenchmarkCell]
 
-    def impulse_cells(self, controller: str) -> list[BenchmarkCell]:
-        return [c for c in self.cells if c.controller == controller and c.scenario == "impulse"]
-
-    def impulse_mean(self, controller: str) -> Optional[TransientMetrics]:
-        rows = [c.metrics.as_row() for c in self.impulse_cells(controller)]
-        if not rows:
-            return None
-        return TransientMetrics(*(float(np.mean(col)) for col in zip(*rows)))
-
-    def controllers(self) -> list[str]:
-        seen: list[str] = []
+    def impulse_means(self) -> list[BenchmarkCell]:
+        """One ``impulse-mean`` cell per controller with impulse cells, in the
+        order the controllers first appear: each metric's mean over those
+        cells, and the worst of their outcomes."""
+        impulse: dict[str, list[BenchmarkCell]] = {cell.controller: [] for cell in self.cells}
         for cell in self.cells:
-            if cell.controller not in seen:
-                seen.append(cell.controller)
-        return seen
+            if cell.scenario == "impulse":
+                impulse[cell.controller].append(cell)
+        return [BenchmarkCell(name, "impulse-mean", None,
+                              TransientMetrics(*(float(np.mean(column)) for column in
+                                                 zip(*(c.metrics.as_row() for c in cells)))),
+                              max((c.outcome for c in cells), key=OUTCOMES.index))
+                for name, cells in impulse.items() if cells]
 
     def to_csv(self, path) -> None:
-        rows = [self._csv_row(cell) for cell in self.cells]
-        for name in self.controllers():
-            mean = self.impulse_mean(name)
-            if mean is not None:
-                worst = _worst(c.outcome for c in self.impulse_cells(name))
-                rows.append(self._csv_row(BenchmarkCell(name, "impulse-mean", None, mean, worst)))
-        write_csv(path, BENCHMARK_HEADER, rows)
+        write_csv(path, BENCHMARK_HEADER, map(self._csv_row, self.cells + self.impulse_means()))
 
     @staticmethod
     def _csv_row(cell: BenchmarkCell) -> list[str]:
@@ -327,50 +319,39 @@ class BenchmarkTable:
         ]
 
     def to_text(self) -> str:
-        """Aligned comparison in the familiar rows-of-parameters layout."""
-        names = self.controllers()
+        """Aligned comparison in the familiar rows-of-parameters layout: one
+        column per cell of a section, an outcome row, then one row per metric."""
         out = io.StringIO()
 
-        def fmt(v: float, unit_scale: float = 1.0) -> str:
-            if math.isinf(v):
-                return "unbounded"
-            return f"{v * unit_scale:.4g}"
+        def line(label: str, values) -> None:
+            out.write(f"{label:<26}" + "".join(f"{v:>12}" for v in values) + "\n")
 
-        def section(title: str, rows: list[tuple[str, list[str]]]) -> None:
+        def section(title: str, outcome: str, cells: list[BenchmarkCell],
+                    rows: list[tuple[str, str, float]]) -> None:
             out.write(title + "\n")
-            out.write(f"{'Parameter':<26}" + "".join(f"{n:>12}" for n in names) + "\n")
-            for label, values in rows:
-                out.write(f"{label:<26}" + "".join(f"{v:>12}" for v in values) + "\n")
+            line("Parameter", [c.controller for c in cells])
+            line(outcome, [c.outcome for c in cells])
+            for label, name, scale in rows:
+                line(label, ["unbounded" if math.isinf(v) else f"{v * scale:.4g}"
+                             for v in (getattr(c.metrics, name) for c in cells)])
             out.write("\n")
 
         deg = 180.0 / math.pi
-        means = {n: self.impulse_mean(n) for n in names}
-        if any(means.values()):
-            section(
-                "Impulse disturbance (mean over magnitudes)",
-                [
-                    ("Outcome (worst)", [_worst(c.outcome for c in self.impulse_cells(n))
-                                       for n in names]),
-                    ("Settling time (s)", [fmt(means[n].settling_time) for n in names]),
-                    ("Deviation of theta (deg)",
-                     [fmt(means[n].peak_theta_dev, deg) for n in names]),
-                    ("Rise time (ms)", [fmt(means[n].rise_time, 1e3) for n in names]),
-                    ("Steady state error theta", [fmt(means[n].sse_theta) for n in names]),
-                    ("Steady state error x", [fmt(means[n].sse_x) for n in names]),
-                ],
-            )
-        noise_cells = {c.controller: c for c in self.cells if c.scenario == "noise"}
-        if noise_cells:
-            section(
-                "White-noise disturbance",
-                [
-                    ("Outcome", [noise_cells[n].outcome for n in names]),
-                    ("Max deviation theta (deg)",
-                     [fmt(noise_cells[n].metrics.peak_theta_dev, deg) for n in names]),
-                    ("Max deviation x_dot (m/s)",
-                     [fmt(noise_cells[n].metrics.peak_xdot) for n in names]),
-                ],
-            )
+        means = self.impulse_means()
+        if means:
+            section("Impulse disturbance (mean over magnitudes)", "Outcome (worst)", means, [
+                ("Settling time (s)", "settling_time", 1.0),
+                ("Deviation of theta (deg)", "peak_theta_dev", deg),
+                ("Rise time (ms)", "rise_time", 1e3),
+                ("Steady state error theta", "sse_theta", 1.0),
+                ("Steady state error x", "sse_x", 1.0),
+            ])
+        noise = [c for c in self.cells if c.scenario == "noise"]
+        if noise:
+            section("White-noise disturbance", "Outcome", noise, [
+                ("Max deviation theta (deg)", "peak_theta_dev", deg),
+                ("Max deviation x_dot (m/s)", "peak_xdot", 1.0),
+            ])
         return out.getvalue()
 
 

@@ -24,7 +24,10 @@ Each `run_closed_loops` call compiles one loop function for its controller's
 kind (`_loop`): RK4, the bound test, the logging and the ``law_source()`` its
 `command` is compiled from (`_law_command`) are inline, every parameter a
 literal and the law's state in locals.  Open loop's law is ``u = 0.0``; a
-custom controller with no ``law_source()`` runs its own `command`.
+custom controller with no ``law_source()`` runs its own `command`.  The bound
+test opens each step but the run's first, before the law: a diverged state
+ends the run there, and a fallen one runs the step's one inlined law and logs
+its row first.
 
 A loop whose law is inlined fast-forwards a rest.  Once a step leaves the
 plant and the law's state bitwise as they were (say, upright before an
@@ -250,38 +253,38 @@ def rk4_step(
 _LOOP = """\
 def loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, changes, rows):
     dt = {dt}{load}
+    outcome, last = None, {last}
     while True:
         for i in range(start, stop):
+            # one test for both ends: NaN fails every comparison, so it leaves the box too
+            if i and not {upright}:
+                if not {bounded}:
+                    {store}return "diverged", i, (x, x_dot, theta, theta_dot)
+                outcome, last = "fell", i
             phi = theta - {pi}
             {keep}
             {law}
             {decimate}rows += (x, x_dot, theta, theta_dot, u)
-            if i == {last}:
-                {store}return None, i, (x, x_dot, theta, theta_dot)
+            if i == last:
+                {store}return outcome, i, (x, x_dot, theta, theta_dot)
             force = {gain} * u + forces[i]
             {rk4}
-            # one test for both ends: NaN fails every comparison, so it leaves the box too
-            if not ({lo} <= x <= {hi} and {lo} <= x_dot <= {hi}
-                    and {fell_lo} <= theta <= {fell_hi} and {lo} <= theta_dot <= {hi}):
-                i += 1
-                if ({lo} <= x <= {hi} and {lo} <= x_dot <= {hi}
-                        and {lo} <= theta <= {hi} and {lo} <= theta_dot <= {hi}):
-                    phi = theta - {pi}
-                    {fallen_law}
-                    rows += (x, x_dot, theta, theta_dot, u)
-                    {store}return "fell", i, (x, x_dot, theta, theta_dot)
-                {store}return "diverged", i, (x, x_dot, theta, theta_dot)
             {rest}
         else:
             {store}return None, stop, (x, x_dot, theta, theta_dot)
 """
 
+# a state within the bounds (lo, hi) on x, x' and theta', and (theta_lo, theta_hi) on theta
+_BOX = ("({lo} <= x <= {hi} and {lo} <= x_dot <= {hi} and {theta_lo} <= theta <= {theta_hi}"
+        " and {lo} <= theta_dot <= {hi})")
+
 _OPEN_LOOP = SimpleNamespace(law_source=lambda: ("u = 0.0", {}, ()))  # no controller
 
 # the plant and the law's state at a bitwise fixed point: == first, as it is cheap and
-# rarely true, then repr, which tells -0.0 from 0.0
+# rarely true, then repr, which tells -0.0 from 0.0; a rest from step 0 also needs the
+# bound test that the loop skips for the first state
 _REST = """\
-if {same} and repr(({held},)) == repr(({kept},)):
+if {same} and repr(({held},)) == repr(({kept},)) and (i or {upright}):
     start = rest(i, stop, changes, {decimation}, rows, (x, x_dot, theta, theta_dot, u))
     break"""
 
@@ -311,6 +314,12 @@ def _loop(config: SimConfig, controller: Controller, params: PhysicalParams, las
     of ``ctrl`` that hold its state, kept in locals of those names and stored
     back on return.  Other laws call `command`; open loop's is ``u = 0.0``.
 
+    Each step but ``i == 0`` opens with the bound test, so the law is inlined
+    once: a state past the divergence box returns "diverged" before the law
+    runs (TS-LA's law raises on NaN), and a fallen state runs the law, logs
+    its row whatever the decimation, and returns "fell".  A fork's first
+    step is tested in each branch.
+
     An inlined loop holds all its state in locals, so a step that leaves
     them bitwise as they were repeats until the force changes: the loop logs
     that rest at once (`_rest`) and resumes at the next of ``changes``, the
@@ -324,19 +333,22 @@ def _loop(config: SimConfig, controller: Controller, params: PhysicalParams, las
     load, store = _state_io(state)
     held = ("x", "x_dot", "theta", "theta_dot", *state)
     kept = [name + "0" for name in held]
+    lo, hi = repr(-DIVERGENCE_LIMIT), repr(DIVERGENCE_LIMIT)
+    upright = _BOX.format(lo=lo, hi=hi, theta_lo=repr(UPRIGHT_THETA - FALL_ANGLE),
+                          theta_hi=repr(UPRIGHT_THETA + FALL_ANGLE))
     rest = _REST.format(same=" and ".join(map("{} == {}".format, held, kept)), held=", ".join(held),
-                        kept=", ".join(kept), decimation=config.log_decimation)
+                        kept=", ".join(kept), decimation=config.log_decimation, upright=upright)
     indent = "\n" + " " * 12
     source = _LOOP.format(
-        law=law.replace("\n", indent), fallen_law=law.replace("\n", indent + " " * 8),
-        decimate=f"if i % {config.log_decimation} == 0: " if config.log_decimation > 1 else "",
+        law=law.replace("\n", indent),
+        decimate=f"if i % {config.log_decimation} == 0 or outcome: "
+        if config.log_decimation > 1 else "",
         rk4=indent.join(_rk4_lines({k: repr(v) for k, v in _rk4_constants(params, dt).items()})),
         dt=repr(dt), load=load, store=store,
         keep=f"{', '.join(kept)} = {', '.join(held)}" if inlined else "",
         rest=rest.replace("\n", indent) if inlined else "",
-        pi=repr(UPRIGHT_THETA), last=last, gain=repr(config.actuator_gain),
-        lo=repr(-DIVERGENCE_LIMIT), hi=repr(DIVERGENCE_LIMIT),
-        fell_lo=repr(UPRIGHT_THETA - FALL_ANGLE), fell_hi=repr(UPRIGHT_THETA + FALL_ANGLE))
+        pi=repr(UPRIGHT_THETA), last=last, gain=repr(config.actuator_gain), upright=upright,
+        bounded=_BOX.format(lo=lo, hi=hi, theta_lo=lo, theta_hi=hi))
     return _compiled(source, "loop", {"rest": _rest, **names})
 
 

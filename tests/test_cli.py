@@ -101,6 +101,13 @@ def _benchmark_without_artifacts(tmp_path):
     return cli.main(["benchmark", "--out", str(tmp_path / "empty")])
 
 
+def _derive_with_missing_config(tmp_path):
+    code = cli.main(["derive", "--config", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+    return code
+
+
 def _train_on_too_few_rows(tmp_path):
     """`train` on a split file cut to 10 training rows: a config cannot ask for so few, so
     the split is cut after `gen-data`."""
@@ -248,7 +255,10 @@ def _rejected_seed_flag(*argv):
      ("config error", "epochs must be >= 1")),
     (_benchmark_with({"anfis": {"learning_rate": -1}}), cli.EXIT_USAGE,
      ("config error", "learning_rate must be > 0")),
-    (_benchmark_without_artifacts, cli.EXIT_USAGE, ("missing artifact",)),
+    (_benchmark_without_artifacts, cli.EXIT_USAGE,
+     ("missing artifact: ", "anfis_model.json (run the earlier pipeline stages or pass --auto)")),
+    (_derive_with_missing_config, cli.EXIT_USAGE,
+     ("config error: ", "No such file or directory", "nope.json")),
     (_train_on_too_few_rows, cli.EXIT_NUMERICAL,
      ("dataset too small: 10 training rows for 80 consequent parameters",)),
     (_tsla_with_three_inputs, cli.EXIT_USAGE,
@@ -299,8 +309,20 @@ def _rejected_seed_flag(*argv):
      cli.EXIT_USAGE, ("config error: --seed: ", "seed must be a non-negative integer, got -1")),
     (_rejected_seed_flag("benchmark", "--auto"), cli.EXIT_USAGE,
      ("config error: --seed: ", "seed must be a non-negative integer, got -1")),
+    (_benchmark_rejected_with({"anfis": {"stage1": {"initial_theta_devs": [math.nan]}}}),
+     cli.EXIT_USAGE,
+     ("config error", "anfis.stage1.initial_theta_devs must be finite, got [nan]")),
+    (_benchmark_rejected_with({"scenarios": {"metrics": {"drift_slope": -1.0}}}),
+     cli.EXIT_USAGE, ("config error", "drift_slope must be finite and >= 0, got -1.0")),
+    (_benchmark_rejected_with({"scenarios": {"metrics": {"drift_slope": math.nan}}}),
+     cli.EXIT_USAGE, ("config error", "drift_slope must be finite and >= 0, got nan")),
+    (_benchmark_rejected_with({"scenarios": {"metrics": {"settle_band_deg": math.inf}}}),
+     cli.EXIT_USAGE, ("config error", "settle_band must be finite and > 0, got inf")),
+    (_benchmark_rejected_with({"anfis": {"learning_rate": math.inf}}), cli.EXIT_USAGE,
+     ("config error", "anfis.learning_rate must be > 0, got inf")),
 ], ids=["ok", "unknown-config-key", "negative-train-count", "zero-test-count", "zero-epochs",
-        "negative-learning-rate", "benchmark-without-artifacts", "train-too-few-rows",
+        "negative-learning-rate", "benchmark-without-artifacts", "derive-missing-config",
+        "train-too-few-rows",
         "tsla-three-inputs", "tsla-truncated-model", "tsla-non-object-model",
         "tsla-wrongly-typed-model", "benchmark-on-boolean-width", "benchmark-on-list-metadata",
         "train-on-empty-dataset", "gen-data-truncated-design",
@@ -310,7 +332,8 @@ def _rejected_seed_flag(*argv):
         "train-count-below-consequents", "dataset-beyond-stage1-rows",
         "benchmark-negative-noise-seed", "simulate-negative-noise-seed",
         "benchmark-negative-anfis-seed", "simulate-negative-seed-flag",
-        "benchmark-negative-seed-flag"])
+        "benchmark-negative-seed-flag", "nan-stage1-theta-dev", "negative-drift-slope",
+        "nan-drift-slope", "infinite-settle-band", "infinite-learning-rate"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err

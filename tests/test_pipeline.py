@@ -1,11 +1,13 @@
 """The default pipeline's TS-LA fit, held out: along closed-loop runs beyond the
-10-30 N stage-1 impulses, the fitted model must still command what LQR would."""
+10-30 N stage-1 impulses, the fitted model must still command what LQR would; and the
+loop compiled for it inlines its law once."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pendulum_lab import simulate
 from pendulum_lab.config import default_config
 from pendulum_lab.controllers import AnfisController
 from pendulum_lab.pipeline import build_dataset, design_from_config, train_from_config
@@ -34,3 +36,14 @@ def test_tsla_commands_the_lqr_law_beyond_its_training_impulses(default_fit, mag
     lo, hi = model.input_ranges.T
     assert np.any((z < lo) | (z > hi))
     assert np.max(np.abs(series.u + z @ K)) <= 1e-9
+
+
+def test_the_tsla_loop_inlines_its_law_once(default_fit, monkeypatch):
+    sources = []
+    compiled = simulate._compiled
+    monkeypatch.setattr(simulate, "_compiled",
+                        lambda source, *rest: sources.append(source) or compiled(source, *rest))
+    simulate._loop(CONFIG.sim, AnfisController(default_fit[1]), CONFIG.physical, 40000)
+    # the law's last statement, once: the bound test comes before it, so a fallen state
+    # runs the same statements
+    assert [source.count("u = out / total") for source in sources] == [1]

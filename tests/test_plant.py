@@ -109,8 +109,6 @@ class TestLinearize:
         ss = linearize(PARAMS)
         assert np.array_equal(ss.A[0], [0.0, 1.0, 0.0, 0.0])
         assert np.array_equal(ss.A[2], [0.0, 0.0, 0.0, 1.0])
-        assert np.array_equal(ss.C, [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-        assert np.array_equal(ss.D, np.zeros((2, 1)))
 
     def test_benchmark_entry_magnitudes(self):
         ss = linearize(PARAMS)
@@ -238,7 +236,7 @@ class TestControllability:
 
     def test_zero_dynamics_rank_one(self):
         ss = linearize(PARAMS)
-        zero = LinearStateSpace(A=np.zeros((4, 4)), B=ss.B, C=ss.C, D=ss.D)
+        zero = LinearStateSpace(A=np.zeros((4, 4)), B=ss.B)
         co = controllability(zero)
         assert co.rank == 1
         assert_allclose(co.matrix[:, 1:], np.zeros((4, 3)), atol=0.0)

@@ -295,9 +295,10 @@ class TestRunBenchmark:
         scenarios = ScenarioConfig(impulse, (10.0, 20.0), noise, noise_horizon=sim.horizon)
         table = run_benchmark(PARAMS, {"LQR": lqr_controller}, sim, scenarios)
         cells = [c for c in table.cells if c.scenario == "impulse"]
-        mean = table.impulse_mean("LQR")
+        [mean] = table.impulse_means()
+        assert (mean.controller, mean.scenario, mean.magnitude) == ("LQR", "impulse-mean", None)
         expected = np.mean([c.metrics.settling_time for c in cells])
-        assert mean.settling_time == pytest.approx(expected, rel=1e-12)
+        assert mean.metrics.settling_time == pytest.approx(expected, rel=1e-12)
 
     def test_text_rendering_mentions_all_sections(self, quick_setup):
         sim, impulse, noise = quick_setup

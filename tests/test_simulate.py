@@ -633,6 +633,16 @@ class TestGeneratedLoop:
              limit=DIVERGENCE_LIMIT, dt=2.5e-3)  # dt enters PID's update
     @example(kind="PI", theta_dev=-0.02, magnitude=-40.0, decimation=3, gain=1.0,
              limit=DIVERGENCE_LIMIT, dt=1e-4)
+    # the first state is not tested: a run from past the horizontal is stepped once and
+    # falls at step 1, whose row is logged whatever the decimation
+    @example(kind="none", theta_dev=2.0, magnitude=0.0, decimation=3, gain=1.0,
+             limit=DIVERGENCE_LIMIT, dt=1e-3)
+    @example(kind="LQR", theta_dev=2.0, magnitude=0.0, decimation=3, gain=1.0,
+             limit=DIVERGENCE_LIMIT, dt=1e-3)
+    # at rest from a first state past the limit (x = 0.1, theta = pi): diverges at step 1,
+    # not at the end of the rest
+    @example(kind="none", theta_dev=0.0, magnitude=0.0, decimation=1, gain=1.0, limit=0.05,
+             dt=1e-3)
     def test_matches_the_plain_loop(self, kind, theta_dev, magnitude, decimation, gain, limit,
                                     dt):
         cfg = SimConfig(dt=dt, horizon=0.4, log_decimation=decimation, actuator_gain=gain,
@@ -821,6 +831,77 @@ class TestRest:
             reference_run(cfg, reference, None, PARAMS, steps=20000)
             assert ([repr(getattr(controller, name, None)) for name in PID_STATE]
                     == [repr(getattr(reference, name, None)) for name in PID_STATE])
+
+
+class Negated:
+    """The force grid of ``spec``, negated."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def forces(self, times):
+        return -self.spec.forces(times)
+
+
+def mirror_image(series):
+    """The columns of ``series`` mirrored: x, x', theta', u and d negated, and theta
+    reflected about pi (exact while theta stays in [2, 4), where the float grid is
+    uniform and holds pi)."""
+    return [-series.x, -series.x_dot, UPRIGHT_THETA - (series.theta - UPRIGHT_THETA),
+            -series.theta_dot, -series.u, -series.d]
+
+
+def mirror_columns(series):
+    return [series.x, series.x_dot, series.theta, series.theta_dot, series.u, series.d]
+
+
+MIRROR_ONSET = 0.5
+# PID at 60 N is left out: it falls, past the 1.14 rad where rounding stays symmetric
+MIRROR_CASES = [("LQR", ImpulseSpec(10.0, MIRROR_ONSET, 0.05)),
+                ("LQR", ImpulseSpec(60.0, MIRROR_ONSET, 0.05)),
+                ("LQR", NoiseSpec(power=0.5, sample_time=0.01, seed=7)),
+                ("PID", ImpulseSpec(10.0, MIRROR_ONSET, 0.05)),
+                ("PID", NoiseSpec(power=0.5, sample_time=0.01, seed=7))]
+
+
+class TestMirrorSymmetry:
+    """The plant, RK4, LQR and PID are odd in (x, x', theta - pi, theta', force), and
+    negation is exact: a run from the mirrored state under the negated force is the
+    mirror image of the run, bit for bit.  No golden: it holds under any BLAS kernel."""
+
+    @staticmethod
+    def skip_past_symmetric_range(series):
+        if np.abs(series.theta - UPRIGHT_THETA).max() >= math.pi - 2.0:
+            pytest.skip("the run swings past |theta - pi| = pi - 2")
+
+    @pytest.mark.parametrize("kind, spec", MIRROR_CASES)
+    def test_mirrored_start_and_force_give_the_mirror_image(self, kind, spec):
+        start = PlantState(x=0.1, x_dot=-0.2, theta=UPRIGHT_THETA + 0.05, theta_dot=0.3)
+        mirrored = PlantState(x=-start.x, x_dot=-start.x_dot,
+                              theta=UPRIGHT_THETA - (start.theta - UPRIGHT_THETA),
+                              theta_dot=-start.theta_dot)
+        cfg = SimConfig(horizon=3.0, log_decimation=3, initial_state=start)
+        run = run_closed_loop(cfg, FAMILY_CONTROLLERS[kind](), spec, PARAMS)
+        image = run_closed_loop(replace(cfg, initial_state=mirrored), FAMILY_CONTROLLERS[kind](),
+                                Negated(spec), PARAMS)
+        self.skip_past_symmetric_range(run)
+        assert not (run.fell or run.diverged or image.fell or image.diverged)
+        assert ([c.tobytes() for c in mirror_columns(image)]
+                == [c.tobytes() for c in mirror_image(run)])
+
+    @pytest.mark.parametrize("kind, spec", [case for case in MIRROR_CASES
+                                            if isinstance(case[1], ImpulseSpec)])
+    def test_a_family_forks_into_mirror_images(self, kind, spec):
+        # upright at rest, the family rests up to the onset and forks there; the rest's
+        # zeros are +0.0 in both branches, where the mirror image holds -0.0, so zeros
+        # are compared without their sign
+        family = run_closed_loops(SimConfig(horizon=3.0), FAMILY_CONTROLLERS[kind](),
+                                  [spec, Negated(spec)], PARAMS)
+        run, image = family
+        self.skip_past_symmetric_range(run)
+        assert ([(c + 0.0).tobytes() for c in mirror_columns(image)]
+                == [(c + 0.0).tobytes() for c in mirror_image(run)])
+        assert np.all(run.theta[run.t < MIRROR_ONSET] == UPRIGHT_THETA)
 
 
 class TestTimeSeriesCsv:
