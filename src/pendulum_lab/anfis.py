@@ -58,7 +58,7 @@ import numpy as np
 
 from .artifacts import read_csv, read_json, write_csv, write_json
 from .plant import UPRIGHT_THETA
-from .simulate import _compiled
+from .simulate import FALL_ANGLE, _compiled
 
 __all__ = [
     "AnfisConfig",
@@ -362,8 +362,8 @@ N_CONSEQUENTS = MFS_PER_INPUT ** (len(DATASET_HEADER) - 1) * len(DATASET_HEADER)
 @dataclass(frozen=True)
 class Stage1Config:
     """How the LQR data-collection runs are excited: a family of initial
-    offsets from upright plus impulse kicks, enough to cover the state region
-    the deployed controller will visit."""
+    offsets from upright, each within +-`FALL_ANGLE`, plus impulse kicks,
+    enough to cover the state region the deployed controller will visit."""
 
     initial_theta_devs: tuple[float, ...] = (-0.2, -0.1, -0.05, 0.05, 0.1, 0.2)
     impulse_magnitudes: tuple[float, ...] = (10.0, 20.0, 30.0)
@@ -378,6 +378,9 @@ class Stage1Config:
             if not all(map(math.isfinite, getattr(self, name))):
                 raise ValueError(f"anfis.stage1.{name} must be finite, "
                                  f"got {list(getattr(self, name))}")
+        if not all(abs(dev) <= FALL_ANGLE for dev in self.initial_theta_devs):
+            raise ValueError(f"anfis.stage1.initial_theta_devs must be within +-pi/2, "
+                             f"got {list(self.initial_theta_devs)}")
         if not (math.isfinite(self.impulse_onset) and self.impulse_onset >= 0.0):
             raise ValueError(f"anfis.stage1.impulse_onset must be >= 0, got {self.impulse_onset!r}")
 

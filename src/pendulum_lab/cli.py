@@ -133,8 +133,7 @@ def _tsla_controller(out: Path) -> AnfisController:
     return _load_artifact(out / MODEL_FILE, lambda path: AnfisController(load_model(path)))
 
 
-def cmd_derive(args) -> int:
-    config = _load(args)
+def cmd_derive(args, config: RunConfig) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
@@ -175,8 +174,7 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def cmd_design_lqr(args) -> int:
-    config = _load(args)
+def cmd_design_lqr(args, config: RunConfig) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
@@ -192,8 +190,7 @@ def cmd_design_lqr(args) -> int:
     return EXIT_OK
 
 
-def cmd_gen_data(args) -> int:
-    config = _load(args)
+def cmd_gen_data(args, config: RunConfig) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     design = _load_artifact(out / DESIGN_FILE, LqrDesign.from_json)
@@ -206,8 +203,7 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    config = _load(args)
+def cmd_train(args, config: RunConfig) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     split = _load_artifact(out / SPLIT_FILE, lambda path: read_json(
@@ -249,8 +245,7 @@ def _controller_for(name: str, config: RunConfig, out: Path):
     raise ValueError(f"unknown controller {name!r}")
 
 
-def cmd_simulate(args) -> int:
-    config = _load(args)
+def cmd_simulate(args, config: RunConfig) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     controller = _controller_for(args.controller, config, out)
@@ -260,9 +255,9 @@ def cmd_simulate(args) -> int:
     name = f"timeseries_{args.controller}_{args.scenario}.csv"
     series.to_csv(out / name)
     print(f"{len(series)} rows logged to {out / name}")
-    if series.diverged:
+    if series.outcome == "diverged":
         print("run diverged before the horizon")
-    elif series.fell:
+    elif series.outcome == "fell":
         print(f"pendulum fell at t = {series.t[-1]:.2f} s")
     elif series.t[-1] < onset + METRICS_SPAN:
         print(f"no metrics: the log ends at t = {series.t[-1]:.2f} s, before onset + "
@@ -275,19 +270,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_benchmark(args) -> int:
-    config = _load(args)
+def cmd_benchmark(args, config: RunConfig) -> int:
     check_metrics_span(config)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
     if args.auto:
         if not (out / DESIGN_FILE).exists():
-            cmd_design_lqr(args)
+            cmd_design_lqr(args, config)
         if not (out / DATASET_FILE).exists() or not (out / SPLIT_FILE).exists():
-            cmd_gen_data(args)
+            cmd_gen_data(args, config)
         if not (out / MODEL_FILE).exists():
-            cmd_train(args)
+            cmd_train(args, config)
     model = _tsla_controller(out).model
 
     table = benchmark_from_config(config, model)
@@ -331,7 +325,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _load(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

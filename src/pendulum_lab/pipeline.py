@@ -61,7 +61,7 @@ def check_metrics_span(config: RunConfig) -> None:
     `METRICS_SPAN` past its disturbance's onset, as its metrics need."""
     for key, scenario in (("sim.horizon", "impulse"), ("scenarios.noise.horizon", "noise")):
         sim, _, onset = config.scenarios.run(scenario, config.sim)
-        end = float(step_times(sim)[::sim.log_decimation][-1])
+        end = float(step_times(sim)[-1])
         if end < onset + METRICS_SPAN:
             raise ConfigError(f"{key} {sim.horizon!r} logs the benchmark's runs to t = {end!r} s,"
                               f" but their metrics need onset {onset!r} + {METRICS_SPAN:g} s")

@@ -212,9 +212,9 @@ def compute_metrics(
     measures over its partial log.
     """
     bands = bands or MetricBands()
-    if series.diverged:
+    if series.outcome == "diverged":
         return _ALL_UNBOUNDED
-    if len(series) < 2 and not series.fell:
+    if len(series) < 2 and series.outcome is None:
         raise ValueError("series too short for metrics")
     t = series.t
     dev = np.abs(series.theta_deviation())
@@ -222,7 +222,7 @@ def compute_metrics(
     dev_after = dev[after]
     peak = float(dev_after.max())
     peak_xdot = float(np.abs(series.x_dot[after]).max())
-    if series.fell:
+    if series.outcome == "fell":
         return TransientMetrics(UNBOUNDED, UNBOUNDED, peak, peak_xdot, UNBOUNDED, UNBOUNDED)
     if t[-1] < onset + METRICS_SPAN:
         raise ValueError(f"series must cover onset + {METRICS_SPAN:g} s (ends at {t[-1]:.3f})")
@@ -407,12 +407,8 @@ def run_benchmark(params: PhysicalParams, controller_factories: dict[str, Callab
 
     def cell(name, scenario, magnitude, series, onset) -> BenchmarkCell:
         metrics = compute_metrics(series, onset, scenarios.bands)
-        if series.diverged:
-            outcome = "diverged"
-        elif series.fell:
-            outcome = "fell"
-        else:
-            outcome = "settled" if math.isfinite(metrics.settling_time) else "unsettled"
+        outcome = series.outcome or (
+            "settled" if math.isfinite(metrics.settling_time) else "unsettled")
         return BenchmarkCell(name, scenario, magnitude, metrics, outcome)
 
     cells = []

@@ -9,11 +9,12 @@ which the golden tests and the benchmark rely on.
 Every run steps on the grid ``t0 + i*dt`` (i = 0 .. n_steps).  A disturbance
 is a force as a function of t, read onto that grid before the run (a spec
 builds its grid at once), so the loop itself reads forces by step index.
-A run ends early, keeping its partial log, at the first state past either
-of two bounds: ``fell=True`` once |theta - pi| > pi/2 (the first state past
-the horizontal is logged, with its command, as the last row), and
-``diverged=True`` once any component leaves [-1e6, 1e6] or turns
-non-finite.  A state past both has diverged.
+A run starts inside two bounds (`SimConfig` rejects any other start), logs
+every step, and ends early, keeping its partial log, at the first state past
+either: outcome "fell" once |theta - pi| > pi/2 (the first state past the
+horizontal is logged, with its command, as the last row), and "diverged"
+once any component leaves [-1e6, 1e6] or turns non-finite.  A state past
+both has diverged.
 
 `run_closed_loops` runs one controller under several disturbances and
 simulates the stretch where their force grids agree (say, before an
@@ -25,9 +26,8 @@ kind (`_loop`): RK4, the bound test, the logging and the ``law_source()`` its
 `command` is compiled from (`_law_command`) are inline, every parameter a
 literal and the law's state in locals.  Open loop's law is ``u = 0.0``; a
 custom controller with no ``law_source()`` runs its own `command`.  The bound
-test opens each step but the run's first, before the law: a diverged state
-ends the run there, and a fallen one runs the step's one inlined law and logs
-its row first.
+test opens each step, before the law: a diverged state ends the run there,
+and a fallen one runs the step's one inlined law and logs its row first.
 
 A loop whose law is inlined fast-forwards a rest.  Once a step leaves the
 plant and the law's state bitwise as they were (say, upright before an
@@ -92,15 +92,15 @@ class SimConfig:
 
     ``actuator_gain`` converts the controller's voltage command into force;
     the benchmark ships 1 N/V, keeping commands and forces interchangeable
-    while leaving the knob explicit.  Logging keeps every
-    ``log_decimation``-th step.
+    while leaving the knob explicit.  ``initial_state`` must lie inside the
+    loop's bounds, both ends included: |x|, |x'| and |theta'| at most
+    `DIVERGENCE_LIMIT` and |theta - pi| at most `FALL_ANGLE`.
     """
 
     dt: float = 1e-3
     horizon: float = 40.0
     initial_state: PlantState = field(default_factory=PlantState)
     actuator_gain: float = 1.0
-    log_decimation: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.dt <= 0.01):
@@ -109,8 +109,11 @@ class SimConfig:
             raise ValueError(f"horizon must be >= dt, got {self.horizon!r}")
         if not (math.isfinite(self.actuator_gain) and self.actuator_gain > 0.0):
             raise ValueError(f"actuator_gain must be positive, got {self.actuator_gain!r}")
-        if not (isinstance(self.log_decimation, int) and self.log_decimation >= 1):
-            raise ValueError(f"log_decimation must be a positive integer, got {self.log_decimation!r}")
+        s = self.initial_state
+        if not (all(abs(v) <= DIVERGENCE_LIMIT for v in (s.x, s.x_dot, s.theta_dot))
+                and UPRIGHT_THETA - FALL_ANGLE <= s.theta <= UPRIGHT_THETA + FALL_ANGLE):
+            raise ValueError(f"initial_state must have |x|, |x_dot| and |theta_dot| <= "
+                             f"{DIVERGENCE_LIMIT:g} and |theta - pi| <= pi/2, got {s}")
 
 
 @dataclass(eq=False)
@@ -118,8 +121,8 @@ class TimeSeries:
     """Columnar log of a run: states, commanded voltage and disturbance force.
 
     ``u`` is the controller output (volts) before the actuator gain; ``d`` is
-    the disturbance force.  ``diverged`` and ``fell`` mark a run that ended
-    early, and why; its last row is its last logged step.
+    the disturbance force.  ``outcome`` is "fell" or "diverged" for a run that
+    ended early, whose last row is its last logged step, and None otherwise.
     """
 
     t: np.ndarray
@@ -129,8 +132,7 @@ class TimeSeries:
     theta_dot: np.ndarray
     u: np.ndarray
     d: np.ndarray
-    diverged: bool = False
-    fell: bool = False
+    outcome: Optional[str] = None
 
     def __len__(self) -> int:
         return self.t.size
@@ -257,21 +259,21 @@ def loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, changes, rows):
     while True:
         for i in range(start, stop):
             # one test for both ends: NaN fails every comparison, so it leaves the box too
-            if i and not {upright}:
+            if not {upright}:
                 if not {bounded}:
-                    {store}return "diverged", i, (x, x_dot, theta, theta_dot)
+                    {store}return "diverged", (x, x_dot, theta, theta_dot)
                 outcome, last = "fell", i
             phi = theta - {pi}
             {keep}
             {law}
-            {decimate}rows += (x, x_dot, theta, theta_dot, u)
+            rows += (x, x_dot, theta, theta_dot, u)
             if i == last:
-                {store}return outcome, i, (x, x_dot, theta, theta_dot)
+                {store}return outcome, (x, x_dot, theta, theta_dot)
             force = {gain} * u + forces[i]
             {rk4}
             {rest}
         else:
-            {store}return None, stop, (x, x_dot, theta, theta_dot)
+            {store}return None, (x, x_dot, theta, theta_dot)
 """
 
 # a state within the bounds (lo, hi) on x, x' and theta', and (theta_lo, theta_hi) on theta
@@ -281,22 +283,20 @@ _BOX = ("({lo} <= x <= {hi} and {lo} <= x_dot <= {hi} and {theta_lo} <= theta <=
 _OPEN_LOOP = SimpleNamespace(law_source=lambda: ("u = 0.0", {}, ()))  # no controller
 
 # the plant and the law's state at a bitwise fixed point: == first, as it is cheap and
-# rarely true, then repr, which tells -0.0 from 0.0; a rest from step 0 also needs the
-# bound test that the loop skips for the first state
+# rarely true, then repr, which tells -0.0 from 0.0
 _REST = """\
-if {same} and repr(({held},)) == repr(({kept},)) and (i or {upright}):
-    start = rest(i, stop, changes, {decimation}, rows, (x, x_dot, theta, theta_dot, u))
+if {same} and repr(({held},)) == repr(({kept},)):
+    start = rest(i, stop, changes, rows, (x, x_dot, theta, theta_dot, u))
     break"""
 
 
-def _rest(i: int, stop: int, changes: np.ndarray, decimation: int, rows: list,
-          row: tuple) -> int:
+def _rest(i: int, stop: int, changes: np.ndarray, rows: list, row: tuple) -> int:
     """Log a loop's rest, which starts after step ``i``: ``row`` for every
-    logged step before the next of ``changes`` or ``stop``, whichever comes first.
+    step before the next of ``changes`` or ``stop``, whichever comes first.
     Returns that step, where the loop resumes."""
     k = int(changes.searchsorted(i, side="right"))
     end = min(int(changes[k]), stop) if k < changes.size else stop
-    rows += row * ((end - 1) // decimation - i // decimation)
+    rows += row * (end - 1 - i)
     return end
 
 
@@ -306,19 +306,17 @@ def _loop(config: SimConfig, controller: Controller, params: PhysicalParams, las
     ``loop(ctrl, x, x_dot, theta, theta_dot, start, stop, forces, changes, rows)``
     runs steps ``start .. stop - 1`` from that state under ``forces[i]`` with the
     law of ``ctrl`` (the controller or a `copy.copy` of it), extending ``rows``
-    by the (x, x', theta, theta', u) of each step with ``i % log_decimation ==
-    0`` and of a fallen state.  It returns ``(outcome, i, state)``: None if the
-    run reached ``stop`` (or ``last``, the grid's end), else "fell" or
-    "diverged".  ``law_source()`` gives the statements that set u from x,
+    by the (x, x', theta, theta', u) of each step.  It returns ``(outcome,
+    state)``: None if the run reached ``stop`` (or ``last``, the grid's end),
+    else "fell" or "diverged".  ``law_source()`` gives the statements that set u from x,
     x_dot, phi, theta_dot and dt, the globals they read, and the attributes
     of ``ctrl`` that hold its state, kept in locals of those names and stored
     back on return.  Other laws call `command`; open loop's is ``u = 0.0``.
 
-    Each step but ``i == 0`` opens with the bound test, so the law is inlined
-    once: a state past the divergence box returns "diverged" before the law
-    runs (TS-LA's law raises on NaN), and a fallen state runs the law, logs
-    its row whatever the decimation, and returns "fell".  A fork's first
-    step is tested in each branch.
+    Each step opens with the bound test, so the law is inlined once: a state
+    past the divergence box returns "diverged" before the law runs (TS-LA's
+    law raises on NaN), and a fallen state runs the law, logs its row and
+    returns "fell".  A fork's first step is tested in each branch.
 
     An inlined loop holds all its state in locals, so a step that leaves
     them bitwise as they were repeats until the force changes: the loop logs
@@ -337,12 +335,10 @@ def _loop(config: SimConfig, controller: Controller, params: PhysicalParams, las
     upright = _BOX.format(lo=lo, hi=hi, theta_lo=repr(UPRIGHT_THETA - FALL_ANGLE),
                           theta_hi=repr(UPRIGHT_THETA + FALL_ANGLE))
     rest = _REST.format(same=" and ".join(map("{} == {}".format, held, kept)), held=", ".join(held),
-                        kept=", ".join(kept), decimation=config.log_decimation, upright=upright)
+                        kept=", ".join(kept))
     indent = "\n" + " " * 12
     source = _LOOP.format(
         law=law.replace("\n", indent),
-        decimate=f"if i % {config.log_decimation} == 0 or outcome: "
-        if config.log_decimation > 1 else "",
         rk4=indent.join(_rk4_lines({k: repr(v) for k, v in _rk4_constants(params, dt).items()})),
         dt=repr(dt), load=load, store=store,
         keep=f"{', '.join(kept)} = {', '.join(held)}" if inlined else "",
@@ -356,28 +352,18 @@ def _table(rows: list) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 5)
 
 
-def _series(data: np.ndarray, times: np.ndarray, forces: np.ndarray, decimation: int,
-            outcome: Optional[str], end: int) -> TimeSeries:
-    """The series of the (x, x', theta, theta', u) rows ``data``, logged at steps
-    0, decimation, 2*decimation, ... and, for a fallen run, at its last step
-    ``end``; its t and d columns are the grid's values at those steps."""
-    logged = np.arange(0, len(data) * decimation, decimation)
-    if outcome == "fell":
-        logged[-1] = end
-    table = np.column_stack((times[logged], data, forces[logged]))
-    return TimeSeries(*table.T, diverged=outcome == "diverged", fell=outcome == "fell")
+def _series(data: np.ndarray, times: np.ndarray, forces: np.ndarray,
+            outcome: Optional[str]) -> TimeSeries:
+    """The series of the (x, x', theta, theta', u) rows ``data``, one per step from
+    step 0, and its ``outcome``; its t and d columns are the grid's first rows."""
+    table = np.column_stack((times[:len(data)], data, forces[:len(data)]))
+    return TimeSeries(*table.T, outcome=outcome)
 
 
 def step_times(config: SimConfig) -> np.ndarray:
     """The step grid ``t0 + i*dt`` (i = 0 .. n_steps) of a run under ``config``."""
     n_steps = round(config.horizon / config.dt)
     return config.initial_state.t + np.arange(n_steps + 1) * config.dt
-
-
-def logged_rows(config: SimConfig) -> int:
-    """Rows in the log of a run under ``config`` that neither falls nor
-    diverges: steps 0, d, 2d, ... of `step_times`' grid, d the decimation."""
-    return round(config.horizon / config.dt) // config.log_decimation + 1
 
 
 def run_closed_loops(
@@ -390,9 +376,10 @@ def run_closed_loops(
 
     Yields one `TimeSeries` per disturbance, in order, each bitwise the log
     `run_closed_loop` gives for that disturbance and a controller in the
-    state ``controller`` is in now.  Each disturbance is read at every time
-    ``t0 + i*dt`` of the step grid (i = 0 .. n_steps) into a force grid: a
-    spec by its ``forces(times)``, a callable once per time, None as zeros.
+    state ``controller`` is in now: a row per step and the run's outcome.
+    Each disturbance is read at every time ``t0 + i*dt`` of the step grid
+    (i = 0 .. n_steps) into a force grid: a spec by its ``forces(times)``, a
+    callable once per time, None as zeros.
     Forces depend only on t, so this reads them ahead of the run.  One run
     goes up to the first step where the grids' bits differ; there it forks.
     Each branch resumes at that step with its own `copy.copy` of the
@@ -418,26 +405,25 @@ def run_closed_loops(
     differ = np.flatnonzero((bits != bits[0]).any(axis=0))
     changes = [np.flatnonzero(row[1:] != row[:-1]) + 1 for row in bits]
     fork = int(differ[0]) if differ.size else n_steps + 1
-    decimation = config.log_decimation
     loop = _loop(config, _OPEN_LOOP if controller is None else controller, params, n_steps)
 
     rows: list = []
-    outcome, end, state = loop(controller, initial.x, initial.x_dot, initial.theta,
+    outcome, state = loop(controller, initial.x, initial.x_dot, initial.theta,
                                initial.theta_dot, 0, fork, forces[0].tolist(), changes[0], rows)
     if outcome is not None or fork > n_steps:
         for row in forces:
-            yield _series(_table(rows), times, row, decimation, outcome, end)
+            yield _series(_table(rows), times, row, outcome)
         return
 
     shared = _table(rows)
     del rows
     for row, row_changes in zip(forces, changes):
         rows = []
-        outcome, end, _ = loop(copy.copy(controller), *state, fork, n_steps + 1, row.tolist(),
-                               row_changes, rows)
+        outcome, _ = loop(copy.copy(controller), *state, fork, n_steps + 1, row.tolist(),
+                          row_changes, rows)
         data = np.concatenate((shared, _table(rows)))
         del rows
-        yield _series(data, times, row, decimation, outcome, end)
+        yield _series(data, times, row, outcome)
         del data  # so the branch is freed once the caller drops its series
 
 
@@ -452,8 +438,8 @@ def run_closed_loop(
     At each step the controller reads the full state and emits a voltage,
     the actuator scales it to force, the disturbance force is added and the
     plant advances by dt.  ``controller=None`` runs open loop and
-    ``disturbance=None`` means no disturbance.  The log is decimated per the
-    config; identical inputs give bit-identical logs.  This is
+    ``disturbance=None`` means no disturbance.  Every step is logged, and
+    identical inputs give bit-identical logs.  This is
     `run_closed_loops` with one disturbance, a spec or a force source.
     """
     return next(run_closed_loops(config, controller, [disturbance], params))

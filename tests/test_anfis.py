@@ -17,8 +17,10 @@ from numpy.testing import assert_allclose
 from pendulum_lab import anfis
 from pendulum_lab.anfis import (AnfisConfig, AnfisModel, Dataset, _design_matrix, _infer_batch,
                                 _rule_products, anfis_infer, generate_dataset, initial_model,
-                                load_model, premise_gradients, save_model, train_hybrid)
-from pendulum_lab.simulate import TimeSeries
+                                Stage1Config, load_model, premise_gradients, save_model,
+                                train_hybrid)
+from pendulum_lab.plant import UPRIGHT_THETA, PlantState
+from pendulum_lab.simulate import FALL_ANGLE, SimConfig, TimeSeries
 
 
 def grid_model(grid, consequents, input_ranges=None):
@@ -496,6 +498,15 @@ class TestTrainHybrid:
         for seed in (-1, 1.5, None):
             with pytest.raises(ValueError, match="anfis.seed must be a non-negative integer"):
                 AnfisConfig(seed=seed)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_stage1_starts_short_of_the_horizontal(self, sign):
+        # an offset on the horizontal gives a stage-1 start that SimConfig takes
+        edge = sign * FALL_ANGLE
+        Stage1Config(initial_theta_devs=(edge,))
+        SimConfig(initial_state=PlantState(theta=UPRIGHT_THETA + edge))
+        with pytest.raises(ValueError, match="initial_theta_devs must be within"):
+            Stage1Config(initial_theta_devs=(math.nextafter(edge, sign * math.inf),))
 
 
 @pytest.fixture(scope="module")

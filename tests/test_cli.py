@@ -34,7 +34,7 @@ DERIVE_SHA256 = {
     "derive_report.json": "fc80b87ca6237bb8f7794c97290dfb1e00852fa94a95243567aec9e47b8f300f",
     "poles.csv": "d5528a77304b098189dc32e49cf2bc7ee39b344c56926fd318a396f1c1c947c7",
     "root_locus.csv": "e966226765c80129a49e0d122b5718d9d38e799fc707c2fc2a934f9a4e1ae3de",
-    "derive_manifest.json": "3c023a9137ba649fdd8911bfbf30145669b7deec35f866d2de48538a874f2c0a",
+    "derive_manifest.json": "b5435a337b2fa6c7419f9c1b8d37855f7658cdb107c66047aeede922420782eb",
 }
 
 
@@ -56,6 +56,17 @@ def test_short_benchmark_golden(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "fell cells: PI/impulse@10, PI/impulse@60, PI/noise, PID/impulse@60"
     assert sha256_of(out, GOLDEN_SHA256) == GOLDEN_SHA256
+
+
+def test_benchmark_auto_parses_the_config_once(tmp_path, monkeypatch):
+    # the stages that --auto runs take the config that main parsed
+    loads, load = [], cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: loads.append(path) or load(path))
+    config = write_config(tmp_path / "short.json", SHORT_BENCHMARK)
+    code = cli.main(["benchmark", "--auto", "--config", str(config), "--out",
+                     str(tmp_path / "out")])
+    assert code == cli.EXIT_DIVERGED_CELLS
+    assert loads == [config]
 
 
 # `simulate` logs whose bits no BLAS kernel sets: PID under the short config, whose
@@ -320,6 +331,18 @@ def _rejected_seed_flag(*argv):
      cli.EXIT_USAGE, ("config error", "settle_band must be finite and > 0, got inf")),
     (_benchmark_rejected_with({"anfis": {"learning_rate": math.inf}}), cli.EXIT_USAGE,
      ("config error", "anfis.learning_rate must be > 0, got inf")),
+    (_benchmark_rejected_with({"sim": {"initial_state": {"x": 2e6}}}), cli.EXIT_USAGE,
+     ("config error", "initial_state must have |x|, |x_dot| and |theta_dot| <= 1e+06",
+      "x=2000000.0")),
+    (_benchmark_rejected_with({"sim": {"initial_state": {"theta_dev": 2.0}}}), cli.EXIT_USAGE,
+     ("config error", "initial_state must have ", "|theta - pi| <= pi/2")),
+    (_simulate_rejected_with({"sim": {"initial_state": {"theta_dev": 2.0}}}), cli.EXIT_USAGE,
+     ("config error", "initial_state must have ", "|theta - pi| <= pi/2")),
+    (_benchmark_rejected_with({"anfis": {"stage1": {"initial_theta_devs": [2.0]}}}),
+     cli.EXIT_USAGE, ("config error", "anfis.stage1.initial_theta_devs must be within +-pi/2, "
+                      "got [2.0]")),
+    (_benchmark_rejected_with({"sim": {"log_decimation": 3}}), cli.EXIT_USAGE,
+     ("config error", "unknown keys in sim: ['log_decimation']")),
 ], ids=["ok", "unknown-config-key", "negative-train-count", "zero-test-count", "zero-epochs",
         "negative-learning-rate", "benchmark-without-artifacts", "derive-missing-config",
         "train-too-few-rows",
@@ -333,7 +356,9 @@ def _rejected_seed_flag(*argv):
         "benchmark-negative-noise-seed", "simulate-negative-noise-seed",
         "benchmark-negative-anfis-seed", "simulate-negative-seed-flag",
         "benchmark-negative-seed-flag", "nan-stage1-theta-dev", "negative-drift-slope",
-        "nan-drift-slope", "infinite-settle-band", "infinite-learning-rate"])
+        "nan-drift-slope", "infinite-settle-band", "infinite-learning-rate",
+        "start-past-divergence-box", "start-past-horizontal", "simulate-start-past-horizontal",
+        "stage1-start-past-horizontal", "removed-log-decimation"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err
@@ -431,10 +456,7 @@ def test_benchmark_runs_to_exactly_onset_plus_10s(tmp_path, capsys):
     ({"scenarios": {"noise": {"horizon": 5.0}}},
      ("scenarios.noise.horizon 5.0 logs the benchmark's runs to t = 5.0 s",)),
     ({"sim": {"horizon": 29.999}}, ("sim.horizon 29.999 ", "onset 20.0 + 10 s")),
-    # the last logged step of 10 000 at a decimation of 3 is step 9 999, at t = 9.999 s
-    ({"sim": {"log_decimation": 3}, "scenarios": {"noise": {"horizon": 10.0}}},
-     ("scenarios.noise.horizon 10.0 ", "t = 9.999 s")),
-], ids=["noise-5s", "impulse-onset-20s-29.999s", "noise-10s-decimated"])
+], ids=["noise-5s", "impulse-onset-20s-29.999s"])
 def test_benchmark_rejects_a_short_horizon_before_any_stage(tmp_path, capsys, doc, stderr):
     config = write_config(tmp_path / "short.json", doc)
     out = tmp_path / "out"

@@ -86,7 +86,7 @@ class TestLoadConfig:
 
     def test_default_hash_is_stable(self):
         # manifests record this hash; a change to it means every recorded run changed meaning
-        assert config_sha256(default_config()).startswith("78c5174f")
+        assert config_sha256(default_config()).startswith("1d632fdf")
 
     @pytest.mark.parametrize("path, value", DEFAULT_LEAVES,
                              ids=[".".join(path) for path, _ in DEFAULT_LEAVES])
@@ -129,14 +129,15 @@ class TestLoadConfig:
         sim = load_config(path).sim
         assert (sim.horizon, sim.dt) == (0.0005, 0.0001)
 
+    # the ids pytest gave these cases while sim.log_decimation was the first of them
     @pytest.mark.parametrize("section, key", [
-        (("sim",), "log_decimation"),
         (("anfis",), "epochs"),
         (("anfis",), "train_count"),
         (("anfis",), "test_count"),
         (("anfis",), "seed"),
         (("scenarios", "noise"), "seed"),
-    ])
+    ], ids=["section1-epochs", "section2-train_count", "section3-test_count", "section4-seed",
+            "section5-seed"])
     @pytest.mark.parametrize("value", [2.5, True, "2.5"])
     def test_non_integral_integer_rejected(self, tmp_path, section, key, value):
         doc = leaf = {}
@@ -162,8 +163,8 @@ class TestLoadConfig:
             load_config(write_config(tmp_path / "bad.json", doc))
 
     def test_integral_float_accepted(self, tmp_path):
-        path = write_config(tmp_path / "ok.json", {"sim": {"log_decimation": 2.0}})
-        assert load_config(path).sim.log_decimation == 2
+        path = write_config(tmp_path / "ok.json", {"anfis": {"epochs": 2.0}})
+        assert load_config(path).anfis.epochs == 2
 
     def test_integer_beyond_float_range_kept(self, tmp_path):
         path = write_config(tmp_path / "big.json", {"anfis": {"seed": 10**400}})
@@ -171,11 +172,11 @@ class TestLoadConfig:
 
 
 class TestCli:
-    def test_non_integral_log_decimation_exits_usage(self, tmp_path, capsys):
-        path = write_config(tmp_path / "bad.json", {"sim": {"log_decimation": 2.5}})
+    def test_non_integral_integer_exits_usage(self, tmp_path, capsys):
+        path = write_config(tmp_path / "bad.json", {"anfis": {"epochs": 2.5}})
         code = cli.main(["design-lqr", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_USAGE == 1
-        assert "sim.log_decimation must be an integer" in capsys.readouterr().err
+        assert "anfis.epochs must be an integer" in capsys.readouterr().err
 
     def test_train_reports_stop_epoch_outside_artifacts(self, tmp_path, capsys):
         short = {"anfis": {"train_count": 200, "test_count": 20,

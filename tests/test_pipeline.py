@@ -30,7 +30,7 @@ def test_tsla_commands_the_lqr_law_beyond_its_training_impulses(default_fit, mag
     impulse = replace(CONFIG.scenarios.impulse, magnitude=magnitude)
     series = run_closed_loop(CONFIG.sim, AnfisController(model), make_disturbance(impulse),
                              CONFIG.physical)
-    assert not series.diverged
+    assert series.outcome is None
     z = np.column_stack([series.x, series.x_dot, series.theta_deviation(), series.theta_dot])
     # the run leaves the box the model was fitted on
     lo, hi = model.input_ranges.T

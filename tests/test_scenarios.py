@@ -16,7 +16,7 @@ from pendulum_lab.simulate import SimConfig, TimeSeries, run_closed_loop, step_t
 PARAMS = PhysicalParams()
 
 
-def synthetic_series(t, theta_dev, x=None, x_dot=None, diverged=False, fell=False):
+def synthetic_series(t, theta_dev, x=None, x_dot=None, outcome=None):
     n = t.size
     zeros = np.zeros(n)
     return TimeSeries(
@@ -27,8 +27,7 @@ def synthetic_series(t, theta_dev, x=None, x_dot=None, diverged=False, fell=Fals
         theta_dot=zeros,
         u=zeros,
         d=zeros,
-        diverged=diverged,
-        fell=fell,
+        outcome=outcome,
     )
 
 
@@ -208,7 +207,7 @@ class TestComputeMetrics:
 
     def test_diverged_series_flags_everything(self):
         t = np.arange(0.0, 15.0, 1e-3)
-        m = compute_metrics(synthetic_series(t, np.zeros(t.size), diverged=True), onset=0.0)
+        m = compute_metrics(synthetic_series(t, np.zeros(t.size), outcome="diverged"), onset=0.0)
         assert all(math.isinf(v) for v in m.as_row())
 
     def test_fallen_series_flags_all_but_the_peaks(self):
@@ -217,7 +216,7 @@ class TestComputeMetrics:
         t = np.arange(0.0, 3.3, 1e-3)
         dev = np.linspace(0.0, 1.6, t.size)
         x_dot = np.where(t < 1.0, -5.0, t)
-        series = synthetic_series(t, dev, x_dot=x_dot, fell=True)
+        series = synthetic_series(t, dev, x_dot=x_dot, outcome="fell")
         m = compute_metrics(series, onset=1.0)
         assert (m.peak_theta_dev, m.peak_xdot) == (series.theta_deviation()[-1], t[-1])
         assert all(math.isinf(v) for v in (m.settling_time, m.rise_time, m.sse_theta, m.sse_x))
@@ -226,7 +225,7 @@ class TestComputeMetrics:
         t = np.arange(0.0, 3.3, 1e-3)
         dev = np.linspace(0.0, 1.6, t.size)
         x_dot = np.where(t < 1.0, -5.0, t)
-        series = synthetic_series(t, dev, x_dot=x_dot, fell=True)
+        series = synthetic_series(t, dev, x_dot=x_dot, outcome="fell")
         m = compute_metrics(series, onset=20.0)
         assert (m.peak_theta_dev, m.peak_xdot) == (series.theta_deviation()[-1], t[-1])
 
