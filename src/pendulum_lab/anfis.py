@@ -146,7 +146,8 @@ class AnfisModel:
         from `_law_source` on first use and cached on the model."""
         inputs = [f"z{k}" for k in range(self.n_inputs)]
         body = _law_source(self, inputs, "out").replace("\n", "\n    ")
-        return _compiled(f"def law({', '.join(inputs)}):\n    {body}\n    return out", "law", {})
+        return _compiled(f"def law({', '.join(inputs)}):\n    {body}\n    return out", "law", {},
+                         type(self).__name__)
 
 
 def _frozen(values) -> np.ndarray:

@@ -178,7 +178,7 @@ def _command(self, z: tuple[float, float, float, float], dt: float) -> float:
     try:
         law = self._law
     except AttributeError:
-        law = self._law = _law_command(self.law_source())
+        law = self._law = _law_command(self.law_source(), type(self).__name__)
     return law(self, z, dt)
 
 

@@ -35,12 +35,20 @@ impulse's onset), each later step repeats it until the force grid changes
 bits; the loop logs those steps' row without stepping them and resumes
 where the force changes.  A custom `command` may keep state the loop cannot
 see, so its loop steps every step.
+
+`TimeSeries.to_csv` writes ``repr``'s bytes for every float through
+``orjson``: its Ryu formatter gives the same shortest round-trip digits, and
+three byte rewrites (`_REPR_FORM`) turn its exponent style into ``repr``'s.
+``orjson`` writes nan and the infinities as ``null``, so a chunk of rows
+holding one (only a custom command or disturbance can log one) is written by
+``repr`` per value.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Iterator, Optional, Protocol, Sequence
@@ -144,32 +152,44 @@ class TimeSeries:
         """One header row, then one row per step: floats by ``repr``, comma
         separated, CRLF-terminated (the bytes `artifacts.write_csv` would write).
 
-        Written `_CSV_CHUNK` rows at a time, each column's text by `_reprs`: one
-        ``repr`` per run of bitwise-equal values, as a log at rest repeats its row."""
+        Written `_CSV_CHUNK` rows at a time.  A finite chunk is formatted by
+        ``orjson`` (Ryu's shortest round-trip digits, as ``repr``'s) and
+        rewritten to ``repr``'s exponent style by `_REPR_FORM`; a chunk that
+        holds nan or an infinity, which ``orjson`` writes as ``null``, is written
+        by ``repr`` per value."""
+        import orjson  # here, not at the top: only the commands that write logs pay its import
+
         columns = [np.asarray(c, dtype=float) for c in
                    (self.t, self.x, self.x_dot, self.theta, self.theta_dot, self.u, self.d)]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(CSV_HEADER) + "\r\n")
+        with open(path, "wb") as fh:
+            fh.write(",".join(CSV_HEADER).encode() + b"\r\n")
             for lo in range(0, self.t.size, _CSV_CHUNK):
-                texts = [_reprs(column[lo:lo + _CSV_CHUNK]) for column in columns]
-                fh.write("\r\n".join(map(",".join, zip(*texts, strict=True))) + "\r\n")
+                chunk = np.column_stack([column[lo:lo + _CSV_CHUNK] for column in columns])
+                if np.isfinite(chunk).all():
+                    text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+                    text = text.replace(b"],[", b"\r\n")
+                    for pattern, form in _REPR_FORM:
+                        text = re.sub(pattern, form, text)
+                else:
+                    text = "\r\n".join(",".join(map(repr, row)) for row in chunk.tolist()).encode()
+                fh.write(text + b"\r\n")
 
 
-# rows per chunk of `TimeSeries.to_csv`: a 40 s log at 1 ms written whole would hold
-# some 280 000 strings at once, while 1024 rows peak near 1 MB and write as fast as
-# larger chunks
+# rows per chunk of `TimeSeries.to_csv`: a 40 s log at 1 ms written whole would hold a
+# copy of its 280 000 floats and some 5 MB of text at once, while chunks of 256 to
+# 16 384 rows write about as fast
 _CSV_CHUNK = 1024
 
-
-def _reprs(column: np.ndarray) -> list[str]:
-    """``repr`` of each float of a non-empty ``column``, called once per run of
-    values with the same bits (so -0.0 and 0.0 are separate runs)."""
-    bits = column.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    texts = list(map(repr, column[starts].tolist()))
-    if len(texts) == column.size:
-        return texts
-    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=column.size)).tolist()
+# Ryu's text -> repr's, applied in this order (patterns compiled on first use, by
+# `re`'s cache, so importing this module compiles none):
+# - [1e-5, 1e-4): 0.0000dddd -> d.ddde-05 and 0.0000d -> de-05.  The literal prefix
+#   comes first, so the scan is fast; the lookbehind leaves 10.00001 as it is.
+# - one-digit exponents get two: e-7 -> e-07
+# - positive exponents, always 16 or more, get a sign: e16 -> e+16
+_REPR_FORM = [(rb"0\.0000(?<![\d.]0\.0000)(\d)(\d*)",
+               lambda m: m[1] + (b"." + m[2] if m[2] else b"") + b"e-05"),
+              (rb"e-(\d)(?!\d)", rb"e-0\1"),
+              (rb"e(\d)", rb"e+\1")]
 
 
 def _rk4_constants(params: PhysicalParams, dt: float) -> dict:
@@ -211,7 +231,14 @@ def _rk4_lines(c: dict) -> list[str]:
                     f"theta_dot = theta_dot + {c['sixth']} * (g1 + 2.0 * (g2 + g3) + g4)"]
 
 
-def _compiled(source, name: str, constants: dict):
+def _compiled(source, name: str, constants: dict, kind: str = ""):
+    """The function ``name`` that ``source`` defines, over the globals ``constants``.
+
+    A source string is compiled under the file name ``<name kind>``, say ``<loop
+    AnfisController>``, so profilers and tracebacks tell the generated functions
+    apart; `_STEP` comes compiled."""
+    if isinstance(source, str):
+        source = compile(source, f"<{name} {kind}>", "exec")
     # globals that do not hold the function: it forms no reference cycle
     defined: dict = {}
     exec(source, {"sin": math.sin, "cos": math.cos, **constants}, defined)
@@ -223,13 +250,15 @@ def _state_io(state: Sequence[str]) -> tuple[str, str]:
     return "".join(f"; {n} = ctrl.{n}" for n in state), "".join(f"ctrl.{n} = {n}; " for n in state)
 
 
-def _law_command(law_source: tuple[str, dict, Sequence[str]]) -> Callable:
-    """``command(ctrl, z, dt) -> u`` compiled from a ``law_source()`` triple, the
-    law's state loaded and stored by the statements `_loop` inlines."""
+def _law_command(law_source: tuple[str, dict, Sequence[str]], kind: str) -> Callable:
+    """``command(ctrl, z, dt) -> u`` compiled from a ``law_source()`` triple of the
+    controller class ``kind``, the law's state loaded and stored by the statements
+    `_loop` inlines."""
     law, names, state = law_source
     load, store = _state_io(state)
     return _compiled(f"def command(ctrl, z, dt):\n    x, x_dot, phi, theta_dot = z{load}\n    "
-                     + law.replace("\n", "\n    ") + f"\n    {store}return u\n", "command", names)
+                     + law.replace("\n", "\n    ") + f"\n    {store}return u\n", "command", names,
+                     kind)
 
 
 _STEP = compile("\n    ".join([
@@ -345,7 +374,8 @@ def _loop(config: SimConfig, controller: Controller, params: PhysicalParams, las
         rest=rest.replace("\n", indent) if inlined else "",
         pi=repr(UPRIGHT_THETA), last=last, gain=repr(config.actuator_gain), upright=upright,
         bounded=_BOX.format(lo=lo, hi=hi, theta_lo=lo, theta_hi=hi))
-    return _compiled(source, "loop", {"rest": _rest, **names})
+    kind = "none" if controller is _OPEN_LOOP else type(controller).__name__
+    return _compiled(source, "loop", {"rest": _rest, **names}, kind)
 
 
 def _table(rows: list) -> np.ndarray:

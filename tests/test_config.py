@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -37,11 +38,13 @@ SECTIONS = [(), ("physical",), ("sim",), ("sim", "initial_state"), ("lqr",), ("p
             ("scenarios", "noise"), ("scenarios", "metrics")]
 
 
-def leaf_values(default):
-    """Values for one leaf around its default: lists of its length, integers
-    from 1 and floats across two decades, valid or not."""
+def leaf_values(path, default):
+    """Values for the leaf at ``path`` around its default: lists of its length,
+    integers from 1 and floats across two decades, valid or not.  Stage-1 start
+    offsets are drawn within +-pi/2, as a list with any entry past it fails to load."""
     if isinstance(default, list):
-        return st.lists(st.floats(-1e3, 1e3), min_size=len(default), max_size=len(default))
+        bound = math.pi / 2 if path[-1] == "initial_theta_devs" else 1e3
+        return st.lists(st.floats(-bound, bound), min_size=len(default), max_size=len(default))
     if isinstance(default, int):
         return st.integers(1, max(2, 10 * default))
     if default == 0.0:
@@ -51,7 +54,7 @@ def leaf_values(default):
 
 
 # documents that set any subset of the leaf keys
-DOCS = st.fixed_dictionaries({}, optional={path: leaf_values(value)
+DOCS = st.fixed_dictionaries({}, optional={path: leaf_values(path, value)
                                            for path, value in DEFAULT_LEAVES})
 
 

@@ -1,9 +1,17 @@
 """Package-wide checks: every name that a `pendulum_lab` module exports in its ``__all__``
-exists, and the dataclasses that hold arrays compare and hash by identity."""
+exists, the dataclasses that hold arrays compare and hash by identity, every third-party
+module the package imports is a declared dependency, and the package imports cold without
+the modules that only writing a log needs."""
 
+import ast
 import copy
 import importlib
+import os
 import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +22,7 @@ from pendulum_lab.controllers import design_lqr
 from pendulum_lab.plant import PhysicalParams, linearize
 from pendulum_lab.simulate import TimeSeries
 
+PACKAGE = Path(pendulum_lab.__file__).resolve().parent
 MODULES = ["pendulum_lab"] + [f"pendulum_lab.{info.name}"
                               for info in pkgutil.iter_modules(pendulum_lab.__path__)]
 
@@ -44,3 +53,38 @@ def test_array_dataclasses_compare_by_identity(make):
     assert a == a
     assert a != b
     assert len({a, b, a}) == 2  # hashable, by identity
+
+
+def imported_top_levels(path: Path) -> set[str]:
+    """The top-level name of every absolute import in ``path``, function bodies included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_third_party_import_is_declared():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PACKAGE.parents[1] / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9._-]+", req)[0].lower().replace("-", "_")
+                for req in requirements}
+    imported = set().union(*map(imported_top_levels, PACKAGE.glob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - {"pendulum_lab"}
+    assert third_party >= {"numpy", "orjson"}  # the walk finds the lazy import too
+    assert sorted(third_party - declared) == []
+
+
+def test_import_leaves_orjson_unloaded():
+    # only `TimeSeries.to_csv` needs orjson; the set-up of the commands that write no
+    # log (design-lqr, gen-data, train, benchmark) keeps its cold-import time
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, pendulum_lab; print('orjson' in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert loaded.strip() == "False"

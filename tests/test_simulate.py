@@ -1,6 +1,7 @@
 import copy
 import csv
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -936,6 +937,26 @@ class TestSmallSignal:
         assert max(ratios) <= 1.1 * min(ratios), ratios
 
 
+def csv_fields(columns, path) -> list[list[bytes]]:
+    """The fields of each row that `TimeSeries.to_csv` writes for ``columns``, after the header."""
+    TimeSeries(*columns).to_csv(path)
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[-1] == b""
+    return [line.split(b",") for line in lines[1:-1]]
+
+
+def repr_fields(columns) -> list[list[bytes]]:
+    return [[repr(float(v)).encode() for v in row] for row in zip(*columns)]
+
+
+# where Ryu's text and repr's change form (Ryu writes 1e-5 as 0.00001 and 1e16 as 1e16),
+# each with its neighbouring floats; the extremes; and decimals that open with 0000
+# after a non-zero integer part, which keep their form
+CSV_EDGES = [v for edge in (1e-5, 1e-4, 1e15, 1e16)
+             for v in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
+CSV_EDGES += [0.0, -0.0, 5e-324, sys.float_info.max, 10.00001, 1.00009]
+
+
 class TestTimeSeriesCsv:
     def test_round_trip_exact(self, tmp_path):
         cfg = SimConfig(horizon=1.0)
@@ -973,3 +994,23 @@ class TestTimeSeriesCsv:
                 for row in zip(*cols):
                     writer.writerow([repr(float(v)) for v in row])
             assert path.read_bytes() == ref.read_bytes(), n
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=70))
+    @example(values=CSV_EDGES + [-v for v in CSV_EDGES])
+    def test_fields_are_reprs(self, values, tmp_path_factory):
+        # nan and infinities take the repr path for their chunk, so the finite values
+        # are written again alone, through orjson
+        values = np.array(values)
+        path = tmp_path_factory.mktemp("fields") / "run.csv"
+        for drawn in (values, values[np.isfinite(values)]):
+            columns = [np.roll(drawn, k) for k in range(7)]
+            assert csv_fields(columns, path) == repr_fields(columns)
+
+    def test_a_nan_mid_file_is_written_by_repr(self, tmp_path):
+        chunk = simulate._CSV_CHUNK
+        rng = np.random.default_rng(0)
+        n = 3 * chunk + 5
+        columns = list(rng.choice([-1.0, 1.0], (7, n)) * 10.0 ** rng.uniform(-20, 20, (7, n)))
+        columns[3][chunk + chunk // 2] = math.nan
+        assert csv_fields(columns, tmp_path / "run.csv") == repr_fields(columns)
