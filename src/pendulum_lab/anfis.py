@@ -56,7 +56,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .artifacts import read_csv, read_json, write_csv, write_json
+from .artifacts import _number, bounded, check_domains, read_csv, read_json, write_csv, write_json
 from .plant import UPRIGHT_THETA
 from .simulate import FALL_ANGLE, _compiled
 
@@ -269,10 +269,9 @@ class Dataset:
             raise ValueError("split index out of range")
         if np.intersect1d(train, test).size:
             raise ValueError("train and test indices overlap")
-        train.setflags(write=False)
-        test.setflags(write=False)
-        object.__setattr__(self, "train_indices", train)
-        object.__setattr__(self, "test_indices", test)
+        for name, indices in (("train_indices", train), ("test_indices", test)):
+            indices.setflags(write=False)
+            object.__setattr__(self, name, indices)
 
     @property
     def train_X(self) -> np.ndarray:
@@ -303,11 +302,12 @@ class Dataset:
     def from_csv(cls, path, split: dict) -> "Dataset":
         table = read_csv(path, DATASET_HEADER, "dataset")
         rows = np.array([[float(v) for v in row] for row in table])
-        return cls(
-            rows=rows,
-            train_indices=np.array(split["train_indices"], dtype=int),
-            test_indices=np.array(split["test_indices"], dtype=int),
-        )
+        try:  # numpy would truncate 2.5 to 2 and take true as 1
+            train, test = (np.array([_number(i, (int,)) for i in split[key]], dtype=int)
+                           for key in ("train_indices", "test_indices"))
+        except TypeError as exc:
+            raise ValueError(f"malformed split: {exc}") from exc
+        return cls(rows=rows, train_indices=train, test_indices=test)
 
 
 def generate_dataset(runs, *, train_count: int, test_count: int, seed: int) -> Dataset:
@@ -344,11 +344,8 @@ def generate_dataset(runs, *, train_count: int, test_count: int, seed: int) -> D
                                        theta_dot[local], u[local]])
         first, lo = first + u.size, hi
     order = rng.permutation(total)
-    return Dataset(
-        rows=rows,
-        train_indices=np.sort(order[:train_count]),
-        test_indices=np.sort(order[train_count:]),
-    )
+    return Dataset(rows=rows, train_indices=np.sort(order[:train_count]),
+                   test_indices=np.sort(order[train_count:]))
 
 
 # the start model's grid: membership functions per input and their bell shape b
@@ -366,24 +363,17 @@ class Stage1Config:
     offsets from upright, each within +-`FALL_ANGLE`, plus impulse kicks,
     enough to cover the state region the deployed controller will visit."""
 
-    initial_theta_devs: tuple[float, ...] = (-0.2, -0.1, -0.05, 0.05, 0.1, 0.2)
-    impulse_magnitudes: tuple[float, ...] = (10.0, 20.0, 30.0)
-    impulse_onset: float = 1.0
+    initial_theta_devs: tuple[float, ...] = bounded((-0.2, -0.1, -0.05, 0.05, 0.1, 0.2),
+                                                    ge=-FALL_ANGLE, le=FALL_ANGLE)
+    impulse_magnitudes: tuple[float, ...] = bounded((10.0, 20.0, 30.0))
+    impulse_onset: float = bounded(1.0, ge=0.0)
     horizon: float = 12.0
 
     def __post_init__(self) -> None:
         if not (self.initial_theta_devs or self.impulse_magnitudes):
             raise ValueError("anfis.stage1 needs at least one run: initial_theta_devs and "
                              "impulse_magnitudes are both empty")
-        for name in ("initial_theta_devs", "impulse_magnitudes"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise ValueError(f"anfis.stage1.{name} must be finite, "
-                                 f"got {list(getattr(self, name))}")
-        if not all(abs(dev) <= FALL_ANGLE for dev in self.initial_theta_devs):
-            raise ValueError(f"anfis.stage1.initial_theta_devs must be within +-pi/2, "
-                             f"got {list(self.initial_theta_devs)}")
-        if not (math.isfinite(self.impulse_onset) and self.impulse_onset >= 0.0):
-            raise ValueError(f"anfis.stage1.impulse_onset must be >= 0, got {self.impulse_onset!r}")
+        check_domains(self, "anfis.stage1.")
 
 
 @dataclass(frozen=True)
@@ -391,24 +381,15 @@ class AnfisConfig:
     """Training settings (`train_hybrid` reads ``epochs`` and ``learning_rate``),
     the dataset's split sizes and seed, and the stage-1 runs it is drawn from."""
 
-    epochs: int = 50
-    learning_rate: float = 0.01
-    train_count: int = 500
-    test_count: int = 91
-    seed: int = 7
+    epochs: int = bounded(50, integer=True, ge=1)
+    learning_rate: float = bounded(0.01, gt=0.0)
+    train_count: int = bounded(500, integer=True, ge=N_CONSEQUENTS)
+    test_count: int = bounded(91, integer=True, ge=1)
+    seed: int = bounded(7, integer=True, ge=0)
     stage1: Stage1Config = field(default_factory=Stage1Config)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"anfis.seed must be a non-negative integer, got {self.seed!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError(f"anfis.learning_rate must be > 0, got {self.learning_rate!r}")
-        for name in ("epochs", "train_count", "test_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"anfis.{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.train_count < N_CONSEQUENTS:
-            raise ValueError(f"anfis.train_count must be >= {N_CONSEQUENTS}, the model's "
-                             f"consequent parameters, got {self.train_count!r}")
+        check_domains(self, "anfis.")
 
 
 @dataclass
@@ -440,13 +421,11 @@ def initial_model(X: np.ndarray) -> AnfisModel:
     n_inputs = X.shape[1]
     lo, hi = X.min(axis=0), X.max(axis=0)
     width = np.maximum(hi - lo, 1e-6) / (2.0 * (MFS_PER_INPUT - 1))
-    return AnfisModel(
-        a=np.repeat(width[:, None], MFS_PER_INPUT, axis=1),
-        b=np.full((n_inputs, MFS_PER_INPUT), SHAPE_B),
-        c=np.linspace(lo, hi, MFS_PER_INPUT, axis=1),
-        consequents=np.zeros((MFS_PER_INPUT**n_inputs, n_inputs + 1)),
-        input_ranges=np.column_stack([lo, hi]),
-    )
+    return AnfisModel(a=np.repeat(width[:, None], MFS_PER_INPUT, axis=1),
+                      b=np.full((n_inputs, MFS_PER_INPUT), SHAPE_B),
+                      c=np.linspace(lo, hi, MFS_PER_INPUT, axis=1),
+                      consequents=np.zeros((MFS_PER_INPUT**n_inputs, n_inputs + 1)),
+                      input_ranges=np.column_stack([lo, hi]))
 
 
 def _design_matrix(model: AnfisModel, X: np.ndarray) -> np.ndarray:
@@ -651,13 +630,6 @@ def save_model(model: AnfisModel, path) -> None:
         "metadata": model.metadata,
     }
     write_json(path, doc)
-
-
-def _number(value):
-    # a JSON number; bool is an int subclass, but true is not a width
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
 
 
 def load_model(path) -> AnfisModel:

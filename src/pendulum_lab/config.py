@@ -19,6 +19,10 @@ holds the keys whose JSON form differs from their field:
 
 A file cannot set the 3 fields in `_HIDDEN`: `pi.kd`, `pi.filter_n` and
 `sim.initial_state.t`.
+
+Each key's own domain is declared on its field by `artifacts.bounded`, which
+its section's ``__post_init__`` enforces by `artifacts.check_domains`; checks
+across keys (horizons against `sim.dt`, say) are written out.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 
 from .anfis import AnfisConfig
-from .artifacts import read_json, sha256_json
+from .artifacts import bounded, check_domains, read_json, sha256_json
 from .controllers import PidGains
 from .plant import UPRIGHT_THETA, PhysicalParams
 from .scenarios import ScenarioConfig
-from .simulate import SimConfig, step_times
+from .simulate import SimConfig, step_span
 
 __all__ = ["ConfigError", "RunConfig", "default_config", "load_config", "config_to_dict",
            "config_sha256"]
@@ -44,16 +48,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class LqrConfig:
-    q_diag: tuple[float, float, float, float] = (1200.0, 0.0, 100.0, 0.0)
-    r: float = 1.0
+    q_diag: tuple[float, ...] = bounded((1200.0, 0.0, 100.0, 0.0), length=4, ge=0.0)
+    r: float = bounded(1.0, gt=0.0)
 
     def __post_init__(self) -> None:
-        if len(self.q_diag) != 4:
-            raise ValueError(f"lqr.q_diag must have 4 entries, got {len(self.q_diag)}")
-        if not all(math.isfinite(q) and q >= 0.0 for q in self.q_diag):
-            raise ValueError(f"lqr.q_diag entries must be >= 0, got {list(self.q_diag)}")
-        if not (math.isfinite(self.r) and self.r > 0.0):
-            raise ValueError(f"lqr.r must be > 0, got {self.r!r}")
+        check_domains(self, "lqr.")
 
 
 @dataclass(frozen=True)
@@ -77,13 +76,12 @@ class RunConfig:
         # generate_dataset rejects a log too short for the dataset at run time
         stage1 = self.anfis.stage1
         runs = len(stage1.initial_theta_devs) + len(stage1.impulse_magnitudes)
-        per_run = len(step_times(replace(self.sim, horizon=stage1.horizon)))
+        per_run = step_span(replace(self.sim, horizon=stage1.horizon))[0] + 1
         total = self.anfis.train_count + self.anfis.test_count
         if total > runs * per_run:
-            raise ValueError(
-                f"anfis.train_count + anfis.test_count is {total}, but stage 1 logs "
-                f"{runs * per_run} rows: {runs} runs of {per_run} (anfis.stage1.horizon "
-                f"and sim.dt)")
+            raise ValueError(f"anfis.train_count + anfis.test_count is {total}, but stage 1 logs "
+                             f"{runs * per_run} rows: {runs} runs of {per_run} "
+                             f"(anfis.stage1.horizon and sim.dt)")
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Override every stochastic seed (dataset subsampling and noise)."""

@@ -13,14 +13,13 @@ cross-check against an independent solver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .anfis import AnfisModel, _law_source
-from .artifacts import read_json, write_json
+from .artifacts import _number, bounded, check_domains, read_json, write_json
 from .plant import UPRIGHT_THETA, LinearStateSpace, PlantState, ctrb
 from .simulate import _law_command
 
@@ -125,7 +124,7 @@ def solve_care(A, B, Q, R) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class LqrDesign:
-    """Weights, Riccati solution and gain row of one LQR design."""
+    """Weights, Riccati solution and gain row of one LQR design, every entry finite."""
 
     Q: np.ndarray
     R: float
@@ -133,14 +132,13 @@ class LqrDesign:
     K: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, shape in (("Q", (4, 4)), ("S", (4, 4))):
+        for name, shape in (("Q", (4, 4)), ("S", (4, 4)), ("K", (1, 4))):
             arr = np.asarray(getattr(self, name), dtype=float).reshape(shape)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        K = np.asarray(self.K, dtype=float).reshape(1, 4)
-        K.setflags(write=False)
-        object.__setattr__(self, "K", K)
         object.__setattr__(self, "R", float(self.R))
+        if not (np.isfinite(self.R) and all(np.isfinite(getattr(self, n)).all() for n in "QSK")):
+            raise ValueError("non-finite entry in the LQR design")
 
     def riccati_residual(self, ss: LinearStateSpace) -> float:
         R_inv = np.array([[1.0 / self.R]])
@@ -155,8 +153,14 @@ class LqrDesign:
 
     @classmethod
     def from_json(cls, path) -> "LqrDesign":
+        """The design `to_json` wrote; anything else (``true``, ``NaN``) is a ValueError."""
         doc = read_json(path, "LQR design", ("Q", "R", "S", "K"))
-        return cls(Q=np.array(doc["Q"]), R=doc["R"], S=np.array(doc["S"]), K=np.array(doc["K"]))
+        try:
+            Q, S, K = (np.array([[_number(v) for v in row] for row in doc[key]], dtype=float)
+                       for key in "QSK")
+            return cls(Q=Q, R=_number(doc["R"]), S=S, K=K)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed LQR design file {path}: {exc}") from exc
 
 
 def design_lqr(ss: LinearStateSpace, Q, R: float) -> LqrDesign:
@@ -218,18 +222,13 @@ class LqrController:
 class PidGains:
     """PI/PID gains; kd = 0 degenerates to PI regardless of filter_n."""
 
-    kp: float
-    ki: float = 0.0
-    kd: float = 0.0
-    filter_n: float = 100.0
+    kp: float = bounded(ge=0.0)
+    ki: float = bounded(0.0, ge=0.0)
+    kd: float = bounded(0.0, ge=0.0)
+    filter_n: float = bounded(100.0, gt=0.0)
 
     def __post_init__(self) -> None:
-        for name in ("kp", "ki", "kd"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be >= 0, got {v!r}")
-        if not (math.isfinite(self.filter_n) and self.filter_n > 0.0):
-            raise ValueError(f"filter_n must be > 0, got {self.filter_n!r}")
+        check_domains(self)
 
 
 # PID's update, written once: `command` compiles it, the closed loop inlines it

@@ -10,20 +10,20 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from .anfis import AnfisModel, Dataset, TrainingHistory, generate_dataset, train_hybrid
 from .config import ConfigError, RunConfig
 from .controllers import AnfisController, LqrController, LqrDesign, PidController, design_lqr
 from .plant import UPRIGHT_THETA, PlantState, linearize
 from .scenarios import METRICS_SPAN, BenchmarkTable, ImpulseSpec, run_benchmark
-from .simulate import TimeSeries, run_closed_loop, step_times
+from .simulate import TimeSeries, run_closed_loop, step_span
 
 __all__ = ["design_from_config", "stage1_runs", "build_dataset", "train_from_config",
            "check_metrics_span", "benchmark_from_config"]
 
 
 def design_from_config(config: RunConfig) -> LqrDesign:
-    import numpy as np
-
     ss = linearize(config.physical)
     return design_lqr(ss, np.diag(config.lqr.q_diag), config.lqr.r)
 
@@ -61,7 +61,7 @@ def check_metrics_span(config: RunConfig) -> None:
     `METRICS_SPAN` past its disturbance's onset, as its metrics need."""
     for key, scenario in (("sim.horizon", "impulse"), ("scenarios.noise.horizon", "noise")):
         sim, _, onset = config.scenarios.run(scenario, config.sim)
-        end = float(step_times(sim)[-1])
+        end = step_span(sim)[1]
         if end < onset + METRICS_SPAN:
             raise ConfigError(f"{key} {sim.horizon!r} logs the benchmark's runs to t = {end!r} s,"
                               f" but their metrics need onset {onset!r} + {METRICS_SPAN:g} s")

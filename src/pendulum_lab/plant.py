@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import bounded, check_domains, write_csv
 
 __all__ = [
     "UPRIGHT_THETA",
@@ -69,20 +69,15 @@ class PhysicalParams:
     free parameter.)
     """
 
-    cart_mass: float = 0.5
-    pend_mass: float = 0.2
-    friction: float = 0.1
-    inertia: float = 0.006
-    half_length: float = 0.3
-    gravity: float = 9.8
+    cart_mass: float = bounded(0.5, gt=0.0)
+    pend_mass: float = bounded(0.2, gt=0.0)
+    friction: float = bounded(0.1, ge=0.0)
+    inertia: float = bounded(0.006, gt=0.0)
+    half_length: float = bounded(0.3, gt=0.0)
+    gravity: float = bounded(9.8, gt=0.0)
 
     def __post_init__(self) -> None:
-        for name in ("cart_mass", "pend_mass", "inertia", "half_length", "gravity"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if not (math.isfinite(self.friction) and self.friction >= 0.0):
-            raise ValueError(f"friction must be >= 0, got {self.friction!r}")
+        check_domains(self)
         if self.alpha <= 0.0:
             raise ValueError(f"degenerate inertia: alpha = {self.alpha!r} <= 0")
 
@@ -215,14 +210,10 @@ def linearize(params: PhysicalParams) -> LinearStateSpace:
     a5 = j_pivot / a
     a6 = ml / a
 
-    A = np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, a1, a2, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, a3, a4, 0.0],
-        ]
-    )
+    A = np.array([[0.0, 1.0, 0.0, 0.0],
+                  [0.0, a1, a2, 0.0],
+                  [0.0, 0.0, 0.0, 1.0],
+                  [0.0, a3, a4, 0.0]])
     B = np.array([[0.0], [a5], [0.0], [a6]])
     return LinearStateSpace(A=A, B=B)
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import bounded, check_domains, write_csv
 from .plant import PhysicalParams
 from .simulate import Controller, SimConfig, TimeSeries, run_closed_loop, run_closed_loops
 
@@ -65,17 +65,12 @@ OUTCOMES = ("settled", "unsettled", "fell", "diverged")
 class ImpulseSpec:
     """Rectangular force pulse: ``magnitude`` on [onset, onset + width)."""
 
-    magnitude: float = 10.0
-    onset: float = 20.0
-    width: float = 0.05
+    magnitude: float = bounded(10.0)
+    onset: float = bounded(20.0, ge=0.0)
+    width: float = bounded(0.05, gt=0.0)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.width) and self.width > 0.0):
-            raise ValueError(f"width must be > 0, got {self.width!r}")
-        if not (math.isfinite(self.onset) and self.onset >= 0.0):
-            raise ValueError(f"onset must be >= 0, got {self.onset!r}")
-        if not math.isfinite(self.magnitude):
-            raise ValueError(f"magnitude must be finite, got {self.magnitude!r}")
+        check_domains(self)
 
     def forces(self, times: np.ndarray) -> np.ndarray:
         """The force at each of ``times``: `make_disturbance`'s, bit for bit."""
@@ -91,17 +86,12 @@ class NoiseSpec:
     realization completely.
     """
 
-    power: float = 0.2
-    sample_time: float = 0.01
-    seed: int = 42
+    power: float = bounded(0.2, ge=0.0)
+    sample_time: float = bounded(0.01, gt=0.0)
+    seed: int = bounded(42, integer=True, ge=0)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.power) and self.power >= 0.0):
-            raise ValueError(f"power must be >= 0, got {self.power!r}")
-        if not (math.isfinite(self.sample_time) and self.sample_time > 0.0):
-            raise ValueError(f"sample_time must be > 0, got {self.sample_time!r}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_domains(self)
 
     def forces(self, times: np.ndarray) -> np.ndarray:
         """The force at each of ``times``: `make_disturbance`'s, bit for bit."""
@@ -154,17 +144,12 @@ def make_disturbance(spec) -> Callable[[float], float]:
 class MetricBands:
     """Extraction thresholds; the settle band is on |theta - pi|."""
 
-    settle_band: float = math.radians(0.5)
-    tail_fraction: float = 0.1
-    drift_slope: float = 1e-4
+    settle_band: float = bounded(math.radians(0.5), gt=0.0)
+    tail_fraction: float = bounded(0.1, gt=0.0, lt=1.0)
+    drift_slope: float = bounded(1e-4, ge=0.0)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.settle_band) and self.settle_band > 0.0):
-            raise ValueError(f"settle_band must be finite and > 0, got {self.settle_band!r}")
-        if not (0.0 < self.tail_fraction < 1.0):
-            raise ValueError("tail_fraction must be in (0, 1)")
-        if not (math.isfinite(self.drift_slope) and self.drift_slope >= 0.0):
-            raise ValueError(f"drift_slope must be finite and >= 0, got {self.drift_slope!r}")
+        check_domains(self)
 
 
 @dataclass(frozen=True)
@@ -197,9 +182,8 @@ def _tail_sse(t: np.ndarray, signal: np.ndarray, bands: MetricBands) -> float:
     return float(tail_s.mean())
 
 
-def compute_metrics(
-    series: TimeSeries, onset: float, bands: Optional[MetricBands] = None
-) -> TransientMetrics:
+def compute_metrics(series: TimeSeries, onset: float,
+                    bands: MetricBands = MetricBands()) -> TransientMetrics:
     """Transient metrics of a logged run, measured from the disturbance onset.
 
     settling_time: time from onset to the last sample outside the settle
@@ -211,7 +195,6 @@ def compute_metrics(
     flags every metric.  A run that fell flags all but the peaks, which it
     measures over its partial log.
     """
-    bands = bands or MetricBands()
     if series.outcome == "diverged":
         return _ALL_UNBOUNDED
     if len(series) < 2 and series.outcome is None:
@@ -305,18 +288,11 @@ class BenchmarkTable:
     @staticmethod
     def _csv_row(cell: BenchmarkCell) -> list[str]:
         m = cell.metrics
-        return [
-            cell.controller,
-            cell.scenario,
-            "" if cell.magnitude is None else repr(float(cell.magnitude)),
-            repr(float(m.settling_time)),
-            repr(float(m.rise_time * 1e3)),
-            repr(float(math.degrees(m.peak_theta_dev))),
-            repr(float(m.peak_xdot)),
-            repr(float(m.sse_theta)),
-            repr(float(m.sse_x)),
-            cell.outcome,
-        ]
+        values = (m.settling_time, m.rise_time * 1e3, math.degrees(m.peak_theta_dev), m.peak_xdot,
+                  m.sse_theta, m.sse_x)
+        return [cell.controller, cell.scenario,
+                "" if cell.magnitude is None else repr(float(cell.magnitude)),
+                *(repr(float(v)) for v in values), cell.outcome]
 
     def to_text(self) -> str:
         """Aligned comparison in the familiar rows-of-parameters layout: one

@@ -55,6 +55,7 @@ from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
+from .artifacts import bounded, check_domains
 from .plant import UPRIGHT_THETA, PhysicalParams, PlantState
 
 __all__ = [
@@ -105,18 +106,15 @@ class SimConfig:
     `DIVERGENCE_LIMIT` and |theta - pi| at most `FALL_ANGLE`.
     """
 
-    dt: float = 1e-3
+    dt: float = bounded(1e-3, gt=0.0, le=0.01)
     horizon: float = 40.0
     initial_state: PlantState = field(default_factory=PlantState)
-    actuator_gain: float = 1.0
+    actuator_gain: float = bounded(1.0, gt=0.0)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.dt <= 0.01):
-            raise ValueError(f"dt must be in (0, 0.01], got {self.dt!r}")
+        check_domains(self)
         if not (math.isfinite(self.horizon) and self.horizon >= self.dt):
             raise ValueError(f"horizon must be >= dt, got {self.horizon!r}")
-        if not (math.isfinite(self.actuator_gain) and self.actuator_gain > 0.0):
-            raise ValueError(f"actuator_gain must be positive, got {self.actuator_gain!r}")
         s = self.initial_state
         if not (all(abs(v) <= DIVERGENCE_LIMIT for v in (s.x, s.x_dot, s.theta_dot))
                 and UPRIGHT_THETA - FALL_ANGLE <= s.theta <= UPRIGHT_THETA + FALL_ANGLE):
@@ -390,9 +388,16 @@ def _series(data: np.ndarray, times: np.ndarray, forces: np.ndarray,
     return TimeSeries(*table.T, outcome=outcome)
 
 
+def step_span(config: SimConfig) -> tuple[int, float]:
+    """``(n_steps, t_end)`` of a run under ``config``: `step_times`' step count and
+    last entry, bit for bit, without building the grid."""
+    n_steps = round(config.horizon / config.dt)
+    return n_steps, config.initial_state.t + n_steps * config.dt
+
+
 def step_times(config: SimConfig) -> np.ndarray:
     """The step grid ``t0 + i*dt`` (i = 0 .. n_steps) of a run under ``config``."""
-    n_steps = round(config.horizon / config.dt)
+    n_steps, _ = step_span(config)
     return config.initial_state.t + np.arange(n_steps + 1) * config.dt
 
 

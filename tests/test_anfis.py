@@ -505,7 +505,7 @@ class TestTrainHybrid:
         edge = sign * FALL_ANGLE
         Stage1Config(initial_theta_devs=(edge,))
         SimConfig(initial_state=PlantState(theta=UPRIGHT_THETA + edge))
-        with pytest.raises(ValueError, match="initial_theta_devs must be within"):
+        with pytest.raises(ValueError, match="initial_theta_devs must be >= -1.57"):
             Stage1Config(initial_theta_devs=(math.nextafter(edge, sign * math.inf),))
 
 

@@ -222,6 +222,30 @@ def _gen_data_on_truncated_design(tmp_path):
     return cli.main(["gen-data", "--out", str(out)])
 
 
+def _gen_data_on_gain_entry(entry):
+    """`gen-data` on the default design file with its first gain entry set to ``entry``."""
+    def run(tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["design-lqr", "--out", str(out)]) == cli.EXIT_OK
+        design = json.loads((out / cli.DESIGN_FILE).read_text())
+        design["K"][0][0] = entry
+        (out / cli.DESIGN_FILE).write_text(json.dumps(design))
+        return cli.main(["gen-data", "--out", str(out)])
+    return run
+
+
+def _train_on_non_integer_split(tmp_path):
+    # the default split trains on row 1: numpy would read true as that row, and truncate
+    # the shifted indices back to the split gen-data wrote
+    out = tmp_path / "out"
+    assert cli.main(["design-lqr", "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["gen-data", "--out", str(out)]) == cli.EXIT_OK
+    split = json.loads((out / cli.SPLIT_FILE).read_text())
+    split["train_indices"] = [True if i == 1 else i + 0.5 for i in split["train_indices"]]
+    (out / cli.SPLIT_FILE).write_text(json.dumps(split))
+    return cli.main(["train", "--out", str(out)])
+
+
 def _benchmark_rejected_with(doc):
     """`benchmark --auto` under ``doc``, which the config load rejects before any stage,
     so --out stays empty."""
@@ -259,7 +283,7 @@ def _rejected_seed_flag(*argv):
     (_design_lqr_default, cli.EXIT_OK, ()),
     (_unknown_config_key, cli.EXIT_USAGE, ("config error",)),
     (_benchmark_with({"anfis": {"train_count": -5}}), cli.EXIT_USAGE,
-     ("config error", "train_count must be >= 1, got -5")),
+     ("config error", "anfis.train_count must be >= 80, got -5")),
     (_benchmark_with({"anfis": {"test_count": 0}}), cli.EXIT_USAGE,
      ("config error", "test_count must be >= 1, got 0")),
     (_benchmark_with({"anfis": {"epochs": 0}}), cli.EXIT_USAGE,
@@ -292,7 +316,8 @@ def _rejected_seed_flag(*argv):
     (_design_lqr_with({"lqr": {"r": float("inf")}}), cli.EXIT_USAGE,
      ("config error", "lqr.r must be > 0, got inf")),
     (_design_lqr_with({"lqr": {"q_diag": [1200.0, -1.0, 100.0, 0.0]}}), cli.EXIT_USAGE,
-     ("config error", "lqr.q_diag entries must be >= 0")),
+     ("config error", "lqr.q_diag must be 4 entries, each >= 0, "
+      "got [1200.0, -1.0, 100.0, 0.0]")),
     (_gen_data_with({"anfis": {"stage1": {"horizon": 0.0005}}}), cli.EXIT_USAGE,
      ("config error", "anfis.stage1.horizon must be >= sim.dt (0.001), got 0.0005")),
     (_gen_data_with({"anfis": {"stage1": {"impulse_onset": -1.0}}}), cli.EXIT_USAGE,
@@ -305,8 +330,7 @@ def _rejected_seed_flag(*argv):
      cli.EXIT_USAGE,
      ("config error", "scenarios.impulse.repeat_magnitudes: magnitude must be finite, got inf")),
     (_benchmark_rejected_with({"anfis": {"train_count": 60, "test_count": 1}}), cli.EXIT_USAGE,
-     ("config error", "anfis.train_count must be >= 80, the model's consequent parameters, "
-      "got 60")),
+     ("config error", "anfis.train_count must be >= 80, got 60")),
     (_gen_data_with({"anfis": {"train_count": 200000}}), cli.EXIT_USAGE,
      ("config error", "anfis.train_count + anfis.test_count is 200091, but stage 1 logs "
       "108009 rows: 9 runs of 12001")),
@@ -322,13 +346,14 @@ def _rejected_seed_flag(*argv):
      ("config error: --seed: ", "seed must be a non-negative integer, got -1")),
     (_benchmark_rejected_with({"anfis": {"stage1": {"initial_theta_devs": [math.nan]}}}),
      cli.EXIT_USAGE,
-     ("config error", "anfis.stage1.initial_theta_devs must be finite, got [nan]")),
+     ("config error", "anfis.stage1.initial_theta_devs must be >= -1.5707963267948966 and "
+      "<= 1.5707963267948966, got [nan]")),
     (_benchmark_rejected_with({"scenarios": {"metrics": {"drift_slope": -1.0}}}),
-     cli.EXIT_USAGE, ("config error", "drift_slope must be finite and >= 0, got -1.0")),
+     cli.EXIT_USAGE, ("config error", "drift_slope must be >= 0, got -1.0")),
     (_benchmark_rejected_with({"scenarios": {"metrics": {"drift_slope": math.nan}}}),
-     cli.EXIT_USAGE, ("config error", "drift_slope must be finite and >= 0, got nan")),
+     cli.EXIT_USAGE, ("config error", "drift_slope must be >= 0, got nan")),
     (_benchmark_rejected_with({"scenarios": {"metrics": {"settle_band_deg": math.inf}}}),
-     cli.EXIT_USAGE, ("config error", "settle_band must be finite and > 0, got inf")),
+     cli.EXIT_USAGE, ("config error", "settle_band must be > 0, got inf")),
     (_benchmark_rejected_with({"anfis": {"learning_rate": math.inf}}), cli.EXIT_USAGE,
      ("config error", "anfis.learning_rate must be > 0, got inf")),
     (_benchmark_rejected_with({"sim": {"initial_state": {"x": 2e6}}}), cli.EXIT_USAGE,
@@ -339,10 +364,16 @@ def _rejected_seed_flag(*argv):
     (_simulate_rejected_with({"sim": {"initial_state": {"theta_dev": 2.0}}}), cli.EXIT_USAGE,
      ("config error", "initial_state must have ", "|theta - pi| <= pi/2")),
     (_benchmark_rejected_with({"anfis": {"stage1": {"initial_theta_devs": [2.0]}}}),
-     cli.EXIT_USAGE, ("config error", "anfis.stage1.initial_theta_devs must be within +-pi/2, "
-                      "got [2.0]")),
+     cli.EXIT_USAGE, ("config error", "anfis.stage1.initial_theta_devs must be "
+                      ">= -1.5707963267948966 and <= 1.5707963267948966, got [2.0]")),
     (_benchmark_rejected_with({"sim": {"log_decimation": 3}}), cli.EXIT_USAGE,
      ("config error", "unknown keys in sim: ['log_decimation']")),
+    (_train_on_non_integer_split, cli.EXIT_USAGE,
+     ("bad artifact: ", "malformed split: expected an integer, got ")),
+    (_gen_data_on_gain_entry(True), cli.EXIT_USAGE,
+     ("bad artifact: ", "malformed LQR design file", "expected a number, got True")),
+    (_gen_data_on_gain_entry(math.nan), cli.EXIT_USAGE,
+     ("bad artifact: ", "malformed LQR design file", "non-finite entry in the LQR design")),
 ], ids=["ok", "unknown-config-key", "negative-train-count", "zero-test-count", "zero-epochs",
         "negative-learning-rate", "benchmark-without-artifacts", "derive-missing-config",
         "train-too-few-rows",
@@ -358,7 +389,8 @@ def _rejected_seed_flag(*argv):
         "benchmark-negative-seed-flag", "nan-stage1-theta-dev", "negative-drift-slope",
         "nan-drift-slope", "infinite-settle-band", "infinite-learning-rate",
         "start-past-divergence-box", "start-past-horizontal", "simulate-start-past-horizontal",
-        "stage1-start-past-horizontal", "removed-log-decimation"])
+        "stage1-start-past-horizontal", "removed-log-decimation", "train-on-non-integer-split",
+        "gen-data-on-boolean-gain", "gen-data-on-nan-gain"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err

@@ -1,13 +1,20 @@
 import json
 import math
+import re
+import tracemalloc
+from dataclasses import fields
+from functools import reduce
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from pendulum_lab import cli
-from pendulum_lab.config import (ConfigError, config_sha256, config_to_dict, default_config,
-                                 load_config)
+from pendulum_lab.anfis import Stage1Config
+from pendulum_lab.config import (_LEAVES, ConfigError, config_sha256, config_to_dict,
+                                 default_config, load_config)
+from pendulum_lab.pipeline import check_metrics_span
+from pendulum_lab.scenarios import ImpulseSpec
 
 
 def write_config(path, doc):
@@ -38,15 +45,43 @@ SECTIONS = [(), ("physical",), ("sim",), ("sim", "initial_state"), ("lqr",), ("p
             ("scenarios", "noise"), ("scenarios", "metrics")]
 
 
+def leaf_field(field_path):
+    """The dataclass field behind the config field path ``field_path``."""
+    section = reduce(getattr, field_path[:-1], default_config())
+    return next(f for f in fields(section) if f.name == field_path[-1])
+
+
+# JSON key path -> (field path, field, to JSON) of every leaf a config file can set
+LEAF_FIELDS = {keys: (field_path, leaf_field(field_path), to_json)
+               for field_path, keys, _, to_json in _LEAVES}
+# the leaves that declare a domain of their own
+DOMAINS = {keys: leaf for keys, leaf in LEAF_FIELDS.items() if "domain" in leaf[1].metadata}
+
+
+def within(domain, default):
+    """Values inside ``domain``: integers from its lower bound to ten times the default
+    (a count far past that outgrows the stage-1 rows), or any finite float between its
+    bounds."""
+    if domain.get("integer"):
+        return st.integers(domain["ge"], max(2, 10 * default))
+    return st.floats(domain.get("gt", domain.get("ge")), domain.get("lt", domain.get("le")),
+                     exclude_min="gt" in domain, exclude_max="lt" in domain,
+                     allow_nan=False, allow_infinity=False)
+
+
 def leaf_values(path, default):
-    """Values for the leaf at ``path`` around its default: lists of its length,
-    integers from 1 and floats across two decades, valid or not.  Stage-1 start
-    offsets are drawn within +-pi/2, as a list with any entry past it fails to load."""
+    """Values for the leaf at ``path``: a key with a domain draws from inside it, in its
+    JSON form; the others (the horizons, the start state and the repeat magnitudes,
+    which checks across keys cover) draw around their default, valid or not: lists of
+    its length and floats across two decades."""
+    if path in DOMAINS:
+        _, f, to_json = DOMAINS[path]
+        domain = f.metadata["domain"]
+        if isinstance(default, list):
+            return st.lists(within(domain, None), min_size=len(default), max_size=len(default))
+        return within(domain, default).map(to_json)
     if isinstance(default, list):
-        bound = math.pi / 2 if path[-1] == "initial_theta_devs" else 1e3
-        return st.lists(st.floats(-bound, bound), min_size=len(default), max_size=len(default))
-    if isinstance(default, int):
-        return st.integers(1, max(2, 10 * default))
+        return st.lists(st.floats(-1e3, 1e3), min_size=len(default), max_size=len(default))
     if default == 0.0:
         return st.floats(-1.0, 1.0)
     low, high = sorted((default / 10, default * 10))
@@ -56,6 +91,14 @@ def leaf_values(path, default):
 # documents that set any subset of the leaf keys
 DOCS = st.fixed_dictionaries({}, optional={path: leaf_values(path, value)
                                            for path, value in DEFAULT_LEAVES})
+
+
+def bound_cases():
+    """(JSON key path, bound key) of every bound a declared domain sets."""
+    for keys, (_, f, _) in DOMAINS.items():
+        for key in ("gt", "ge", "lt", "le"):
+            if key in f.metadata["domain"]:
+                yield pytest.param(keys, key, id=f"{'.'.join(keys)}-{key}")
 
 
 def document(values):
@@ -172,6 +215,70 @@ class TestLoadConfig:
     def test_integer_beyond_float_range_kept(self, tmp_path):
         path = write_config(tmp_path / "big.json", {"anfis": {"seed": 10**400}})
         assert load_config(path).anfis.seed == 10**400
+
+
+class TestDomains:
+    def test_every_leaf_declares_a_domain_but_the_cross_checked_ones(self):
+        # these 8 are held by checks across keys: each horizon against sim.dt, the start
+        # box, and the repeat magnitudes through the impulse's declared magnitude
+        assert sorted(set(LEAF_FIELDS) - set(DOMAINS)) == sorted([
+            ("sim", "horizon"), ("anfis", "stage1", "horizon"), ("scenarios", "noise", "horizon"),
+            ("sim", "initial_state", "x"), ("sim", "initial_state", "x_dot"),
+            ("sim", "initial_state", "theta_dev"), ("sim", "initial_state", "theta_dot"),
+            ("scenarios", "impulse", "repeat_magnitudes")])
+        assert len(DOMAINS) == 33
+
+    @pytest.mark.parametrize("keys, key", bound_cases())
+    def test_every_bound_is_the_edge_of_what_loads(self, tmp_path, keys, key):
+        # the nearest value outside fails, naming the field: an open bound itself, or the
+        # next float (or integer) past a closed one, which loads when it is the only key set
+        field_path, f, to_json = DOMAINS[keys]
+        domain, many = f.metadata["domain"], isinstance(f.default, tuple)
+        bound, away = domain[key], -1.0 if key in ("gt", "ge") else 1.0
+
+        def doc(value):
+            return nested(keys, [value] * len(f.default) if many else to_json(value))
+
+        if key in ("gt", "lt"):
+            outside = bound
+        elif domain.get("integer"):
+            outside = bound + int(away)
+        else:
+            outside = math.nextafter(bound, away * math.inf)
+        with pytest.raises(ConfigError, match=re.escape(f"{f.name} must be ")):
+            load_config(write_config(tmp_path / "outside.json", doc(outside)))
+        if key in ("ge", "le"):
+            loaded = reduce(getattr, field_path, load_config(write_config(tmp_path / "edge.json",
+                                                                          doc(bound))))
+            assert loaded == ((bound,) * len(f.default) if many else bound)
+
+    @pytest.mark.parametrize("keys", [keys for keys, (_, f, _) in DOMAINS.items()
+                                      if not f.metadata["domain"].get("integer")],
+                             ids=".".join)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_float_domain_is_finite(self, tmp_path, keys, value):
+        _, f, to_json = DOMAINS[keys]
+        value = [value] * len(f.default) if isinstance(f.default, tuple) else to_json(value)
+        with pytest.raises(ConfigError, match=re.escape(f"{f.name} must be ")):
+            load_config(write_config(tmp_path / "bad.json", nested(keys, value)))
+
+    def test_sections_built_in_code_are_checked(self):
+        with pytest.raises(ValueError, match="magnitude must be finite, got inf"):
+            ImpulseSpec(magnitude=math.inf)
+        with pytest.raises(ValueError, match=re.escape("impulse_magnitudes must be finite, "
+                                                       "got [nan]")):
+            Stage1Config(impulse_magnitudes=(math.nan,))
+
+    def test_a_fine_step_loads_without_its_grid(self, tmp_path):
+        # a 1 us step over the 40 s default horizon is a grid of 40 million times
+        path = write_config(tmp_path / "fine.json", {"sim": {"dt": 1e-6}})
+        tracemalloc.start()
+        try:
+            check_metrics_span(load_config(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
 
 
 class TestCli:

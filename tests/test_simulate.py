@@ -202,6 +202,17 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="initial_state"):
             SimConfig(initial_state=PlantState(theta=math.nextafter(edge, sign * math.inf)))
 
+    # dt over its whole domain, and grids of up to 1e5 steps
+    @settings(max_examples=200, deadline=None)
+    @given(dt=st.floats(0.0, 0.01, exclude_min=True), steps=st.floats(1.0, 1e5),
+           t0=st.floats(-1e3, 1e3))
+    def test_step_span_is_the_grid_end_bit_for_bit(self, dt, steps, t0):
+        cfg = SimConfig(dt=dt, horizon=dt * steps, initial_state=PlantState(t=t0))
+        n_steps, t_end = simulate.step_span(cfg)
+        times = simulate.step_times(cfg)
+        assert n_steps == times.size - 1
+        assert np.float64(t_end).tobytes() == times[-1].tobytes()
+
 
 def stub_stage(monkeypatch, state):
     """Make every step of the generated loop land on ``state``: its RK4 lines are
@@ -896,6 +907,60 @@ class TestMirrorSymmetry:
         assert ([(c + 0.0).tobytes() for c in mirror_columns(image)]
                 == [(c + 0.0).tobytes() for c in mirror_image(run)])
         assert np.all(run.theta[run.t < MIRROR_ONSET] == UPRIGHT_THETA)
+
+
+def symmetric_tsla_model():
+    """A 16-rule model whose membership functions are all centred on 0 and whose rules
+    have no bias, so its law is odd in z bit for bit; every rule still weighs in."""
+    K = lqr_controller().design.K.ravel()
+    width = np.array([[0.5], [1.0], [0.2], [1.5]])
+    consequents = [np.concatenate([-K * (1.0 + 0.02 * j), [0.0]]) for j in range(16)]
+    return AnfisModel(a=width * np.array([1.0, 2.0]), b=np.full((4, 2), 2.0), c=np.zeros((4, 2)),
+                      consequents=np.array(consequents), input_ranges=TSLA_MODEL.input_ranges)
+
+
+class TestTslaMirrorSymmetry:
+    """TS-LA's law is odd when its premises are symmetric about 0 and its biases are zero:
+    then its runs are bitwise mirror images too, as `TestMirrorSymmetry`'s are."""
+
+    @pytest.mark.parametrize("spec", [spec for kind, spec in MIRROR_CASES if kind == "LQR"],
+                             ids=["impulse-10N", "impulse-60N", "noise"])
+    def test_mirrored_start_and_force_give_the_mirror_image(self, spec):
+        start = PlantState(x=0.1, x_dot=-0.2, theta=UPRIGHT_THETA + 0.05, theta_dot=0.3)
+        mirrored = PlantState(x=-start.x, x_dot=-start.x_dot,
+                              theta=UPRIGHT_THETA - (start.theta - UPRIGHT_THETA),
+                              theta_dot=-start.theta_dot)
+        model = symmetric_tsla_model()
+        cfg = SimConfig(horizon=3.0, initial_state=start)
+        run = run_closed_loop(cfg, AnfisController(model), spec, PARAMS)
+        image = run_closed_loop(replace(cfg, initial_state=mirrored), AnfisController(model),
+                                Negated(spec), PARAMS)
+        # theta reflects about pi exactly only within [2, 4)
+        assert np.abs(run.theta - UPRIGHT_THETA).max() < math.pi - 2.0
+        assert run.outcome is image.outcome is None
+        assert ([c.tobytes() for c in mirror_columns(image)]
+                == [c.tobytes() for c in mirror_image(run)])
+
+
+class TestLoopOrder:
+    """RK4 is fourth order through the generated loop: an open-loop run under a constant
+    force, compared at a fixed time before its fall, moves about 16 times less from
+    dt/2 to dt/4 than from dt to dt/2.  A first-order fault in a stage, such as a half
+    step off by 1e-6 of itself, brings that ratio near 1; `TestSmallSignal` passes it."""
+
+    def test_halving_dt_shrinks_the_error_16_fold(self):
+        push = ImpulseSpec(2.0, onset=0.0, width=1e3)  # 2 N over the whole run
+        start = PlantState(theta=UPRIGHT_THETA + 0.3)
+        ends = []
+        for dt in (4e-3, 2e-3, 1e-3):
+            # the pendulum falls at t = 0.36 s; at 0.3 s it is 1.17 rad from upright
+            series = run_closed_loop(SimConfig(dt=dt, horizon=0.3, initial_state=start), None,
+                                     push, PARAMS)
+            assert series.outcome is None and series.t[-1] == pytest.approx(0.3, abs=1e-12)
+            ends.append(np.array([series.x[-1], series.x_dot[-1], series.theta[-1],
+                                  series.theta_dot[-1]]))
+        ratio = np.linalg.norm(ends[0] - ends[1]) / np.linalg.norm(ends[1] - ends[2])
+        assert 15.0 < ratio < 17.0, ratio
 
 
 def zoh_recursion(A, B, K, dt, forces):
