@@ -28,8 +28,8 @@ representable exactly (set every consequent to the same row), so a linear
 state-feedback target is fitted to rounding by the very first solve, and
 training stops there.  A premise step whose every halving is rejected
 leaves the premises unchanged, so each later epoch would solve the same
-least squares and stall again: training stops there as well.  Either way
-the history repeats the last epoch's errors up to the epoch cap.
+least squares and stall again: training stops there as well.  The history
+holds one row per epoch that ran.
 
 The conclusion for this pipeline: the LQR teacher's logged law u = -K z is
 exactly linear, so g = [-K, 0] to rounding and the well-posed TS-LA model
@@ -56,7 +56,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .artifacts import _number, bounded, check_domains, read_csv, read_json, write_csv, write_json
+from .artifacts import (_frozen, _number, bounded, check_domains, read_csv, read_json, write_csv,
+                        write_json)
 from .plant import UPRIGHT_THETA
 from .simulate import FALL_ANGLE, _compiled
 
@@ -117,11 +118,11 @@ class AnfisModel:
             object.__setattr__(self, name, arr)
 
         n_inputs, n_mfs = a.shape
-        cons = _frozen(self.consequents).reshape(n_mfs**n_inputs, n_inputs + 1)
+        cons = _frozen(self.consequents, shape=(n_mfs**n_inputs, n_inputs + 1))
         if not np.all(np.isfinite(cons)):
             raise ValueError("non-finite consequent row")
         object.__setattr__(self, "consequents", cons)
-        object.__setattr__(self, "input_ranges", _frozen(self.input_ranges).reshape(n_inputs, 2))
+        object.__setattr__(self, "input_ranges", _frozen(self.input_ranges, shape=(n_inputs, 2)))
         # rule j -> MF index per input, lexicographic in the MF indices
         index = np.array(list(itertools.product(range(n_mfs), repeat=n_inputs)), dtype=int)
         index.setflags(write=False)
@@ -148,13 +149,6 @@ class AnfisModel:
         body = _law_source(self, inputs, "out").replace("\n", "\n    ")
         return _compiled(f"def law({', '.join(inputs)}):\n    {body}\n    return out", "law", {},
                          type(self).__name__)
-
-
-def _frozen(values) -> np.ndarray:
-    """A read-only float copy of ``values``: freezing never touches the caller's array."""
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 def _rule_products(model: AnfisModel, mu: np.ndarray) -> np.ndarray:
@@ -257,21 +251,18 @@ class Dataset:
     test_indices: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float).reshape(-1, 5)
+        rows = _frozen(self.rows, shape=(-1, 5))
         if not np.all(np.isfinite(rows)):
             raise ValueError("non-finite dataset entry")
-        rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        train = np.asarray(self.train_indices, dtype=int)
-        test = np.asarray(self.test_indices, dtype=int)
+        train, test = _frozen(self.train_indices, int), _frozen(self.test_indices, int)
         all_idx = np.concatenate([train, test])
         if all_idx.size and (all_idx.min() < 0 or all_idx.max() >= rows.shape[0]):
             raise ValueError("split index out of range")
         if np.intersect1d(train, test).size:
             raise ValueError("train and test indices overlap")
-        for name, indices in (("train_indices", train), ("test_indices", test)):
-            indices.setflags(write=False)
-            object.__setattr__(self, name, indices)
+        object.__setattr__(self, "train_indices", train)
+        object.__setattr__(self, "test_indices", test)
 
     @property
     def train_X(self) -> np.ndarray:
@@ -373,7 +364,7 @@ class Stage1Config:
         if not (self.initial_theta_devs or self.impulse_magnitudes):
             raise ValueError("anfis.stage1 needs at least one run: initial_theta_devs and "
                              "impulse_magnitudes are both empty")
-        check_domains(self, "anfis.stage1.")
+        check_domains(self)
 
 
 @dataclass(frozen=True)
@@ -389,23 +380,19 @@ class AnfisConfig:
     stage1: Stage1Config = field(default_factory=Stage1Config)
 
     def __post_init__(self) -> None:
-        check_domains(self, "anfis.")
+        check_domains(self)
 
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch RMSE on the two splits, plus any anomaly flags raised.
-
-    ``stop_epoch`` is the epoch after which training stopped, because its
-    train RMSE reached the rounding floor (flag ``rounding_floor``) or its
-    premise step stalled (flag ``premise_step_stalled``), or None when
-    every epoch up to the cap ran.
-    """
+    """RMSE on the two splits for each epoch that ran, plus any anomaly flags
+    raised.  Training stopped after epoch ``len(train_rmse) - 1``; when that is
+    before the cap, the last flag says why (``rounding_floor`` or
+    ``premise_step_stalled``)."""
 
     train_rmse: np.ndarray
     test_rmse: np.ndarray
     flags: list[str]
-    stop_epoch: Optional[int] = None
 
     def to_csv(self, path) -> None:
         write_csv(path, ["epoch", "train_rmse", "test_rmse"],
@@ -553,10 +540,9 @@ def train_hybrid(dataset: Dataset, config: AnfisConfig) -> tuple[AnfisModel, Tra
     could only move it by rounding noise.  When every halving of a premise
     step is rejected (flag ``premise_step_stalled``), the premises stay as
     they were; the next epoch would then solve the same problem and stall
-    again, bit for bit, so training stops there too.  Either stop is
-    recorded as ``stop_epoch``, and the rest of both RMSE histories repeats
-    that epoch's values.  ``config.epochs`` is the cap; the returned model
-    and history are those the full loop would produce.
+    again, bit for bit, so training stops there too.  ``config.epochs`` is
+    the cap; the returned model is the one the full loop would produce, and
+    the history has one row per epoch that ran.
     """
     epochs = config.epochs
     X, y = dataset.train_X, dataset.train_y
@@ -569,9 +555,8 @@ def train_hybrid(dataset: Dataset, config: AnfisConfig) -> tuple[AnfisModel, Tra
         )
 
     flags: list[str] = []
-    stop_epoch = None
-    train_hist = np.empty(epochs)
-    test_hist = np.empty(epochs)
+    train_hist: list[float] = []
+    test_hist: list[float] = []
     a_floor = 1e-6 * max(1.0, float(np.max(model.input_ranges[:, 1] - model.input_ranges[:, 0])))
     prior = np.tile(_global_fit(X, y), model.n_rules)
     rmse_floor = ROUNDING_FLOOR_RTOL * float(np.sqrt(np.mean(np.square(y))))
@@ -583,35 +568,31 @@ def train_hybrid(dataset: Dataset, config: AnfisConfig) -> tuple[AnfisModel, Tra
         theta = _solve_consequents(phi, y, prior)
         model = replace(model, consequents=theta)
         train_err = _rmse(phi @ theta, y)
-        train_hist[epoch] = train_err
-        test_hist[epoch] = _rmse(_infer_batch(model, Xt), yt) if Xt.shape[0] else math.nan
+        train_hist.append(train_err)
+        test_hist.append(_rmse(_infer_batch(model, Xt), yt) if Xt.shape[0] else math.nan)
 
         if train_err <= rmse_floor:
             flags.append("rounding_floor")
-        elif epoch == epochs - 1:
             break
-        else:
-            accepted = _premise_step(model, X, y, train_err, config.learning_rate, a_floor)
-            if accepted is not None:
-                model = accepted
-                continue
+        if epoch == epochs - 1:
+            break
+        accepted = _premise_step(model, X, y, train_err, config.learning_rate, a_floor)
+        if accepted is None:
             flags.append("premise_step_stalled")
-        stop_epoch = epoch
-        train_hist[epoch + 1:] = train_err
-        test_hist[epoch + 1:] = test_hist[epoch]
-        break
+            break
+        model = accepted
 
     y_span = float(y.max() - y.min())
     rmse_pct = 100.0 * train_hist[-1] / y_span if y_span > 0.0 else 0.0
     metadata = {
         "epochs": epochs,
-        "rmse": {"train": float(train_hist[-1]), "test": float(test_hist[-1])},
+        "rmse": {"train": train_hist[-1], "test": test_hist[-1]},
         "rmse_pct_of_range": rmse_pct,
         "flags": list(flags),
     }
     model = replace(model, metadata=metadata)
-    return model, TrainingHistory(train_rmse=train_hist, test_rmse=test_hist, flags=flags,
-                                  stop_epoch=stop_epoch)
+    return model, TrainingHistory(train_rmse=np.array(train_hist), test_rmse=np.array(test_hist),
+                                  flags=flags)
 
 
 # ---------------------------------------------------------------------------

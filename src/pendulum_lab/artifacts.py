@@ -8,6 +8,7 @@ loader needs, into a ValueError that names the file.
 
 Each config key's domain is declared on its field by `bounded`, and its section's
 ``__post_init__`` enforces it by `check_domains`, so code and files are checked alike.
+`_frozen` gives the read-only array copies that the frozen dataclasses hold.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import operator
 from dataclasses import MISSING, field, fields
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = ["write_json", "read_json", "sha256_json", "write_csv", "read_csv", "bounded",
-           "check_domains"]
+           "check_domains", "DomainError"]
 
 # a domain's bounds: key -> (test, symbol)
 _BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "lt": (operator.lt, "<"),
@@ -84,7 +87,9 @@ def _number(value, types=(int, float)):
 def bounded(default=MISSING, **domain):
     """A field whose values `check_domains` holds to ``domain``: a bound ``gt`` or
     ``ge`` and one ``lt`` or ``le``, ``integer=True`` and a tuple's ``length`` (the
-    bounds hold for each entry).  Every value must be a finite number, not a bool."""
+    bounds hold for each entry).  Every value must be a finite number, not a bool.
+    An integer key's value that is no integer breaks the rule "an integer", not
+    its bounds."""
     assert set(domain) <= {*_BOUNDS, "integer", "length"}, domain
     words = {key: f"{bound:g}" if float(f"{bound:g}") == bound else repr(bound)
              for key, bound in domain.items() if key in _BOUNDS}
@@ -94,25 +99,51 @@ def bounded(default=MISSING, **domain):
         rule = " and ".join(f"{_BOUNDS[key][1]} {word}" for key, word in words.items()) or "finite"
     if "length" in domain:
         rule = f"{domain['length']} entries, each {rule}"
-    return field(default=default, metadata={"domain": domain, "rule": rule})
+    metadata = {"domain": domain, "rule": rule}
+    if domain.get("integer"):
+        metadata["integer_rule"] = "an integer" if words != {"ge": "0"} else rule
+    return field(default=default, metadata=metadata)
+
+
+def _integral(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _within(value, domain: dict) -> bool:
     # an int is finite, and math.isfinite overflows on one past the float range
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral)
-                 or not domain.get("integer") and math.isfinite(value))
+            and (_integral(value) or not domain.get("integer") and math.isfinite(value))
             and all(_BOUNDS[k][0](value, bound) for k, bound in domain.items() if k in _BOUNDS))
 
 
-def check_domains(obj, prefix: str = "") -> None:
-    """Raise ValueError("<prefix><field> must be <rule>, got <value>") at the first
-    field of the dataclass ``obj`` declared by `bounded` that is outside its domain."""
+class DomainError(ValueError):
+    """``field`` must be ``rule``, got ``value``: a section's field outside its
+    domain.  The config loader names the key from ``field``."""
+
+    def __init__(self, field: str, rule: str, value):
+        super().__init__(f"{field} must be {rule}, got {value!r}")
+        self.field, self.rule, self.value = field, rule, value
+
+
+def check_domains(obj) -> None:
+    """Raise `DomainError` at the first field of the dataclass ``obj`` declared by
+    `bounded` that is outside its domain."""
     for f in fields(obj):
         if "domain" in f.metadata:
             value, many = getattr(obj, f.name), isinstance(f.default, tuple)
             values, domain = value if many else (value,), f.metadata["domain"]
             if not (len(values) == domain.get("length", len(values))
                     and all(_within(v, domain) for v in values)):
-                raise ValueError(f"{prefix}{f.name} must be {f.metadata['rule']}, "
-                                 f"got {list(value) if many else value!r}")
+                rule = f.metadata["rule"]
+                if not all(map(_integral, values)):
+                    rule = f.metadata.get("integer_rule", rule)
+                raise DomainError(f.name, rule, list(value) if many else value)
+
+
+def _frozen(values, dtype=float, shape=None) -> np.ndarray:
+    """A read-only copy of ``values`` as ``dtype``, reshaped to ``shape`` if given:
+    freezing never touches the caller's array, and the caller's later writes never
+    reach the copy."""
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr if shape is None else arr.reshape(shape)

@@ -5,7 +5,8 @@ Subcommands follow the two-stage workflow in order:
     derive      linear model, transfer functions, poles, controllability
     design-lqr  solve the Riccati equation, save the gain
     gen-data    log stage-1 LQR runs, subsample the training dataset
-    train       fit the fuzzy controller, save model + RMSE history
+    train       fit the fuzzy controller, save the model and its RMSE history,
+                one row per epoch run
     simulate    one closed-loop run of a chosen controller and scenario
     benchmark   PI vs PID vs TS-LA comparison table
 
@@ -14,14 +15,16 @@ its artifacts plus a manifest (config hash, seed, version) into --out, and
 reruns byte-identically given the same config and seed.  Exit codes: 0
 success; 1 usage or config error, or an artifact in --out that is missing
 or malformed (a design, dataset, split or model file that does not parse,
-or a TS-LA model without the 4 deviation inputs); 2 numerical failure; 3 a
-benchmark that ran, but with a cell whose pendulum fell (|theta - pi| past
-pi/2) or whose run diverged.  PI's linear loop is unstable, so its cells
-fall by construction and the default `benchmark --auto` exits 3.  A
-`simulate` run that falls or diverges still exits 0, as does one logged to
-less than the disturbance's onset + 10 s, which the metrics need: it prints
-why there are no metrics in their place.  `benchmark` rejects such a
-horizon as a config error (exit 1) before any stage, `--auto` ones too.
+or a TS-LA model without the 4 deviation inputs); 2 numerical failure, or a
+run too large for memory (say, a `sim.dt` so fine that its step grid cannot
+be allocated); 3 a benchmark that ran, but with a cell whose pendulum fell
+(|theta - pi| past pi/2) or whose run diverged.  PI's linear loop is
+unstable, so its cells fall by construction and the default
+`benchmark --auto` exits 3.  A `simulate` run that falls or diverges still
+exits 0, as does one logged to less than the disturbance's onset + 10 s,
+which the metrics need: it prints why there are no metrics in their place.
+`benchmark` rejects such a horizon as a config error (exit 1) before any
+stage, `--auto` ones too.
 Every command so rejects a dataset larger than the stage-1 runs log when
 they stay up, and a value outside its key's domain (say, a training set
 smaller than the model's 80 consequent parameters).
@@ -41,7 +44,7 @@ from .artifacts import read_json, write_json
 from .config import ConfigError, RunConfig, config_sha256, default_config, load_config
 from .controllers import AnfisController, CareError, LqrController, LqrDesign, PidController
 from .pipeline import (benchmark_from_config, build_dataset, check_metrics_span,
-                       design_from_config, stage1_runs, train_from_config)
+                       design_from_config, train_from_config)
 from .plant import controllability, linearize, poles, root_locus_sweep, transfer_functions, \
     write_locus_csv, write_poles_csv
 from .scenarios import METRICS_SPAN, compute_metrics
@@ -218,14 +221,15 @@ def cmd_train(args, config: RunConfig) -> int:
     print(f"epochs: {meta['epochs']}  final train RMSE: {meta['rmse']['train']:.3e}"
           f"  test RMSE: {meta['rmse']['test']:.3e}"
           f"  ({meta['rmse_pct_of_range']:.4g}% of output range)")
-    if history.stop_epoch is None:
-        print(f"ran all {len(history.train_rmse)} epochs")
-    elif "rounding_floor" in history.flags:
-        print(f"stopped after epoch {history.stop_epoch}: train RMSE reached the rounding"
+    last_epoch, reason = len(history.train_rmse) - 1, history.flags[-1:]
+    if reason == ["rounding_floor"]:
+        print(f"stopped after epoch {last_epoch}: train RMSE reached the rounding"
               " floor, so a later epoch could only move it by rounding noise")
-    else:
-        print(f"stopped after epoch {history.stop_epoch}: its premise step stalled,"
+    elif reason == ["premise_step_stalled"]:
+        print(f"stopped after epoch {last_epoch}: its premise step stalled,"
               " so every later epoch would repeat it")
+    else:
+        print(f"ran all {last_epoch + 1} epochs")
     if history.flags:
         print("flags:", ", ".join(history.flags))
     _manifest(out, "train", config, args, [MODEL_FILE, "rmse_history.csv"])
@@ -339,6 +343,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, ArithmeticError, CareError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

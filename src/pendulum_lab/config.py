@@ -22,7 +22,9 @@ A file cannot set the 3 fields in `_HIDDEN`: `pi.kd`, `pi.filter_n` and
 
 Each key's own domain is declared on its field by `artifacts.bounded`, which
 its section's ``__post_init__`` enforces by `artifacts.check_domains`; checks
-across keys (horizons against `sim.dt`, say) are written out.
+across keys (horizons against `sim.dt`, say) are written out.  `_build` names
+a field that its section rejects by its JSON key, so a file's errors and
+``--seed``'s read ``pi.kp`` or ``anfis.seed``, not ``kp`` or ``seed``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 
 from .anfis import AnfisConfig
-from .artifacts import bounded, check_domains, read_json, sha256_json
+from .artifacts import DomainError, bounded, check_domains, read_json, sha256_json
 from .controllers import PidGains
 from .plant import UPRIGHT_THETA, PhysicalParams
 from .scenarios import ScenarioConfig
@@ -52,7 +54,7 @@ class LqrConfig:
     r: float = bounded(1.0, gt=0.0)
 
     def __post_init__(self) -> None:
-        check_domains(self, "lqr.")
+        check_domains(self)
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,9 @@ class RunConfig:
                              ("scenarios.noise.horizon", self.scenarios.noise_horizon)):
             if not (math.isfinite(horizon) and horizon >= self.sim.dt):
                 raise ValueError(f"{key} must be >= sim.dt ({self.sim.dt!r}), got {horizon!r}")
+            if not math.isfinite(horizon / self.sim.dt):  # a step count round() cannot take
+                raise ValueError(f"{key} must be a finite number of steps of sim.dt "
+                                 f"({self.sim.dt!r}), got {horizon!r}")
         # the rows stage 1 logs if every run stays up; a run that falls ends early, and
         # generate_dataset rejects a log too short for the dataset at run time
         stage1 = self.anfis.stage1
@@ -85,11 +90,7 @@ class RunConfig:
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Override every stochastic seed (dataset subsampling and noise)."""
-        return replace(
-            self,
-            anfis=replace(self.anfis, seed=seed),
-            scenarios=replace(self.scenarios, noise=replace(self.scenarios.noise, seed=seed)),
-        )
+        return _build(self, {"anfis": {"seed": seed}, "scenarios": {"noise": {"seed": seed}}})
 
 
 def default_config() -> RunConfig:
@@ -163,6 +164,8 @@ def _leaf_fields(section, path=(), json_path=()):
 
 
 _LEAVES = tuple(_leaf_fields(RunConfig()))
+# field path -> (JSON key path, to JSON): how errors name each leaf
+_KEYS = {field_path: (keys, to_json) for field_path, keys, _, to_json in _LEAVES}
 
 
 def _json_leaves(doc, template: dict, path=()):
@@ -188,14 +191,21 @@ def _put(doc: dict, path, value) -> None:
     doc[path[-1]] = value
 
 
-def _build(section, changes: dict):
-    """``section`` with ``changes`` (nested by field name) applied; each
-    dataclass is built once from all of its changes, so its checks see the
-    final values together."""
+def _build(section, changes: dict, path=()):
+    """``section``, found at the field path ``path``, with ``changes`` (nested by
+    field name) applied; each dataclass is built once from all of its changes,
+    so its checks see the final values together.  A field outside its domain
+    is reported by its JSON key and in its JSON form, ``pi.kp`` or
+    ``scenarios.metrics.settle_band_deg`` in degrees."""
     for name, value in changes.items():
         if isinstance(value, dict):
-            changes[name] = _build(getattr(section, name), value)
-    return replace(section, **changes)
+            changes[name] = _build(getattr(section, name), value, path + (name,))
+    try:
+        return replace(section, **changes)
+    except DomainError as exc:
+        keys, to_json = _KEYS[path + (exc.field,)]
+        raise ValueError(f"{'.'.join(keys)} must be {exc.rule}, got {to_json(exc.value)!r}") \
+            from exc
 
 
 def load_config(path) -> RunConfig:

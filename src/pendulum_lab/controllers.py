@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .anfis import AnfisModel, _law_source
-from .artifacts import _number, bounded, check_domains, read_json, write_json
+from .artifacts import _frozen, _number, bounded, check_domains, read_json, write_json
 from .plant import UPRIGHT_THETA, LinearStateSpace, PlantState, ctrb
 from .simulate import _law_command
 
@@ -133,9 +133,7 @@ class LqrDesign:
 
     def __post_init__(self) -> None:
         for name, shape in (("Q", (4, 4)), ("S", (4, 4)), ("K", (1, 4))):
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(shape)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), shape=shape))
         object.__setattr__(self, "R", float(self.R))
         if not (np.isfinite(self.R) and all(np.isfinite(getattr(self, n)).all() for n in "QSK")):
             raise ValueError("non-finite entry in the LQR design")

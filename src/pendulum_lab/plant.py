@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .artifacts import bounded, check_domains, write_csv
+from .artifacts import _frozen, bounded, check_domains, write_csv
 
 __all__ = [
     "UPRIGHT_THETA",
@@ -126,14 +126,12 @@ class LinearStateSpace:
     B: np.ndarray
 
     def __post_init__(self) -> None:
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float).reshape(4, 1)
+        A, B = _frozen(self.A), _frozen(self.B, shape=(4, 1))
         if A.shape != (4, 4):
             raise ValueError(f"A must be 4x4, got {A.shape}")
         for arr, name in ((A, "A"), (B, "B")):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite entries in {name}")
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 

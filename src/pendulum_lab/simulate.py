@@ -55,7 +55,7 @@ from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .artifacts import bounded, check_domains
+from .artifacts import DomainError, bounded, check_domains
 from .plant import UPRIGHT_THETA, PhysicalParams, PlantState
 
 __all__ = [
@@ -114,7 +114,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         check_domains(self)
         if not (math.isfinite(self.horizon) and self.horizon >= self.dt):
-            raise ValueError(f"horizon must be >= dt, got {self.horizon!r}")
+            raise DomainError("horizon", ">= dt", self.horizon)
+        if not math.isfinite(self.horizon / self.dt):  # a step count round() cannot take
+            raise DomainError("dt", f"large enough for a finite number of steps over the "
+                                    f"horizon ({self.horizon!r})", self.dt)
         s = self.initial_state
         if not (all(abs(v) <= DIVERGENCE_LIMIT for v in (s.x, s.x_dot, s.theta_dot))
                 and UPRIGHT_THETA - FALL_ANGLE <= s.theta <= UPRIGHT_THETA + FALL_ANGLE):

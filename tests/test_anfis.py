@@ -481,7 +481,8 @@ class TestTrainHybrid:
         model, history = train_hybrid(ds, AnfisConfig(epochs=50))
         g = np.concatenate([-K, [intercept]])
         assert_allclose(model.consequents, np.tile(g, (16, 1)), rtol=0, atol=1e-12)
-        assert history.stop_epoch == 0
+        assert len(history.train_rmse) == 1
+        assert history.flags[-1] == "rounding_floor"
 
     def test_rejects_undersized_dataset(self):
         rng = np.random.default_rng(11)
@@ -495,9 +496,14 @@ class TestTrainHybrid:
             AnfisConfig(epochs=0)
         with pytest.raises(ValueError):
             AnfisConfig(learning_rate=0.0)
+        # a section built in code names its field; the config loader names the key
         for seed in (-1, 1.5, None):
-            with pytest.raises(ValueError, match="anfis.seed must be a non-negative integer"):
+            with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
                 AnfisConfig(seed=seed)
+        # a value that is no integer breaks an integer key's kind, not its bound
+        for key, value in (("epochs", 1.5), ("test_count", 2.5), ("train_count", True)):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+                AnfisConfig(**{key: value})
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
     def test_stage1_starts_short_of_the_horizontal(self, sign):
@@ -545,13 +551,13 @@ def assert_same_fit(model, capped):
         assert np.array_equal(getattr(model, name), getattr(capped, name))
 
 
-def assert_history_held(model, history, stop_epoch, epochs):
-    assert history.train_rmse.shape == history.test_rmse.shape == (epochs,)
-    assert np.all(history.train_rmse[stop_epoch:] == history.train_rmse[stop_epoch])
-    assert np.all(history.test_rmse[stop_epoch:] == history.test_rmse[stop_epoch])
+def assert_history_held(model, history, last_epoch, epochs):
+    """The history holds the epochs up to ``last_epoch`` and no more, the model's
+    metadata the last of them."""
+    assert history.train_rmse.shape == history.test_rmse.shape == (last_epoch + 1,)
     assert model.metadata["epochs"] == epochs
-    assert model.metadata["rmse"] == {"train": float(history.train_rmse[stop_epoch]),
-                                      "test": float(history.test_rmse[stop_epoch])}
+    assert model.metadata["rmse"] == {"train": float(history.train_rmse[-1]),
+                                      "test": float(history.test_rmse[-1])}
     assert history.flags == model.metadata["flags"]
 
 
@@ -572,11 +578,13 @@ class TestEarlyStop:
         config = AnfisConfig(epochs=40, learning_rate=learning_rate)
         calls = counted_lstsq(monkeypatch)
         model, history = train_hybrid(ds, config)
-        assert history.stop_epoch == stall_epoch
+        assert len(history.train_rmse) == stall_epoch + 1
+        assert history.flags[-1] == "premise_step_stalled"
         assert len(calls) == stall_epoch + 1
 
         capped, capped_history = train_hybrid(ds, replace(config, epochs=stall_epoch + 1))
-        assert capped_history.stop_epoch is None
+        assert len(capped_history.train_rmse) == stall_epoch + 1
+        assert not {"rounding_floor", "premise_step_stalled"} & set(capped_history.flags)
         assert_same_fit(model, capped)
         # the capped fit ends before it can take, and stall on, that last premise step
         assert model.metadata["flags"] == capped.metadata["flags"] + ["premise_step_stalled"]
@@ -588,7 +596,7 @@ class TestEarlyStop:
     def test_fit_without_stall_runs_every_epoch(self, monkeypatch):
         calls = counted_lstsq(monkeypatch)
         model, history = train_hybrid(tanh_dataset(9), AnfisConfig(epochs=20))
-        assert history.stop_epoch is None
+        assert history.train_rmse.shape == history.test_rmse.shape == (20,)
         assert history.flags == []
         assert len(calls) == 20
         assert np.all(np.diff(history.train_rmse) < 0.0)
@@ -605,7 +613,7 @@ class TestEarlyStop:
             ds = generate_dataset(stage1_logs, train_count=rows, test_count=91, seed=seed)
             calls.clear()
             model, history = train_hybrid(ds, AnfisConfig(epochs=50))
-            assert (history.stop_epoch, len(calls)) == (0, 1), seed
+            assert (len(history.train_rmse), len(calls)) == (1, 1), seed
             assert history.flags == flags
             assert history.train_rmse[0] <= 1e-12 * np.sqrt(np.mean(np.square(ds.train_y)))
             assert_history_held(model, history, 0, 50)

@@ -25,7 +25,7 @@ GOLDEN_SHA256 = {
     "dataset.csv": "0a1845a535585e4ecdc1293829a2e31e4dab680f6f78e254569a89772a5620ab",
     "dataset_split.json": "72874af59ea8c259f1c56a7f5c4493498fe0816b784950d86a6b96be7bf765e1",
     "anfis_model.json": "384d22010784c0118203ab71c7a36d55c4d89aef989f3df0698662a71f04f67c",
-    "rmse_history.csv": "23ce04801e7f7eeecd128ca8cde8c608f17cdf353bac594db86c99c0708e5423",
+    "rmse_history.csv": "6ecfbf13addd77cc69dcb0ee06433af7981c385573df43c378ca64008041aa1b",
     "benchmark.csv": "4f41352cd295490a79e057f10935e3de15921d6987235910db13713e9e622580",
     "benchmark.txt": "48da8a4bbda01c5ddf31de6bd8d4baaa9ebb580d358700c74981a893eb4f587c",
 }
@@ -197,6 +197,15 @@ def _design_lqr_with(doc):
     return run
 
 
+def _design_lqr_rejected_with(doc):
+    """`design-lqr` under ``doc``, which the config load rejects, so --out stays empty."""
+    def run(tmp_path):
+        code = _design_lqr_with(doc)(tmp_path)
+        assert list((tmp_path / "out").glob("*")) == []
+        return code
+    return run
+
+
 def _gen_data_with(doc):
     """`gen-data` under ``doc`` on the default design."""
     def run(tmp_path):
@@ -353,7 +362,7 @@ def _rejected_seed_flag(*argv):
     (_benchmark_rejected_with({"scenarios": {"metrics": {"drift_slope": math.nan}}}),
      cli.EXIT_USAGE, ("config error", "drift_slope must be >= 0, got nan")),
     (_benchmark_rejected_with({"scenarios": {"metrics": {"settle_band_deg": math.inf}}}),
-     cli.EXIT_USAGE, ("config error", "settle_band must be > 0, got inf")),
+     cli.EXIT_USAGE, ("config error", "scenarios.metrics.settle_band_deg must be > 0, got inf")),
     (_benchmark_rejected_with({"anfis": {"learning_rate": math.inf}}), cli.EXIT_USAGE,
      ("config error", "anfis.learning_rate must be > 0, got inf")),
     (_benchmark_rejected_with({"sim": {"initial_state": {"x": 2e6}}}), cli.EXIT_USAGE,
@@ -374,6 +383,27 @@ def _rejected_seed_flag(*argv):
      ("bad artifact: ", "malformed LQR design file", "expected a number, got True")),
     (_gen_data_on_gain_entry(math.nan), cli.EXIT_USAGE,
      ("bad artifact: ", "malformed LQR design file", "non-finite entry in the LQR design")),
+    (_design_lqr_rejected_with({"pi": {"kp": -1}}), cli.EXIT_USAGE,
+     ("config error: invalid config value: pi.kp must be >= 0, got -1.0",)),
+    (_design_lqr_rejected_with({"pid": {"kp": -1}}), cli.EXIT_USAGE,
+     ("config error: invalid config value: pid.kp must be >= 0, got -1.0",)),
+    (_design_lqr_rejected_with({"sim": {"horizon": 0.0001}}), cli.EXIT_USAGE,
+     ("config error: invalid config value: sim.horizon must be >= dt, got 0.0001",)),
+    (_design_lqr_rejected_with({"physical": {"cart_mass": -1}}), cli.EXIT_USAGE,
+     ("config error: invalid config value: physical.cart_mass must be > 0, got -1.0",)),
+    (_design_lqr_rejected_with({"scenarios": {"metrics": {"settle_band_deg": -1}}}),
+     cli.EXIT_USAGE, ("config error: invalid config value: scenarios.metrics.settle_band_deg "
+                      "must be > 0, got -1.0",)),
+    (_design_lqr_rejected_with({"sim": {"dt": 5e-324}}), cli.EXIT_USAGE,
+     ("config error: invalid config value: sim.dt must be large enough for a finite number "
+      "of steps over the horizon (40.0), got 5e-324",)),
+    (_design_lqr_rejected_with({"sim": {"dt": 5e-324, "horizon": 1e-300}}), cli.EXIT_USAGE,
+     ("config error: invalid config value: anfis.stage1.horizon must be a finite number of "
+      "steps of sim.dt (5e-324), got 12.0",)),
+    (_design_lqr_rejected_with({"sim": {"dt": 5e-324, "horizon": 1e-300},
+                                "anfis": {"stage1": {"horizon": 1e-300}}}), cli.EXIT_USAGE,
+     ("config error: invalid config value: scenarios.noise.horizon must be a finite number "
+      "of steps of sim.dt (5e-324), got 30.0",)),
 ], ids=["ok", "unknown-config-key", "negative-train-count", "zero-test-count", "zero-epochs",
         "negative-learning-rate", "benchmark-without-artifacts", "derive-missing-config",
         "train-too-few-rows",
@@ -390,7 +420,10 @@ def _rejected_seed_flag(*argv):
         "nan-drift-slope", "infinite-settle-band", "infinite-learning-rate",
         "start-past-divergence-box", "start-past-horizontal", "simulate-start-past-horizontal",
         "stage1-start-past-horizontal", "removed-log-decimation", "train-on-non-integer-split",
-        "gen-data-on-boolean-gain", "gen-data-on-nan-gain"])
+        "gen-data-on-boolean-gain", "gen-data-on-nan-gain", "negative-pi-kp",
+        "negative-pid-kp", "sim-horizon-below-dt", "negative-cart-mass", "negative-settle-band",
+        "sim-dt-too-fine-to-count", "stage1-horizon-too-long-to-count",
+        "noise-horizon-too-long-to-count"])
 def test_exit_codes(tmp_path, capsys, run, code, stderr):
     assert run(tmp_path) == code
     err = capsys.readouterr().err
@@ -398,6 +431,22 @@ def test_exit_codes(tmp_path, capsys, run, code, stderr):
         assert fragment in err
     if not stderr:
         assert err == ""
+
+
+def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # the grid of a fine sim.dt cannot be allocated: one line on stderr, no traceback
+    message = "Unable to allocate 298. GiB for an array with shape (40000000001,)"
+
+    def too_large(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(simulate, "step_times", too_large)
+    code = cli.main(["simulate", "--controller", "pid", "--scenario", "impulse",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_NUMERICAL == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"out of memory: {message}"]
+    assert not (tmp_path / "out" / "timeseries_pid_impulse.csv").exists()
 
 
 def _knock_benchmark(tmp_path):

@@ -245,7 +245,10 @@ class TestDomains:
             outside = bound + int(away)
         else:
             outside = math.nextafter(bound, away * math.inf)
-        with pytest.raises(ConfigError, match=re.escape(f"{f.name} must be ")):
+        # the error names the JSON key and gives the value in its JSON form
+        written = reduce(dict.get, keys, doc(outside))
+        with pytest.raises(ConfigError, match=re.escape(f"{'.'.join(keys)} must be "
+                                                        f"{f.metadata['rule']}, got {written!r}")):
             load_config(write_config(tmp_path / "outside.json", doc(outside)))
         if key in ("ge", "le"):
             loaded = reduce(getattr, field_path, load_config(write_config(tmp_path / "edge.json",
@@ -259,7 +262,7 @@ class TestDomains:
     def test_every_float_domain_is_finite(self, tmp_path, keys, value):
         _, f, to_json = DOMAINS[keys]
         value = [value] * len(f.default) if isinstance(f.default, tuple) else to_json(value)
-        with pytest.raises(ConfigError, match=re.escape(f"{f.name} must be ")):
+        with pytest.raises(ConfigError, match=re.escape(f"{'.'.join(keys)} must be ")):
             load_config(write_config(tmp_path / "bad.json", nested(keys, value)))
 
     def test_sections_built_in_code_are_checked(self):

@@ -1,5 +1,6 @@
 """Package-wide checks: every name that a `pendulum_lab` module exports in its ``__all__``
-exists, the dataclasses that hold arrays compare and hash by identity, every third-party
+exists, and every name it imports is used or exported; the dataclasses that hold arrays
+compare and hash by identity and freeze copies of the caller's arrays; every third-party
 module the package imports is a declared dependency, and the package imports cold without
 the modules that only writing a log needs."""
 
@@ -18,8 +19,8 @@ import pytest
 
 import pendulum_lab
 from pendulum_lab.anfis import AnfisModel, Dataset
-from pendulum_lab.controllers import design_lqr
-from pendulum_lab.plant import PhysicalParams, linearize
+from pendulum_lab.controllers import LqrDesign, design_lqr
+from pendulum_lab.plant import LinearStateSpace, PhysicalParams, linearize
 from pendulum_lab.simulate import TimeSeries
 
 PACKAGE = Path(pendulum_lab.__file__).resolve().parent
@@ -53,6 +54,53 @@ def test_array_dataclasses_compare_by_identity(make):
     assert a == a
     assert a != b
     assert len({a, b, a}) == 2  # hashable, by identity
+
+
+# the keyword arguments of each dataclass that freezes arrays, as a caller's own arrays
+FROZEN_INPUTS = {
+    AnfisModel: lambda: dict(a=np.ones((4, 1)), b=np.full((4, 1), 2.0), c=np.zeros((4, 1)),
+                             consequents=np.zeros((1, 5)),
+                             input_ranges=np.tile([-1.0, 1.0], (4, 1))),
+    Dataset: lambda: dict(rows=np.zeros((3, 5)), train_indices=np.array([0, 1]),
+                          test_indices=np.array([2])),
+    LqrDesign: lambda: dict(Q=np.eye(4), R=1.0, S=np.eye(4), K=np.ones((1, 4))),
+    LinearStateSpace: lambda: dict(A=np.eye(4), B=np.ones((4, 1))),
+}
+
+
+@pytest.mark.parametrize("cls", FROZEN_INPUTS, ids=lambda cls: cls.__name__)
+def test_array_dataclasses_freeze_a_copy(cls):
+    kwargs = FROZEN_INPUTS[cls]()
+    obj = cls(**kwargs)
+    arrays = {name: arr for name, arr in kwargs.items() if isinstance(arr, np.ndarray)}
+    held = {name: getattr(obj, name).copy() for name in arrays}
+    for name, arr in arrays.items():
+        assert arr.flags.writeable, name
+        assert not getattr(obj, name).flags.writeable, name
+        arr += 1
+        assert np.array_equal(getattr(obj, name), held[name]), name
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names that ``path`` imports but neither uses nor lists in its ``__all__``."""
+    tree = ast.parse(path.read_text())
+    imported, used, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                  for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_import_is_used_or_exported(path):
+    assert unused_imports(path) == []
 
 
 def imported_top_levels(path: Path) -> set[str]:

@@ -49,6 +49,7 @@ ALLOWLIST = {
     "simulate.rk4_step": "perfbench times one RK4 step through it",
     "cli._Parser.error": "error path: a usage error",
     "controllers.CareError.__init__": "error path: a Riccati solve that fails",
+    "artifacts.DomainError.__init__": "error path: a config value outside its key's domain",
     "simulate.Controller.command": "the protocol's stub; controllers implement it",
 }
 

@@ -1,6 +1,7 @@
 import copy
 import csv
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from pendulum_lab import simulate
 from pendulum_lab.anfis import AnfisModel
+from pendulum_lab.artifacts import DomainError
 from pendulum_lab.config import default_config
 from pendulum_lab.controllers import AnfisController, LqrController, PidController, design_lqr
 from pendulum_lab.plant import PhysicalParams, PlantState, UPRIGHT_THETA, derivative_fn, linearize
@@ -72,18 +74,6 @@ class TestRk4Step:
         order = math.log2(e1 / e2)
         assert order >= 3.5
 
-    def test_linear_regime_matches_matrix_exponential(self):
-        ss = linearize(PARAMS)
-        step = expm_series(ss.A * 0.1)
-        linear = np.array([0.0, 0.0, 3e-5, 0.0])
-        state = PlantState(theta=UPRIGHT_THETA + 3e-5)
-        for _ in range(10):
-            for _ in range(100):
-                state = rk4_step(state, 0.0, 0.0, 1e-3, PARAMS)
-            linear = step @ linear
-            assert abs(state.theta - UPRIGHT_THETA) <= 0.01
-            assert_allclose(state.deviation(), linear, atol=1e-4)
-
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             rk4_step(PlantState(), 0.0, 0.0, 0.0, PARAMS)
@@ -119,30 +109,62 @@ def rk4_over_accel(params, state, force, dt):
 component = st.floats(min_value=-1e3, max_value=1e3)
 
 
-class TestRk4Stepper:
-    """`rk4_step` inlines the equations of motion; it must agree with RK4 over
-    `derivative_fn` bit for bit, signed zeros included (``d = -0.0`` makes
-    ``u + d`` the force itself, bit for bit)."""
+def open_loop(start, force, dt, horizon, params=PARAMS):
+    """The open-loop run from the state ``start`` under a constant ``force``: an
+    impulse from t = 0 that outlasts the horizon."""
+    push = ImpulseSpec(force, onset=0.0, width=2.0 * horizon)
+    return run_closed_loop(SimConfig(dt=dt, horizon=horizon, initial_state=start), None, push,
+                           params)
 
-    @given(x=component, x_dot=component, theta=st.floats(min_value=-1e4, max_value=1e4),
+
+def logged_states(series):
+    """The (x, x', theta, theta') rows of a log."""
+    return np.column_stack([series.x, series.x_dot, series.theta, series.theta_dot])
+
+
+class TestRk4Stepper:
+    """The generated loop's RK4 lines inline the equations of motion; run open loop
+    under a constant force, they must step RK4 over `derivative_fn` bit for bit,
+    signed zeros included, and follow the plant's physics."""
+
+    # every start the loop takes: |theta - pi| up to pi/2, both ends included.  Open
+    # loop's force is 1.0 * 0.0 + d, which turns a -0.0 disturbance into 0.0.
+    @given(x=component, x_dot=component,
+           theta=st.floats(UPRIGHT_THETA - FALL_ANGLE, UPRIGHT_THETA + FALL_ANGLE),
            theta_dot=st.floats(min_value=-100.0, max_value=100.0),
            force=st.floats(min_value=-1e4, max_value=1e4),
            dt=st.sampled_from([1e-4, 1e-3, 2.5e-3, 1e-2]),
            friction=st.sampled_from([0.0, 0.1]))
-    @example(x=0.0, x_dot=0.0, theta=0.0, theta_dot=0.0, force=0.0, dt=1e-3, friction=0.1)
     @example(x=0.0, x_dot=0.0, theta=UPRIGHT_THETA, theta_dot=0.0, force=0.0, dt=1e-3,
              friction=0.1)
-    @example(x=-0.0, x_dot=-0.0, theta=-0.0, theta_dot=-0.0, force=-0.0, dt=1e-3, friction=0.0)
+    @example(x=-0.0, x_dot=-0.0, theta=UPRIGHT_THETA, theta_dot=-0.0, force=-0.0, dt=1e-3,
+             friction=0.0)
     @example(x=0.0, x_dot=0.0, theta=UPRIGHT_THETA, theta_dot=0.0, force=1e4, dt=1e-2,
              friction=0.1)
-    @example(x=5.0, x_dot=-3.0, theta=-1e4, theta_dot=100.0, force=-1e4, dt=1e-2, friction=0.1)
+    @example(x=5.0, x_dot=-3.0, theta=UPRIGHT_THETA - FALL_ANGLE, theta_dot=100.0, force=-1e4,
+             dt=1e-2, friction=0.1)
+    @example(x=-1e3, x_dot=1e3, theta=UPRIGHT_THETA + FALL_ANGLE, theta_dot=-100.0, force=1e4,
+             dt=1e-4, friction=0.0)
     def test_bitwise_equal_to_rk4_over_accel(self, x, x_dot, theta, theta_dot, force, dt,
                                              friction):
         params = PhysicalParams(friction=friction)
-        nxt = rk4_step(PlantState(x, x_dot, theta, theta_dot), force, -0.0, dt, params)
-        got = (nxt.x, nxt.x_dot, nxt.theta, nxt.theta_dot)
-        want = rk4_over_accel(params, (x, x_dot, theta, theta_dot), force, dt)
+        series = open_loop(PlantState(x, x_dot, theta, theta_dot), force, dt, dt, params)
+        assert len(series) == 2  # the start and one step, which may have fallen
+        got = logged_states(series)[1].tolist()
+        want = rk4_over_accel(params, (x, x_dot, theta, theta_dot), 1.0 * 0.0 + force, dt)
         assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    def test_linear_regime_matches_matrix_exponential(self):
+        ss = linearize(PARAMS)
+        step = expm_series(ss.A * 0.1)
+        series = open_loop(PlantState(theta=UPRIGHT_THETA + 3e-5), 0.0, 1e-3, 1.0)
+        assert series.outcome is None and len(series) == 1001
+        linear = np.array([0.0, 0.0, 3e-5, 0.0])
+        run = logged_states(series) - [0.0, 0.0, UPRIGHT_THETA, 0.0]
+        for k in range(100, 1001, 100):
+            linear = step @ linear
+            assert abs(run[k, 2]) <= 0.01
+            assert_allclose(run[k], linear, atol=1e-4)
 
     def test_rk4_step_uses_the_stepper(self):
         state = PlantState(x=0.2, x_dot=-1.0, theta=UPRIGHT_THETA - 0.4, theta_dot=2.0, t=1.5)
@@ -154,8 +176,9 @@ class TestRk4Stepper:
 
 def total_energy(state, params):
     """Kinetic plus gravitational energy of cart and pendulum, the potential zero at the
-    pivot height: conserved when friction and input force vanish."""
-    c = -math.cos(state.theta - UPRIGHT_THETA)
+    pivot height: conserved when friction and input force vanish.  ``state`` may be a
+    log, for the energy at each of its rows."""
+    c = -np.cos(state.theta - UPRIGHT_THETA)
     kinetic = (0.5 * params.total_mass * state.x_dot**2
                + 0.5 * params.pivot_inertia * state.theta_dot**2
                + params.pend_mass * params.half_length * c * state.x_dot * state.theta_dot)
@@ -164,14 +187,15 @@ def total_energy(state, params):
 
 class TestEnergyConservation:
     def test_frictionless_rk4_drift(self):
+        # swung up from one horizontal at 10 rad/s, the pendulum passes upright and falls
+        # past the other after 0.36 s, through every angle the loop steps from; the cart
+        # moves too
         params = PhysicalParams(friction=0.0)
-        state = PlantState(theta=UPRIGHT_THETA - 0.5)
-        e0 = total_energy(state, params)
-        worst = 0.0
-        for _ in range(10_000):
-            state = rk4_step(state, 0.0, 0.0, 1e-3, params)
-            worst = max(worst, abs(total_energy(state, params) - e0))
-        assert worst <= 1e-5 * abs(e0)
+        start = PlantState(theta=UPRIGHT_THETA - FALL_ANGLE, theta_dot=10.0)
+        series = open_loop(start, 0.0, 1e-3, 10.0, params)
+        assert series.outcome == "fell" and series.theta[-1] > UPRIGHT_THETA + FALL_ANGLE
+        energy = total_energy(series, params)
+        assert np.abs(energy - energy[0]).max() <= 1e-9 * abs(energy[0])
 
 
 class TestSimConfig:
@@ -201,6 +225,17 @@ class TestSimConfig:
         SimConfig(initial_state=PlantState(theta=edge))
         with pytest.raises(ValueError, match="initial_state"):
             SimConfig(initial_state=PlantState(theta=math.nextafter(edge, sign * math.inf)))
+
+    def test_a_step_count_past_the_float_range_names_dt(self):
+        # 40 s / 5e-324 is inf, which round() cannot take: the section names dt instead
+        with pytest.raises(DomainError, match=re.escape(
+                "dt must be large enough for a finite number of steps over the horizon (40.0), "
+                "got 5e-324")) as info:
+            SimConfig(dt=5e-324)
+        assert (info.value.field, info.value.value) == ("dt", 5e-324)
+        # a count within the float range is counted, not built
+        fine = SimConfig(dt=5e-324, horizon=1e-300)
+        assert simulate.step_span(fine)[0] == round(1e-300 / 5e-324)
 
     # dt over its whole domain, and grids of up to 1e5 steps
     @settings(max_examples=200, deadline=None)
